@@ -48,6 +48,8 @@ PROTO_REFERENCE = "reference"
 PROTO_HIGHPOWER = "highpower"
 _PROTOCOLS = (PROTO_PROPOSED, PROTO_REFERENCE, PROTO_HIGHPOWER)
 
+_SOLVER_KEYS = ("epsilon", "epsilon_is_relative", "max_iters", "highpower_factor")
+
 _DEFAULT_RELAYS = ((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0))
 _DEFAULT_REGION = {"x_min": -10.0, "x_max": 10.0, "y_min": -30.0, "y_max": -10.0}
 
@@ -79,10 +81,8 @@ class ExperimentConfig:
     num_taps: int = 6
     tap_decay: float = 3.0
     shadowing_db_std: float = 0.0
-    n_grid: int = 100
-    delta_factor: float = 1e-3
-    epsilon: float = 0.1
-    epsilon_is_relative: bool = False
+    epsilon: float = 1e-6
+    epsilon_is_relative: bool = True
     max_iters: int = 10_000
     highpower_factor: float = 100.0
     workers: int = 1
@@ -100,8 +100,6 @@ class ExperimentConfig:
         return solver.SolverParams(
             ptot=self.ptot_watts,
             weights=self.weights,
-            n_grid=self.n_grid,
-            delta_factor=self.delta_factor,
             epsilon=self.epsilon,
             epsilon_is_relative=self.epsilon_is_relative,
             max_iters=self.max_iters,
@@ -277,10 +275,10 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(sol, dict):
         errors.append("solver: expected a mapping")
         sol = {}
-    n_grid = _as_int(sol, "n_grid", errors, default=100, minimum=2)
-    delta_factor = _as_float(sol, "delta_factor", errors, default=1e-3)
-    epsilon = _as_float(sol, "epsilon", errors, default=0.1)
-    eps_rel = bool(sol.get("epsilon_is_relative", False))
+    for key in sorted(set(sol) - set(_SOLVER_KEYS), key=str):
+        errors.append(f"solver.{key}: unknown key; valid: {list(_SOLVER_KEYS)}")
+    epsilon = _as_float(sol, "epsilon", errors, default=1e-6)
+    eps_rel = bool(sol.get("epsilon_is_relative", True))
     max_iters = _as_int(sol, "max_iters", errors, default=10_000, minimum=1)
     hp_factor = _as_float(sol, "highpower_factor", errors, default=100.0)
 
@@ -308,8 +306,6 @@ def load_config(path) -> ExperimentConfig:
         num_taps=num_taps,
         tap_decay=tap_decay,
         shadowing_db_std=shadow_std,
-        n_grid=n_grid,
-        delta_factor=delta_factor,
         epsilon=epsilon,
         epsilon_is_relative=eps_rel,
         max_iters=max_iters,
@@ -362,6 +358,7 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     mode_sets = rates.classify(gains, params.ptot)
 
     uu = config.num_destinations
+    bracket = None  # (mu_lower, mu_upper), shared by the proposed and highpower protocols
     out: dict = {
         "index": index,
         "wsr": {},
@@ -377,6 +374,7 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     for proto in config.protocols:
         if proto == PROTO_PROPOSED:
             alloc = solver.solve(params, gains, mode_sets)
+            bracket = (alloc.mu_lower, alloc.mu_upper)
             out["wsr"][proto] = alloc.wsr
             out["user_rates"][proto] = solver.user_rates(alloc.assignments, gains)
             out["status"][proto] = alloc.status
@@ -391,10 +389,12 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
             out["status"][proto] = "waterfill"
             out["assignments"][proto] = _reference_assignments(ref, gains)
         elif proto == PROTO_HIGHPOWER:
-            report = highpower.check_conditions(params, gains)
+            if bracket is None:
+                bracket = solver.price_bracket(params, gains, mode_sets)
+            report = highpower.check_conditions(params, gains, mu_upper=bracket[1], g1_table=mode_sets.g1)
             out["highpower_met"] = report.conditions_met
             if report.conditions_met:
-                alloc = highpower.solve_high_power(params, gains, report=report)
+                alloc = highpower.solve_high_power(params, gains, report=report, bracket=bracket)
                 out["wsr"][proto] = alloc.wsr
                 out["user_rates"][proto] = solver.user_rates(alloc.assignments, gains)
                 out["status"][proto] = alloc.status
@@ -550,7 +550,9 @@ def emit(report: RunReport, out_dir) -> list:
             "realizations": cfg.realizations,
             "protocols": protos,
         },
-        "average_wsr": {p: report.average_wsr[p] for p in protos},
+        "average_wsr": {
+            p: report.average_wsr[p] if math.isfinite(report.average_wsr[p]) else None for p in protos
+        },
         "status_counts": {
             p: {s: report.statuses[p].count(s) for s in sorted(set(report.statuses[p]))}
             for p in protos
@@ -563,7 +565,7 @@ def emit(report: RunReport, out_dir) -> list:
         ),
     }
     path = out / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     paths.append(path)
     return paths
 

@@ -56,11 +56,13 @@ def check_conditions(
     """
     if factor is None:
         factor = params.highpower_factor
-    if g1_table is None:
-        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     if mu_upper is None:
         mode_sets = rates.classify(gains, params.ptot)
         _, mu_upper = solver.price_bracket(params, gains, mode_sets)
+        if g1_table is None:
+            g1_table = mode_sets.g1
+    if g1_table is None:
+        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
 
     threshold = float(params.weights.min()) / mu_upper
     both = np.stack([g1_table, gains.g_su])
@@ -85,18 +87,24 @@ def solve_high_power(
     gains: GainTable,
     factor: Optional[float] = None,
     report: Optional[HighPowerReport] = None,
+    bracket: Optional[tuple] = None,
 ) -> Allocation:
     """Closed form allocation for the high power regime.
 
     Power is split uniformly over subcarriers. With equal weights each
     subcarrier goes to the destination with the largest direct gain; with
     unequal weights the weighted log dominates and every subcarrier goes to
-    the maximum weight destination (lowest index on ties). Raises
-    ValueError when the regime conditions are not met.
+    the maximum weight destination (lowest index on ties). ``bracket`` is
+    ``solver.price_bracket``'s (mu_lower, mu_upper), computed when not
+    supplied. Raises ValueError when the regime conditions are not met.
     """
-    g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
-    if report is None:
-        report = check_conditions(params, gains, factor=factor, g1_table=g1_table)
+    if bracket is None or report is None:
+        mode_sets = rates.classify(gains, params.ptot)
+        if bracket is None:
+            bracket = solver.price_bracket(params, gains, mode_sets)
+        if report is None:
+            report = check_conditions(params, gains, bracket[1], factor, mode_sets.g1)
+    mu_lower, mu_upper = bracket
     if not report.conditions_met:
         raise ValueError(
             "high power conditions not met "
@@ -122,12 +130,10 @@ def solve_high_power(
         ))
         wsr += float(w[u]) * rates.direct_rate(float(gains.g_su[k, u]), p_k)
 
-    mode_sets = rates.classify(gains, params.ptot)
-    mu_lower, mu_upper = solver.price_bracket(params, gains, mode_sets)
     return Allocation(
         assignments=assignments,
         wsr=wsr,
-        mu_star=float(w.min()) / report.threshold if report.threshold > 0.0 else mu_upper,
+        mu_star=mu_upper,
         residual=0.0,
         iterations=0,
         status=solver.STATUS_CLOSED_FORM,

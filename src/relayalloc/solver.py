@@ -2,19 +2,19 @@
 
 For a price mu on total power, every subcarrier independently picks the
 destination and mode maximizing its contribution to the Lagrangian, with a
-closed form optimum power. The price is then driven to the complementary
-slackness window ``0 <= Ptot - P(mu) < eps`` by a constant step subgradient
-iteration, initialized from a grid between two analytic price brackets.
+closed form optimum power. The assigned power P(mu) does not increase with
+the price, so the price is driven to the complementary slackness window
+``0 <= Ptot - P(mu) < eps`` by bisection in log price inside two analytic
+price bounds: each evaluation shrinks the bracket ``(lo, hi)`` with
+``P(lo) >= Ptot >= P(hi)`` and the next price is ``sqrt(lo * hi)``. The
+window ``eps`` defaults to ``1e-6 * Ptot``.
 
-Because the assigned power is a step discontinuous function of the price, a
-constant step can hop over the stopping window forever. Every evaluation
-therefore tightens an enclosing price bracket and the update falls back to
-bisection whenever the subgradient proposal leaves it (or periodically, to
-bound stagnation). If the bracket collapses without reaching the window, the
-total budget sits inside a power jump: no single assignment matches it
-exactly. In that case the assignments seen near the critical price are
-refilled to the exact budget by a fixed assignment water-filling pass and
-the best one is returned, flagged with ``status="bracket_collapse"``.
+P(mu) is step discontinuous, so the window may not be reachable. If the
+bracket collapses without reaching it, the total budget sits inside a power
+jump: no single assignment matches it exactly. In that case the assignments
+seen near the critical price are refilled to the exact budget by a fixed
+assignment water-filling pass and the best one is returned, flagged with
+``status="bracket_collapse"``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ STATUS_GAP = "bracket_collapse"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_CLOSED_FORM = "closed_form"
 
-# force a bisection step this often so the bracket keeps shrinking even when
-# the subgradient creeps
-_BISECT_EVERY = 16
-
 
 class ConvergenceError(RuntimeError):
     """No price satisfying the requested condition could be bracketed."""
@@ -67,22 +63,18 @@ class SolverParams:
     ``weights`` are the per destination priorities; by convention they sum
     to one, but any positive values are accepted (the optimum assignments
     are invariant to a common positive scaling). ``epsilon`` is the width of
-    the stopping window in watts, or relative to ``ptot`` when
-    ``epsilon_is_relative`` is set. ``delta_factor`` scales the constant
-    subgradient step by the bracket width. ``highpower_factor`` is the
-    margin demanded by the high power closed form checks.
+    the stopping window relative to ``ptot``, or in watts when
+    ``epsilon_is_relative`` is unset. ``highpower_factor`` is the margin
+    demanded by the high power closed form checks.
     """
 
     ptot: float
     weights: np.ndarray
-    n_grid: int = 100
-    delta_factor: float = 1e-3
-    epsilon: float = 0.1
-    epsilon_is_relative: bool = False
+    epsilon: float = 1e-6
+    epsilon_is_relative: bool = True
     max_iters: int = 10_000
     bracket_tol: float = 1e-10
     highpower_factor: float = 100.0
-    diminishing_step: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -93,10 +85,8 @@ class SolverParams:
             raise ValueError("weights must be positive and finite")
         if not (self.ptot > 0.0 and np.isfinite(self.ptot)):
             raise ValueError("ptot must be positive and finite")
-        if self.n_grid < 2:
-            raise ValueError("n_grid must be at least 2")
-        if self.delta_factor <= 0.0 or self.epsilon <= 0.0 or self.bracket_tol <= 0.0:
-            raise ValueError("delta_factor, epsilon and bracket_tol must be positive")
+        if self.epsilon <= 0.0 or self.bracket_tol <= 0.0:
+            raise ValueError("epsilon and bracket_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.highpower_factor < 1.0:
@@ -246,15 +236,21 @@ def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets:
 
 
 def _envelope_terms(params: SolverParams, gains: GainTable, mode_sets: ModeSets):
-    """Per subcarrier extreme inverse gain terms over admissible candidates."""
+    """Per subcarrier extreme inverse gain terms over admissible candidates.
+
+    The largest term is taken over live (nonzero gain) candidates only: a
+    dead candidate never carries power, and a subcarrier without a live one
+    gets ``inf`` so it adds nothing to the lower power bound.
+    """
     inv_relay = _inverse(mode_sets.g1)
     inv_direct = 2.0 * _inverse(gains.g_su)
     relay_ok = ~mode_sets.in_direct_set
     direct_ok = ~mode_sets.in_relay_set
     hi = np.maximum(
-        np.where(relay_ok, inv_relay, -np.inf).max(axis=1),
-        np.where(direct_ok, inv_direct, -np.inf).max(axis=1),
+        np.where(relay_ok & (mode_sets.g1 > 0.0), inv_relay, -np.inf).max(axis=1),
+        np.where(direct_ok & (gains.g_su > 0.0), inv_direct, -np.inf).max(axis=1),
     )
+    hi[np.isneginf(hi)] = np.inf
     lo = np.minimum(
         np.where(relay_ok, inv_relay, np.inf).min(axis=1),
         np.where(direct_ok, inv_direct, np.inf).min(axis=1),
@@ -320,22 +316,8 @@ def initial_price(
     gains: GainTable,
     mode_sets: ModeSets,
 ) -> float:
-    """Feasible grid sample with the smallest power slack, or mu_upper.
-
-    The grid is ``mu_lower + n (mu_upper - mu_lower) / n_grid`` for
-    n = 0 .. n_grid - 1. mu_upper itself is always feasible by construction
-    of the bracket, hence the fallback.
-    """
-    best_mu = None
-    best_slack = np.inf
-    for n in range(params.n_grid):
-        mu = mu_lower + (mu_upper - mu_lower) * n / params.n_grid
-        if mu <= 0.0:
-            continue
-        slack = params.ptot - solve_at_price(mu, params, gains, mode_sets).total_power
-        if 0.0 <= slack < best_slack:
-            best_mu, best_slack = mu, slack
-    return best_mu if best_mu is not None else mu_upper
+    """First price of the search: the geometric mean of the bracket."""
+    return math.sqrt(mu_lower * mu_upper)
 
 
 def _rate_of(mode: str, gain: float, power: float) -> float:
@@ -486,10 +468,9 @@ def solve(
 ) -> Allocation:
     """Full dual search returning the optimum allocation.
 
-    Follows the bracket / grid init / constant step subgradient scheme with
-    the bisection safeguards described in the module docstring. ``trace``,
-    when given, is called with (iteration, mu, total_power, lagrangian)
-    after every price evaluation.
+    Bisects in log price between the analytic bounds, as described in the
+    module docstring. ``trace``, when given, is called with (iteration, mu,
+    total_power, lagrangian) after every price evaluation.
     """
     if params.num_destinations != gains.num_destinations:
         raise ValueError("weights length must match the number of destinations")
@@ -500,7 +481,6 @@ def solve(
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     eps = params.epsilon_watts
-    delta = params.delta_factor * (mu_upper - mu_lower)
     mu = initial_price(mu_lower, mu_upper, params, gains, mode_sets)
 
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
@@ -521,7 +501,7 @@ def solve(
             seen[key] = state
         if slack >= 0.0 and (best is None or state.total_power > best.total_power):
             best = state
-        if mu > 0.0 and 0.0 <= slack < eps:
+        if 0.0 <= slack < eps:
             status = STATUS_KKT
             break
         if slack < 0.0:
@@ -531,11 +511,7 @@ def solve(
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
             status = STATUS_GAP
             break
-        step = delta / math.sqrt(it) if params.diminishing_step else delta
-        proposal = mu - step * slack
-        if not (lo < proposal < hi) or it % _BISECT_EVERY == 0:
-            proposal = 0.5 * (lo + hi)
-        mu = proposal
+        mu = math.sqrt(lo * hi)
 
     if status == STATUS_KKT:
         # primal completion: the window may leave up to eps watts unspent,

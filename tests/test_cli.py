@@ -225,3 +225,38 @@ def test_main_protocol_override(tmp_path, capsys):
     capsys.readouterr()
     assert not (tmp_path / "o1" / "rates_reference.csv").exists()
     assert main([str(good), "-p", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("key", ["n_grid", "delta_factor"])
+def test_load_config_rejects_removed_search_knobs(tmp_path, key):
+    text = GOOD_YAML + f"solver:\n  {key}: 10\n  epsilon: 1.0e-6\n"
+    with pytest.raises(ConfigError, match=f"solver.{key}"):
+        load_config(_write(tmp_path, text))
+
+
+def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):
+    # at 20 dBW the high power conditions fail on every realization, so its
+    # average WSR has no value and must be written as null
+    cfg = load_config(_write(tmp_path, GOOD_YAML.replace(
+        "protocols: [proposed, reference]", "protocols: [proposed, highpower]"
+    )))
+    emit(run_monte_carlo(cfg), tmp_path / "out")
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
+    assert summary["highpower_conditions_met"] == 0
+    assert summary["average_wsr"]["highpower"] is None
+    assert summary["average_wsr"]["proposed"] > 0.0
+
+
+def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
+    calls = []
+    table = cli.rates.effective_gain_table
+    monkeypatch.setattr(cli.rates, "effective_gain_table", lambda *a: calls.append(1) or table(*a))
+    text = GOOD_YAML.replace("protocols: [proposed, reference]", "protocols: [highpower, proposed]")
+    cfg = load_config(_write(tmp_path, text.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0")))
+    out = cli._run_realization(cfg, 0)
+    assert out["highpower_met"]
+    assert len(calls) == 1

@@ -1,12 +1,13 @@
-"""Dual price search: metrics, bracketing, grid init, subgradient loop."""
+"""Dual price search: metrics, bracketing, log-price bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from relayalloc import rates, solver
+from relayalloc import channel, rates, reference, solver
 from relayalloc.channel import GainTable
+from relayalloc.cli import realization_seeds
 from relayalloc.solver import (
     STATUS_KKT,
     SolverParams,
@@ -56,7 +57,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[])
     with pytest.raises(ValueError):
-        SolverParams(ptot=1.0, weights=[1.0], n_grid=1)
+        SolverParams(ptot=1.0, weights=[1.0], bracket_tol=0.0)
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[1.0], epsilon=0.0)
     with pytest.raises(ValueError):
@@ -66,9 +67,12 @@ def test_params_validation():
 
 
 def test_epsilon_watts_modes():
-    assert SolverParams(ptot=100.0, weights=[1.0], epsilon=0.1).epsilon_watts == 0.1
-    p = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.01, epsilon_is_relative=True)
+    # the default window is relative: 1e-6 of the budget
+    assert math.isclose(SolverParams(ptot=100.0, weights=[1.0]).epsilon_watts, 1e-4, rel_tol=1e-12)
+    p = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.01)
     assert math.isclose(p.epsilon_watts, 1.0, rel_tol=1e-12)
+    absolute = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.1, epsilon_is_relative=False)
+    assert absolute.epsilon_watts == 0.1
 
 
 # ------------------------------------------------------------------- metrics
@@ -183,6 +187,22 @@ def test_bracket_bounds_monotone_in_budget():
     assert hi_b < hi_s and lo_b < lo_s
 
 
+def test_bracket_ignores_zero_gain_destinations():
+    # destination 1 has no usable link at all; its infinite inverse gain
+    # once made the lower price bound unbracketable
+    t = _table([[1.0, 0.0]], [[0.5]], np.zeros((1, 1, 2)))
+    params = SolverParams(ptot=1.0, weights=[0.5, 0.5])
+    ms = rates.classify(t, params.ptot)
+    lo, hi = price_bracket(params, t, ms)
+    assert 0.0 < lo <= 1.0 / 3.0 <= hi
+    alloc = solve(params, t, ms)
+    assert alloc.status == STATUS_KKT
+    a = alloc.assignments[0]
+    assert (a.u, a.mode) == (0, rates.MODE_DIRECT)
+    assert math.isclose(a.sum_power, 1.0, rel_tol=1e-12)
+    assert math.isclose(alloc.wsr, math.log(1.5), rel_tol=1e-9)
+
+
 def test_bracket_contains_power_root():
     rng = np.random.default_rng(22)
     for _ in range(10):
@@ -197,32 +217,34 @@ def test_bracket_contains_power_root():
         assert solve_at_price(hi, params, gains, ms).total_power <= params.ptot + 1e-6
 
 
-def test_initial_price_falls_back_to_upper_bound():
-    # single user: the grid stops one step short of the root, so the
-    # fallback must return the upper bound itself
+def test_initial_price_is_geometric_mean_of_bracket():
     params = SolverParams(ptot=2.0, weights=[1.0])
     ms = rates.classify(DIRECT1, params.ptot)
     mu_l, mu_u = price_bracket(params, DIRECT1, ms)
-    assert math.isclose(initial_price(mu_l, mu_u, params, DIRECT1, ms), mu_u, rel_tol=1e-12)
+    assert math.isclose(initial_price(mu_l, mu_u, params, DIRECT1, ms), math.sqrt(mu_l * mu_u), rel_tol=1e-15)
+    assert initial_price(0.5, 0.5, params, DIRECT1, ms) == 0.5
 
 
-def test_initial_price_picks_tightest_feasible_sample():
+def test_search_bisects_the_bracket_in_log_price():
     # two direct users with unequal weights: the power root sits strictly
-    # inside the bracket, so some grid samples are feasible
+    # inside the bracket. Replaying the trace, every price after the first
+    # is the geometric mean of the bracket the earlier evaluations left.
     t = _table([[1.0, 2.0]], [[0.001]], [[[0.001, 0.001]]])
     params = SolverParams(ptot=2.0, weights=[1.0, 0.5])
     ms = rates.classify(t, params.ptot)
-    mu_l, mu_u = price_bracket(params, t, ms)
-    mu0 = initial_price(mu_l, mu_u, params, t, ms)
-    assert mu_l < mu0 < mu_u
-    slack0 = params.ptot - solve_at_price(mu0, params, t, ms).total_power
-    assert 0.0 <= slack0
-    # no feasible grid sample does better
-    for n in range(params.n_grid):
-        mu = mu_l + (mu_u - mu_l) * n / params.n_grid
-        slack = params.ptot - solve_at_price(mu, params, t, ms).total_power
-        if slack >= 0.0:
-            assert slack >= slack0 - 1e-12
+    rows = []
+    alloc = solve(params, t, ms, trace=lambda *r: rows.append(r))
+    lo, hi = price_bracket(params, t, ms)
+    assert (alloc.mu_lower, alloc.mu_upper) == (lo, hi)
+    for _, mu, total_power, _ in rows:
+        assert lo < mu < hi
+        assert math.isclose(mu, math.sqrt(lo * hi), rel_tol=1e-15)
+        if total_power > params.ptot:
+            lo = mu
+        else:
+            hi = mu
+    assert alloc.status == STATUS_KKT
+    assert 0.0 <= alloc.residual < params.epsilon_watts
 
 
 # -------------------------------------------------------------------- solve
@@ -335,6 +357,38 @@ def test_solve_max_iters_returns_best_feasible():
     assert not alloc.converged
     assert alloc.iterations == 1
     assert alloc.residual >= 0.0
+
+
+def _synthesized(num_subcarriers, num_destinations, index):
+    placement_seed, channel_seed = realization_seeds(20260818, index)
+    region = channel.Region(x_min=-10.0, x_max=10.0, y_min=-30.0, y_max=-10.0)
+    dest = channel.place_destinations(region, num_destinations, placement_seed)
+    topo = channel.Topology(source_xy=(0.0, 0.0),
+                            relay_xy=((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0)),
+                            dest_xy=dest)
+    real = channel.synthesize_realization(topo, channel.TapProfile.exponential(), num_subcarriers, channel_seed)
+    return channel.to_gains(real, 1e-3)
+
+
+@pytest.mark.parametrize("dbw", [0.0, 35.0, 80.0])
+def test_search_evaluations_stay_bounded(dbw):
+    for i in range(5):
+        gains = _synthesized(64, 8, i)
+        alloc = solve(SolverParams(ptot=10.0 ** (dbw / 10.0), weights=np.full(8, 0.125)), gains)
+        assert alloc.status in (STATUS_KKT, solver.STATUS_GAP)
+        assert alloc.iterations <= 60
+
+
+def test_low_power_wsr_never_below_reference():
+    # at 0 dBW the window is 1e-6 of the budget; the old 0.1 W window let
+    # the joint optimum end below the per-subcarrier baseline
+    weights = np.full(8, 0.125)
+    for i in range(3):
+        gains = _synthesized(128, 8, i)
+        ms = rates.classify(gains, 1.0)
+        alloc = solve(SolverParams(ptot=1.0, weights=weights), gains, ms)
+        ref = reference.solve_reference(gains, 1.0, weights=weights, g1_table=ms.g1)
+        assert alloc.wsr >= ref.wsr * (1.0 - 1e-12)
 
 
 # --------------------------------------------------------- rate bookkeeping
