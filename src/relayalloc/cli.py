@@ -321,29 +321,6 @@ def realization_seeds(master_seed: int, index: int) -> tuple:
     return int(state[0]), int(state[1])
 
 
-def _reference_assignments(alloc: reference.ReferenceAllocation, gains: channel.GainTable) -> list:
-    rows = []
-    for k in range(alloc.dest.size):
-        u = int(alloc.dest[k])
-        p = float(alloc.power[k])
-        if alloc.mode[k] == rates.MODE_DIRECT:
-            # broadcast slot only; the source idles in the relaying slot
-            rows.append(solver.SubcarrierAssignment(
-                k=k, u=u, mode=rates.MODE_DIRECT, sum_power=p,
-                broadcast_power=p, relaying_power=0.0,
-            ))
-        else:
-            sol = rates.relay_aided_solution(rates.PerPairGains.from_table(gains, k, u), p)
-            p_src = sol.source_fraction * p
-            rows.append(solver.SubcarrierAssignment(
-                k=k, u=u, mode=rates.MODE_RELAY, sum_power=p,
-                broadcast_power=p_src, relaying_power=0.0,
-                relay_indices=sol.relay_set,
-                relay_powers=(p - p_src) * sol.relay_fractions,
-            ))
-    return rows
-
-
 def _run_realization(config: ExperimentConfig, index: int) -> dict:
     """All requested protocols on one synthesized realization."""
     placement_seed, channel_seed = realization_seeds(config.seed, index)
@@ -383,11 +360,11 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
         elif proto == PROTO_REFERENCE:
             ref = reference.solve_reference(gains, params.ptot, weights=params.weights, g1_table=mode_sets.g1)
             out["wsr"][proto] = ref.wsr
-            per_user = np.zeros(uu)
-            np.add.at(per_user, ref.dest, ref.rates_per_subcarrier)
-            out["user_rates"][proto] = per_user
+            out["user_rates"][proto] = np.bincount(ref.dest, weights=ref.rates_per_subcarrier, minlength=uu)
             out["status"][proto] = "waterfill"
-            out["assignments"][proto] = _reference_assignments(ref, gains)
+            # direct mode uses the broadcasting slot only in this protocol
+            out["assignments"][proto] = solver._assemble(ref.dest, ref.mode, ref.power, gains,
+                                                         direct_both_slots=False)
         elif proto == PROTO_HIGHPOWER:
             if bracket is None:
                 bracket = solver.price_bracket(params, gains, mode_sets)
@@ -419,6 +396,7 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for res in pool.map(_job, [(config, i) for i in range(rr)]):
                 results[res["index"]] = res
+                log.info("realization %d/%d done", res["index"] + 1, rr)
     else:
         for i in range(rr):
             results[i] = _run_realization(config, i)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rates, solver
 from .channel import GainTable
-from .solver import Allocation, SolverParams, SubcarrierAssignment
+from .solver import Allocation, SolverParams
 
 __all__ = ["HighPowerReport", "check_conditions", "solve_high_power"]
 
@@ -120,19 +120,10 @@ def solve_high_power(
         # the weighted log dominates every gain difference in this regime
         dest = np.full(kk, int(np.argmax(w)))
 
-    assignments = []
-    wsr = 0.0
-    for k in range(kk):
-        u = int(dest[k])
-        assignments.append(SubcarrierAssignment(
-            k=k, u=u, mode=rates.MODE_DIRECT, sum_power=p_k,
-            broadcast_power=p_k / 2.0, relaying_power=p_k / 2.0,
-        ))
-        wsr += float(w[u]) * rates.direct_rate(float(gains.g_su[k, u]), p_k)
-
+    rate = 2.0 * np.log1p(gains.g_su[np.arange(kk), dest] * p_k / 2.0)  # rates.direct_rate per subcarrier
     return Allocation(
-        assignments=assignments,
-        wsr=wsr,
+        assignments=solver._assemble(dest, np.full(kk, rates.MODE_DIRECT), np.full(kk, p_k), gains),
+        wsr=solver._weighted_total(w[dest], rate),
         mu_star=mu_upper,
         residual=0.0,
         iterations=0,

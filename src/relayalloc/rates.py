@@ -10,7 +10,9 @@ the minimum of the worst source-relay link and the combined second hop.
 The relay aided problem has a closed form: sort relays by their source link
 gain, consider suffix sets, and pick the suffix whose beamforming ratio is
 largest. The result is a single effective gain so the two slot rate becomes
-``ln(1 + gain * P)`` for the total subcarrier power P.
+``ln(1 + gain * P)`` for the total subcarrier power P. ``relay_closed_form``
+evaluates it for a whole batch of pairs at once; the gain table, the per
+pair ``relay_aided_solution`` and the solver's assignments all read it.
 
 All rates are in nats per two slot frame.
 """
@@ -32,10 +34,13 @@ __all__ = [
     "CASE_BEAMFORM",
     "PerPairGains",
     "RelayAidedSolution",
+    "RelayClosedForm",
     "ModeSets",
     "direct_rate",
     "relay_rate",
     "relay_aided_solution",
+    "relay_closed_form",
+    "pair_closed_form",
     "effective_gain_table",
     "crossover_power",
     "classify",
@@ -48,6 +53,7 @@ MODE_RELAY = "relay"
 CASE_SOURCE_DOMINATES = "source_dominates"  # direct link beats every relay's source link
 CASE_RELAY_SUM_WEAK = "relay_sum_weak"      # decodable relays too weak on the second hop
 CASE_BEAMFORM = "beamform"                  # a suffix of relays beamforms with the source
+CASES = (CASE_SOURCE_DOMINATES, CASE_RELAY_SUM_WEAK, CASE_BEAMFORM)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,51 +124,17 @@ def relay_aided_solution(gains: PerPairGains, power: float) -> RelayAidedSolutio
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
-    g_su = float(gains.g_su)
-    order = np.argsort(gains.g_sr, kind="stable")
-    gs = gains.g_sr[order]
-    gr = gains.g_ru[order]
-    n = gs.size
-    # suffix sums of second hop gains in sorted order
-    t = np.cumsum(gr[::-1])[::-1]
-
-    if g_su >= gs[-1]:
-        best = int(np.argmax(gains.g_sr))
-        return RelayAidedSolution(
-            effective_gain=float(gs[-1]),
-            case_id=CASE_SOURCE_DOMINATES,
-            sorted_order=order,
-            x_idx=None, y_idx=None, z_idx=None,
-            relay_set=(best,),
-            source_fraction=1.0,
-            relay_fractions=np.array([1.0]),
-        )
-
-    x = int(np.searchsorted(gs, g_su, side="right"))  # first index with gs > g_su
-    if t[x] <= g_su:
-        best = int(np.argmax(gains.g_sr))
-        return RelayAidedSolution(
-            effective_gain=g_su,
-            case_id=CASE_RELAY_SUM_WEAK,
-            sorted_order=order,
-            x_idx=None, y_idx=None, z_idx=None,
-            relay_set=(best,),
-            source_fraction=1.0,
-            relay_fractions=np.array([1.0]),
-        )
-
-    y = int(np.max(np.nonzero(t > g_su)[0]))
-    cand = gs[x:y + 1] * t[x:y + 1] / (t[x:y + 1] + gs[x:y + 1] - g_su)
-    z = x + int(np.argmax(cand))  # first maximizer, i.e. the larger relay set
-    psi = float(t[z] / (t[z] + gs[z] - g_su))
+    cf = relay_closed_form(np.array([[gains.g_su]]), gains.g_sr[None, :], gains.g_ru[None, :, None])
+    [(relay_set, fractions)] = cf.relay_splits([1.0])
+    x, y, z = (int(v[0, 0]) if v[0, 0] >= 0 else None for v in (cf.x, cf.y, cf.z))
     return RelayAidedSolution(
-        effective_gain=float(cand[z - x]),
-        case_id=CASE_BEAMFORM,
-        sorted_order=order,
+        effective_gain=float(cf.gain[0, 0]),
+        case_id=CASES[cf.case[0, 0]],
+        sorted_order=cf.order[0],
         x_idx=x, y_idx=y, z_idx=z,
-        relay_set=tuple(int(i) for i in order[z:]),
-        source_fraction=psi,
-        relay_fractions=gr[z:] / t[z],
+        relay_set=relay_set,
+        source_fraction=float(cf.source_fraction[0, 0]),
+        relay_fractions=fractions,
     )
 
 
@@ -173,35 +145,102 @@ def relay_rate(gains: PerPairGains, power: float) -> float:
     return float(np.log1p(relay_aided_solution(gains, 0.0).effective_gain * power))
 
 
-def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> np.ndarray:
-    """Vectorized relay aided effective gain for every (k, u) pair.
+@dataclass(frozen=True, eq=False)
+class RelayClosedForm:
+    """The relay aided closed form of a batch of (subcarrier, destination) pairs.
 
-    Same result as looping relay_aided_solution over the table; kept separate
-    because the classification and both protocols need the full (K, U) grid.
+    Row m holds one subcarrier's N relays and U destinations: per pair
+    arrays are (M, U), per relay ones (M, N, U) in sorted position.
+    ``order``, ``x``, ``y`` and ``z`` are as in ``RelayAidedSolution``, with
+    -1 outside the beamform case; ``case`` indexes ``CASES``.
+    """
+
+    gain: np.ndarray             # (M, U) effective gain
+    case: np.ndarray             # (M, U)
+    order: np.ndarray            # (M, N)
+    best: np.ndarray             # (M,) relay with the largest source link gain
+    x: np.ndarray                # (M, U)
+    y: np.ndarray                # (M, U)
+    z: np.ndarray                # (M, U)
+    source_fraction: np.ndarray  # (M, U)
+    g_ru_sorted: np.ndarray      # (M, N, U) second hop gains in sorted order
+    suffix_sum: np.ndarray       # (M, N, U) their suffix sums
+
+    def relay_splits(self, shared) -> list:
+        """(relay_set, relay_powers) of every pair in row major order.
+
+        The relays of pair i share ``shared[i]`` watts in proportion to
+        their second hop gains. A beamform pair uses the suffix of the
+        sorted order from z; the other cases hand the best source link relay
+        all of it (zero, as their source fraction is one).
+        """
+        shared = np.asarray(shared, dtype=float)
+        u = self.z.shape[1]
+        z_safe = np.maximum(self.z, 0)[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = self.g_ru_sorted / np.take_along_axis(self.suffix_sum, z_safe, axis=1)
+        powers = shared[:, None] * frac.transpose(0, 2, 1).reshape(shared.size, frac.shape[1])
+        order = np.repeat(self.order, u, axis=0).tolist()
+        best = np.repeat(self.best, u).tolist()
+        out = []
+        for z, o, b, s, row in zip(self.z.reshape(-1).tolist(), order, best, shared.tolist(), powers):
+            out.append(((b,), np.array([s])) if z < 0 else (tuple(o[z:]), row[z:]))
+        return out
+
+
+def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> RelayClosedForm:
+    """Relay aided closed form of every pair in one numpy pass.
+
+    ``g_su`` is (M, U), ``g_sr`` (M, N) and ``g_ru`` (M, N, U); a batch of
+    single pairs has U = 1. Relays are sorted by source link gain once per
+    row and the suffix sets of every destination are scored together.
     """
     g_su = np.asarray(g_su, dtype=float)
-    k, u = g_su.shape
     n = g_sr.shape[1]
     order = np.argsort(g_sr, axis=1, kind="stable")
-    gs = np.take_along_axis(g_sr, order, axis=1)                  # (K, N)
-    gr = np.take_along_axis(g_ru, order[:, :, None], axis=1)      # (K, N, U)
+    gs = np.take_along_axis(g_sr, order, axis=1)                  # (M, N)
+    gr = np.take_along_axis(g_ru, order[:, :, None], axis=1)      # (M, N, U)
     t = np.flip(np.cumsum(np.flip(gr, axis=1), axis=1), axis=1)   # suffix sums
 
-    gs_max = gs[:, -1]
-    case1 = g_su >= gs_max[:, None]
-    x_cnt = (gs[:, :, None] <= g_su[:, None, :]).sum(axis=1)      # (K, U) first index with gs > g_su
-    x_safe = np.minimum(x_cnt, n - 1)
-    t_at_x = np.take_along_axis(t, x_safe[:, None, :], axis=1)[:, 0, :]
-    case2 = ~case1 & (t_at_x <= g_su)
-
-    b = np.arange(n)[None, :, None]
-    valid = (b >= x_cnt[:, None, :]) & (t > g_su[:, None, :])
-    den = t + gs[:, :, None] - g_su[:, None, :]
+    gs_max = gs[:, -1:]
+    gs3, g_su3 = gs[:, :, None], g_su[:, None, :]
+    live = t > g_su3  # a prefix of sorted positions: t does not increase
+    y = np.count_nonzero(live, axis=1) - 1         # last suffix start with t > g_su
+    x = np.count_nonzero(gs3 <= g_su3, axis=1)     # first index with gs > g_su
+    case1 = g_su >= gs_max
+    case2 = ~case1 & (x > y)                       # t[x] <= g_su
+    beam = ~(case1 | case2)
+    valid = (np.arange(n)[None, :, None] >= x[:, None, :]) & live
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(valid, gs[:, :, None] * t / den, -np.inf)
-    g_beam = ratio.max(axis=1)
+        ratio = np.where(valid, gs3 * t / (t + gs3 - g_su3), -np.inf)
+        z = ratio.argmax(axis=1)  # first maximizer, i.e. the larger relay set
+        g_beam = np.take_along_axis(ratio, z[:, None, :], axis=1)[:, 0, :]
+        del ratio, valid  # keeps the peak memory of the (K, U) grid call down
+        t_z = np.take_along_axis(t, z[:, None, :], axis=1)[:, 0, :]
+        psi = t_z / (t_z + np.take_along_axis(gs, z, axis=1) - g_su)
 
-    return np.where(case1, gs_max[:, None], np.where(case2, g_su, g_beam))
+    return RelayClosedForm(
+        gain=np.where(case1, gs_max, np.where(case2, g_su, g_beam)),
+        case=np.where(case1, 0, np.where(case2, 1, 2)),
+        order=order,
+        best=np.argmax(g_sr, axis=1),
+        x=np.where(beam, x, -1),
+        y=np.where(beam, y, -1),
+        z=np.where(beam, z, -1),
+        source_fraction=np.where(beam, psi, 1.0),
+        g_ru_sorted=gr,
+        suffix_sum=t,
+    )
+
+
+def pair_closed_form(gains: GainTable, k: np.ndarray, u: np.ndarray) -> RelayClosedForm:
+    """Closed form of the pairs (k[i], u[i]) of a gain table, as rows i."""
+    return relay_closed_form(gains.g_su[k, u][:, None], gains.g_sr[k], gains.g_ru[k, :, u][:, :, None])
+
+
+def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> np.ndarray:
+    """Relay aided effective gain of every (k, u) pair: the closed form on the (K, U) grid."""
+    return relay_closed_form(g_su, g_sr, g_ru).gain
 
 
 def crossover_power(g1: float, g_su: float) -> Optional[float]:

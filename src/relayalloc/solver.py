@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rates
 from .channel import GainTable
-from .rates import MODE_DIRECT, MODE_RELAY, ModeSets, PerPairGains
+from .rates import MODE_DIRECT, MODE_RELAY, ModeSets
 
 __all__ = [
     "ConvergenceError",
@@ -184,37 +184,22 @@ def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_se
     return value, power
 
 
-def assignment_metric(
-    u: int,
-    mode: str,
-    k: int,
-    mu: float,
-    params: SolverParams,
-    gains: GainTable,
-    mode_sets: ModeSets,
-) -> float:
+def assignment_metric(u: int, mode: str, k: int, mu: float, params: SolverParams, gains: GainTable,
+                      mode_sets: ModeSets) -> float:
     """Best achievable ``w * rate - mu * power`` for one candidate.
 
     The maximizing total power is ``[w/mu - 1/g1]+`` in relay aided mode and
-    ``2 [w/mu - 1/g_su]+`` in direct mode.
+    ``2 [w/mu - 1/g_su]+`` in direct mode; the value is the candidate's
+    entry of ``_candidate_tables``.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    if mode == MODE_RELAY:
-        if mode_sets.in_direct_set[k, u]:
-            raise ValueError(f"relay mode is inadmissible for destination {u} on subcarrier {k}")
-        g1 = float(mode_sets.g1[k, u])
-        w = float(params.weights[u])
-        p = max(w / mu - 1.0 / g1, 0.0) if g1 > 0.0 else 0.0
-        return w * math.log1p(g1 * p) - mu * p
-    if mode == MODE_DIRECT:
-        if mode_sets.in_relay_set[k, u]:
-            raise ValueError(f"direct mode is inadmissible for destination {u} on subcarrier {k}")
-        g = float(gains.g_su[k, u])
-        w = float(params.weights[u])
-        q = max(w / mu - 1.0 / g, 0.0) if g > 0.0 else 0.0
-        return 2.0 * w * math.log1p(g * q) - 2.0 * mu * q
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in (MODE_RELAY, MODE_DIRECT):
+        raise ValueError(f"unknown mode {mode!r}")
+    value = float(_candidate_tables(mu, params, gains, mode_sets)[0][k, 2 * u + (mode == MODE_DIRECT)])
+    if value == -math.inf:
+        raise ValueError(f"{mode} mode is inadmissible for destination {u} on subcarrier {k}")
+    return value
 
 
 def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
@@ -320,19 +305,30 @@ def initial_price(
     return math.sqrt(mu_lower * mu_upper)
 
 
-def _rate_of(mode: str, gain: float, power: float) -> float:
-    if mode == MODE_RELAY:
-        return math.log1p(gain * power)
-    return 2.0 * math.log1p(gain * power / 2.0)
+def _rates(gain: np.ndarray, power: np.ndarray, relay: np.ndarray) -> np.ndarray:
+    """Per subcarrier rate: ``ln(1 + g p)`` relay aided, ``2 ln(1 + g p / 2)`` direct.
+
+    Uses ``math.log1p``, as numpy's SIMD ``log1p`` can differ in the last bit.
+    """
+    arg = np.where(relay, gain * power, gain * power / 2.0)
+    return np.where(relay, 1.0, 2.0) * np.fromiter(map(math.log1p, arg.tolist()), float, arg.size)
+
+
+def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
+    """``sum(weights * rate)`` added left to right, in subcarrier order."""
+    return float(np.cumsum(weights * rate)[-1]) if rate.size else 0.0
+
+
+def _chosen_gain(dest, mode, gains: GainTable, g1: np.ndarray):
+    """(gain, relay) per subcarrier of a (destination, mode) choice."""
+    rows = np.arange(len(dest))
+    relay = mode == MODE_RELAY
+    return np.where(relay, g1[rows, dest], gains.g_su[rows, dest]), relay
 
 
 def _state_wsr(dest, mode, power, params: SolverParams, gains: GainTable, g1: np.ndarray) -> float:
-    total = 0.0
-    for k in range(len(dest)):
-        u = int(dest[k])
-        gain = float(g1[k, u]) if mode[k] == MODE_RELAY else float(gains.g_su[k, u])
-        total += float(params.weights[u]) * _rate_of(str(mode[k]), gain, float(power[k]))
-    return total
+    gain, relay = _chosen_gain(dest, mode, gains, g1)
+    return _weighted_total(params.weights[dest], _rates(gain, power, relay))
 
 
 def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
@@ -343,11 +339,9 @@ def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
     the budget. Returns (wsr, power) or None if no subcarrier can carry
     power.
     """
-    kk = len(dest)
-    idx = np.arange(kk)
     w = params.weights[dest]
-    g = np.where(mode == MODE_RELAY, g1[idx, dest], gains.g_su[idx, dest])
-    c = np.where(mode == MODE_RELAY, 1.0, 2.0)
+    g, relay = _chosen_gain(dest, mode, gains, g1)
+    c = np.where(relay, 1.0, 2.0)
     live = g > 0.0
     if not np.any(live):
         return None
@@ -438,24 +432,30 @@ def _local_improve(dest, mode, params: SolverParams, gains: GainTable, mode_sets
     return best_wsr, best_power, dest, mode
 
 
-def _assemble(dest, mode, power, gains: GainTable) -> list:
+def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> list:
+    """Assignment list of a (destination, mode, power) choice.
+
+    Direct mode splits the power equally over both slots, or spends it all
+    in the broadcasting slot when ``direct_both_slots`` is unset (the
+    reference protocol). One closed form call splits every relay aided one.
+    """
+    relay_k = np.nonzero(mode == MODE_RELAY)[0]
+    cf = rates.pair_closed_form(gains, relay_k, dest[relay_k])
+    p_relay = power[relay_k]
+    p_src = cf.source_fraction[:, 0] * p_relay
+    splits = iter(zip(p_src.tolist(), cf.relay_splits(p_relay - p_src)))
     rows = []
-    for k in range(len(dest)):
-        u = int(dest[k])
-        p = float(power[k])
-        if mode[k] == MODE_DIRECT:
+    for k, (u, m, p) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist())):
+        if m == MODE_DIRECT:
+            b, r = (p / 2.0, p / 2.0) if direct_both_slots else (p, 0.0)
             rows.append(SubcarrierAssignment(
-                k=k, u=u, mode=MODE_DIRECT, sum_power=p,
-                broadcast_power=p / 2.0, relaying_power=p / 2.0,
+                k=k, u=u, mode=MODE_DIRECT, sum_power=p, broadcast_power=b, relaying_power=r,
             ))
         else:
-            sol = rates.relay_aided_solution(PerPairGains.from_table(gains, k, u), p)
-            p_src = sol.source_fraction * p
+            b, (relay_set, relay_powers) = next(splits)
             rows.append(SubcarrierAssignment(
-                k=k, u=u, mode=MODE_RELAY, sum_power=p,
-                broadcast_power=p_src, relaying_power=0.0,
-                relay_indices=sol.relay_set,
-                relay_powers=(p - p_src) * sol.relay_fractions,
+                k=k, u=u, mode=MODE_RELAY, sum_power=p, broadcast_power=b, relaying_power=0.0,
+                relay_indices=relay_set, relay_powers=relay_powers,
             ))
     return rows
 
@@ -479,6 +479,20 @@ def solve(
     elif abs(mode_sets.ptot - params.ptot) > 1e-12 * max(params.ptot, 1.0):
         raise ValueError("mode_sets was classified at a different total power")
 
+    iterations = 0
+
+    def finish(dest, mode, power, wsr: float, mu: float, residual: float) -> Allocation:
+        return Allocation(assignments=_assemble(dest, mode, power, gains), wsr=wsr, mu_star=mu,
+                          residual=residual, iterations=iterations, status=status,
+                          mu_lower=mu_lower, mu_upper=mu_upper)
+
+    if not (np.any(gains.g_su > 0.0) or np.any(mode_sets.g1 > 0.0)):
+        # no candidate carries any rate: every split of the budget is
+        # optimal, and the KKT conditions hold at price zero
+        kk, status, mu_lower, mu_upper = gains.num_subcarriers, STATUS_KKT, 0.0, 0.0
+        power = np.full(kk, params.ptot / kk)
+        return finish(np.zeros(kk, dtype=int), np.full(kk, MODE_DIRECT), power, 0.0, 0.0, 0.0)
+
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     eps = params.epsilon_watts
     mu = initial_price(mu_lower, mu_upper, params, gains, mode_sets)
@@ -488,7 +502,6 @@ def solve(
     seen: dict = {}
     state = None
     status = STATUS_MAX_ITERS
-    iterations = 0
 
     for it in range(1, params.max_iters + 1):
         iterations = it
@@ -496,9 +509,8 @@ def solve(
         if trace is not None:
             trace(it, state.mu, state.total_power, state.lagrangian)
         slack = params.ptot - state.total_power
-        key = (tuple(int(d) for d in state.dest), tuple(str(m) for m in state.mode))
         if len(seen) < 4096:
-            seen[key] = state
+            seen[state.dest.tobytes() + state.mode.tobytes()] = state
         if slack >= 0.0 and (best is None or state.total_power > best.total_power):
             best = state
         if 0.0 <= slack < eps:
@@ -523,13 +535,7 @@ def solve(
         fill = _refill(state.dest, state.mode, params, gains, mode_sets.g1)
         if fill is not None and fill[0] >= wsr:
             wsr, power = fill
-        return Allocation(
-            assignments=_assemble(state.dest, state.mode, power, gains),
-            wsr=wsr, mu_star=state.mu,
-            residual=params.ptot - state.total_power,
-            iterations=iterations, status=status,
-            mu_lower=mu_lower, mu_upper=mu_upper,
-        )
+        return finish(state.dest, state.mode, power, wsr, state.mu, params.ptot - state.total_power)
 
     if status == STATUS_GAP:
         # The budget falls inside a power jump at the critical price: refill
@@ -538,7 +544,7 @@ def solve(
         # weighted max gain choice are included as candidates.
         for edge in (lo, hi):
             st = solve_at_price(edge, params, gains, mode_sets)
-            seen.setdefault((tuple(int(d) for d in st.dest), tuple(str(m) for m in st.mode)), st)
+            seen.setdefault(st.dest.tobytes() + st.mode.tobytes(), st)
         candidates = [(st.dest, st.mode) for st in seen.values()]
         candidates.append(_greedy_assignment(params, gains, mode_sets))
         best_fill = None
@@ -553,51 +559,37 @@ def solve(
                 if polished is not None and polished[0] > best_fill[0]:
                     best_fill = polished
             wsr, power, dest, mode = best_fill
-            return Allocation(
-                assignments=_assemble(dest, mode, power, gains),
-                wsr=wsr, mu_star=0.5 * (lo + hi),
-                residual=max(params.ptot - float(power.sum()), 0.0),
-                iterations=iterations, status=status,
-                mu_lower=mu_lower, mu_upper=mu_upper,
-            )
+            residual = max(params.ptot - float(power.sum()), 0.0)
+            return finish(dest, mode, power, wsr, 0.5 * (lo + hi), residual)
         status = STATUS_MAX_ITERS  # nothing could carry power, fall through
 
     if best is None:
         best = solve_at_price(mu_upper, params, gains, mode_sets)
     wsr = _state_wsr(best.dest, best.mode, best.power, params, gains, mode_sets.g1)
-    return Allocation(
-        assignments=_assemble(best.dest, best.mode, best.power, gains),
-        wsr=wsr, mu_star=best.mu,
-        residual=params.ptot - best.total_power,
-        iterations=iterations, status=status,
-        mu_lower=mu_lower, mu_upper=mu_upper,
-    )
+    return finish(best.dest, best.mode, best.power, wsr, best.mu, params.ptot - best.total_power)
+
+
+def _assignment_rates(assignments, gains: GainTable):
+    """(destination, rate) arrays of an assignment list, recomputed from gains."""
+    k = np.array([a.k for a in assignments], dtype=int)
+    u = np.array([a.u for a in assignments], dtype=int)
+    power = np.array([a.sum_power for a in assignments], dtype=float)
+    relay = np.array([a.mode == MODE_RELAY for a in assignments], dtype=bool)
+    gain = gains.g_su[k, u]
+    gain[relay] = rates.pair_closed_form(gains, k[relay], u[relay]).gain[:, 0]
+    return u, _rates(gain, power, relay)
 
 
 def weighted_sum_rate(assignments, params: SolverParams, gains: GainTable) -> float:
     """Recompute the weighted sum rate of an assignment list from gains."""
-    total = 0.0
-    for a in assignments:
-        if a.mode == MODE_RELAY:
-            pair = PerPairGains.from_table(gains, a.k, a.u)
-            gain = rates.relay_aided_solution(pair, a.sum_power).effective_gain
-        else:
-            gain = float(gains.g_su[a.k, a.u])
-        total += float(params.weights[a.u]) * _rate_of(a.mode, gain, a.sum_power)
-    return total
+    u, rate = _assignment_rates(assignments, gains)
+    return _weighted_total(params.weights[u], rate)
 
 
 def user_rates(assignments, gains: GainTable) -> np.ndarray:
     """Unweighted per destination rates of an assignment list."""
-    out = np.zeros(gains.num_destinations)
-    for a in assignments:
-        if a.mode == MODE_RELAY:
-            pair = PerPairGains.from_table(gains, a.k, a.u)
-            gain = rates.relay_aided_solution(pair, a.sum_power).effective_gain
-        else:
-            gain = float(gains.g_su[a.k, a.u])
-        out[a.u] += _rate_of(a.mode, gain, a.sum_power)
-    return out
+    u, rate = _assignment_rates(assignments, gains)
+    return np.bincount(u, weights=rate, minlength=gains.num_destinations)
 
 
 def time_shared_relay_rate(share: float, energy: float, g1: float) -> float:

@@ -1,6 +1,7 @@
 """Config ingestion, experiment runner determinism, and output emission."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -260,3 +261,30 @@ def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
     out = cli._run_realization(cfg, 0)
     assert out["highpower_met"]
     assert len(calls) == 1
+
+
+def test_parallel_run_logs_progress(tmp_path, caplog):
+    cfg = load_config(_write(tmp_path, GOOD_YAML + "workers: 2\n"))
+    assert cfg.workers == 2 and cfg.realizations == 3
+    caplog.set_level(logging.INFO, logger="relayalloc")
+    run_monte_carlo(cfg)
+    done = [r.getMessage() for r in caplog.records if r.getMessage().endswith("done")]
+    assert done == ["realization 1/3 done", "realization 2/3 done", "realization 3/3 done"]
+
+
+def test_realization_reads_the_relay_closed_form_in_batches(tmp_path, monkeypatch):
+    # at 0 dBW most subcarriers go relay aided; neither protocol may rebuild
+    # the closed form one subcarrier at a time
+    calls = []
+    solution = cli.rates.relay_aided_solution
+    from_table = cli.rates.PerPairGains.from_table.__func__
+    monkeypatch.setattr(cli.rates, "relay_aided_solution",
+                        lambda *a, **kw: calls.append("relay_aided_solution") or solution(*a, **kw))
+    monkeypatch.setattr(cli.rates.PerPairGains, "from_table",
+                        classmethod(lambda cls, *a: calls.append("from_table") or from_table(cls, *a)))
+    cfg = load_config(_write(tmp_path, GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0")))
+    assert cfg.protocols == ("proposed", "reference")
+    out = cli._run_realization(cfg, 0)
+    for proto in cfg.protocols:
+        assert sum(a.mode == cli.rates.MODE_RELAY for a in out["assignments"][proto]) >= 4
+    assert calls == []

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relayalloc import rates
 from relayalloc.channel import GainTable
 from relayalloc.rates import (
+    CASES,
     CASE_BEAMFORM,
     CASE_RELAY_SUM_WEAK,
     CASE_SOURCE_DOMINATES,
@@ -19,6 +22,7 @@ from relayalloc.rates import (
     direct_rate,
     effective_gain_table,
     relay_aided_solution,
+    relay_closed_form,
     relay_rate,
 )
 
@@ -242,6 +246,75 @@ def test_effective_gain_table_matches_per_pair():
                     PerPairGains(float(g_su[kk, uu]), g_sr[kk], g_ru[kk, :, uu]), 1.0
                 )
                 assert math.isclose(table[kk, uu], sol.effective_gain, rel_tol=1e-12)
+
+
+def _scalar_closed_form(g_su, g_sr, g_ru):
+    """The relay aided closed form of one pair, written out case by case.
+
+    Returns (gain, case, (x, y, z) or None, relay_set, source_fraction,
+    relay_fractions).
+    """
+    order = np.argsort(g_sr, kind="stable")
+    gs, gr = g_sr[order], g_ru[order]
+    t = np.cumsum(gr[::-1])[::-1]
+    best = (int(np.argmax(g_sr)),)
+    if g_su >= gs[-1]:
+        return float(gs[-1]), CASE_SOURCE_DOMINATES, None, best, 1.0, np.array([1.0])
+    x = int(np.searchsorted(gs, g_su, side="right"))
+    if t[x] <= g_su:
+        return g_su, CASE_RELAY_SUM_WEAK, None, best, 1.0, np.array([1.0])
+    y = int(np.max(np.nonzero(t > g_su)[0]))
+    cand = gs[x:y + 1] * t[x:y + 1] / (t[x:y + 1] + gs[x:y + 1] - g_su)
+    z = x + int(np.argmax(cand))
+    psi = float(t[z] / (t[z] + gs[z] - g_su))
+    return float(cand[z - x]), CASE_BEAMFORM, (x, y, z), tuple(int(i) for i in order[z:]), psi, gr[z:] / t[z]
+
+
+# small values tie and hit zero often; wide ones reach every case
+_GAIN = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                  st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _batches(draw):
+    m, n, u = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def gains(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_GAIN, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    return gains(m, u), gains(m, n), gains(m, n, u)
+
+
+def _one(g_su, g_sr, g_ru):
+    return np.array([[g_su]], float), np.array([g_sr], float), np.array(g_ru, float).reshape(1, -1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches())
+@example(_one(10.0, [5.0, 5.0], [1.0, 1.0]))             # source dominates, tied relays
+@example(_one(1.0, [2.0, 3.0], [0.4, 0.5]))              # relay sum weak
+@example(_one(0.0, [4.0, 4.0, 1.0], [4.0, 0.0, 2.0]))    # beamform with ties and zeros
+@example((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3, 2))))
+def test_batched_closed_form_matches_per_pair(batch):
+    g_su, g_sr, g_ru = batch
+    m, n, u = g_ru.shape
+    cf = relay_closed_form(g_su, g_sr, g_ru)
+    splits = cf.relay_splits(np.ones(m * u))
+    np.testing.assert_array_equal(effective_gain_table(g_su, g_sr, g_ru), cf.gain)
+    for i in range(m):
+        for j in range(u):
+            sol = relay_aided_solution(PerPairGains(float(g_su[i, j]), g_sr[i], g_ru[i, :, j]), 1.0)
+            gain, case, xyz, relay_set, psi, fractions = _scalar_closed_form(g_su[i, j], g_sr[i], g_ru[i, :, j])
+            assert cf.gain[i, j] == sol.effective_gain == gain
+            assert CASES[cf.case[i, j]] == sol.case_id == case
+            got_xyz = (int(cf.x[i, j]), int(cf.y[i, j]), int(cf.z[i, j]))
+            assert got_xyz == (xyz or (-1, -1, -1))
+            assert (sol.x_idx, sol.y_idx, sol.z_idx) == (xyz or (None, None, None))
+            assert cf.source_fraction[i, j] == sol.source_fraction == psi
+            assert splits[i * u + j][0] == sol.relay_set == relay_set
+            np.testing.assert_array_equal(splits[i * u + j][1], fractions)
+            np.testing.assert_array_equal(sol.relay_fractions, fractions)
 
 
 def test_rate_concavity_in_power():

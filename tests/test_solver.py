@@ -203,6 +203,20 @@ def test_bracket_ignores_zero_gain_destinations():
     assert math.isclose(alloc.wsr, math.log(1.5), rel_tol=1e-9)
 
 
+def test_solve_all_zero_gains_returns_zero_wsr():
+    # no subcarrier has a usable link: the bracket cannot be built, and the
+    # budget may be spread anyhow for a WSR of zero
+    t = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
+    params = SolverParams(ptot=5.0, weights=[0.5, 0.5])
+    alloc = solve(params, t)
+    assert alloc.wsr == 0.0
+    assert alloc.converged and alloc.status == STATUS_KKT
+    powers = [a.sum_power for a in alloc.assignments]
+    assert len(powers) == 3 and min(powers) >= 0.0
+    assert math.isclose(sum(powers), params.ptot, rel_tol=1e-12)
+    assert weighted_sum_rate(alloc.assignments, params, t) == 0.0
+
+
 def test_bracket_contains_power_root():
     rng = np.random.default_rng(22)
     for _ in range(10):
@@ -401,6 +415,34 @@ def test_wsr_of_empty_and_single():
         weighted_sum_rate(alloc.assignments, params, DIRECT1),
         2.0 * math.log(2.0), rel_tol=1e-9,
     )
+
+
+def test_assignments_carry_the_per_pair_relay_split():
+    # the batched closed form behind the assignment list gives exactly the
+    # relay set and powers of relay_aided_solution on each subcarrier
+    gains = _synthesized(64, 8, 0)
+    alloc = solve(SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains)
+    relayed = [a for a in alloc.assignments if a.mode == rates.MODE_RELAY]
+    assert len(relayed) > 32
+    for a in relayed:
+        sol = rates.relay_aided_solution(rates.PerPairGains.from_table(gains, a.k, a.u), a.sum_power)
+        assert a.relay_indices == sol.relay_set
+        assert a.broadcast_power == sol.source_fraction * a.sum_power
+        np.testing.assert_array_equal(a.relay_powers, (a.sum_power - a.broadcast_power) * sol.relay_fractions)
+    # rates added one subcarrier at a time with math.log1p, as the loops
+    # the vectorized bookkeeping replaced did
+    g1 = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
+    per_user, wsr = np.zeros(8), 0.0
+    for a in alloc.assignments:
+        if a.mode == rates.MODE_RELAY:
+            rate = math.log1p(float(g1[a.k, a.u]) * a.sum_power)
+        else:
+            rate = 2.0 * math.log1p(float(gains.g_su[a.k, a.u]) * a.sum_power / 2.0)
+        per_user[a.u] += rate
+        wsr += 0.125 * rate
+    np.testing.assert_array_equal(user_rates(alloc.assignments, gains), per_user)
+    assert weighted_sum_rate(alloc.assignments, SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains) == wsr
+    assert alloc.wsr == wsr
 
 
 def test_wsr_additivity_across_subcarriers():
