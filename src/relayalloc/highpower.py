@@ -64,11 +64,10 @@ def check_conditions(
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
 
-    threshold = float(params.weights.min()) / mu_upper
+    # a zero bound means no usable link, hence no water level to compare
+    threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
     both = np.stack([g1_table, gains.g_su])
-    with np.errstate(divide="ignore"):
-        inv = np.where(both > 0.0, 1.0 / np.where(both > 0.0, both, 1.0), np.inf)
-    max_inv = float(inv.max())
+    max_inv = float(solver._inverse(both).max())
     max_gain = float(both.max())
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf

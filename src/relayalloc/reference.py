@@ -2,11 +2,11 @@
 
 Each subcarrier is handed to the destination with the best of its two gains
 (relay aided effective gain or direct gain), the better mode is kept fixed,
-and plain water-filling spreads the budget over the resulting single gain
-per subcarrier. In direct mode the source only transmits in the
-broadcasting slot here, so the direct rate is ``ln(1 + g_su p)`` rather
-than the two slot form, which is what makes this baseline lose to the joint
-optimisation.
+and plain water-filling, at the exact level of ``solver.water_level``,
+spreads the budget over the resulting single gain per subcarrier. In
+direct mode the source only transmits in the broadcasting slot here, so
+the direct rate is ``ln(1 + g_su p)`` rather than the two slot form, which
+is what makes this baseline lose to the joint optimisation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rates
+from . import rates, solver
 from .channel import GainTable
 
 __all__ = ["ReferenceAllocation", "select_per_subcarrier", "waterfill", "solve_reference"]
@@ -66,8 +66,9 @@ def select_per_subcarrier(
 def waterfill(gain: np.ndarray, ptot: float) -> tuple:
     """Classic water-filling ``p_k = [level - 1/g_k]+`` meeting the budget.
 
-    Returns (power, level). Gains of zero get no power. Raises ValueError
-    if every gain is zero.
+    Returns (power, level), with the exact level of ``solver.water_level``
+    and the powers rescaled onto the budget. Gains of zero get no power.
+    Raises ValueError if every gain is zero.
     """
     g = np.asarray(gain, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -76,27 +77,11 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
         raise ValueError("gains must be nonnegative and finite")
     if not (ptot > 0.0 and np.isfinite(ptot)):
         raise ValueError("ptot must be positive and finite")
-    live = g > 0.0
-    if not np.any(live):
+    inv = solver._inverse(g)
+    fill = solver.water_level(1.0, inv, ptot)
+    if fill is None:
         raise ValueError("water-filling needs at least one positive gain")
-    inv = np.where(live, 1.0 / np.where(live, g, 1.0), np.inf)
-
-    def total(level: float) -> float:
-        return float(np.maximum(level - inv, 0.0).sum())
-
-    lo = float(inv.min())
-    hi = lo + ptot  # total(hi) >= hi - min inv = ptot
-    while hi - lo > 1e-10 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < ptot:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
-    active = level - inv > 0.0
-    if np.any(active):
-        # exact level on the bisected active set
-        level = (ptot + float(inv[active].sum())) / int(active.sum())
+    level = fill[1] / fill[0]
     power = np.maximum(level - inv, 0.0)
     scale = power.sum()
     if scale > 0.0:

@@ -9,12 +9,15 @@ price bounds: each evaluation shrinks the bracket ``(lo, hi)`` with
 ``P(lo) >= Ptot >= P(hi)`` and the next price is ``sqrt(lo * hi)``. The
 window ``eps`` defaults to ``1e-6 * Ptot``.
 
+The price bounds and every fixed assignment refill solve a water-filling
+``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
+by one sort of the thresholds ``v_k / a_k`` and two cumulative sums.
+
 P(mu) is step discontinuous, so the window may not be reachable. If the
 bracket collapses without reaching it, the total budget sits inside a power
 jump: no single assignment matches it exactly. In that case the assignments
-seen near the critical price are refilled to the exact budget by a fixed
-assignment water-filling pass and the best one is returned, flagged with
-``status="bracket_collapse"``.
+seen near the critical price are refilled to the exact budget and the best
+one is returned, flagged with ``status="bracket_collapse"``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "solve_at_price",
     "price_bracket",
     "initial_price",
+    "water_level",
     "solve",
     "weighted_sum_rate",
     "user_rates",
@@ -73,7 +77,6 @@ class SolverParams:
     epsilon: float = 1e-6
     epsilon_is_relative: bool = True
     max_iters: int = 10_000
-    bracket_tol: float = 1e-10
     highpower_factor: float = 100.0
 
     def __post_init__(self) -> None:
@@ -85,8 +88,8 @@ class SolverParams:
             raise ValueError("weights must be positive and finite")
         if not (self.ptot > 0.0 and np.isfinite(self.ptot)):
             raise ValueError("ptot must be positive and finite")
-        if self.epsilon <= 0.0 or self.bracket_tol <= 0.0:
-            raise ValueError("epsilon and bracket_tol must be positive")
+        if self.epsilon <= 0.0:
+            raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.highpower_factor < 1.0:
@@ -153,6 +156,32 @@ class Allocation:
 def _inverse(arr: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(arr > 0.0, 1.0 / np.where(arr > 0.0, arr, 1.0), np.inf)
+
+
+def water_level(a, v, budget: float, c=1.0):
+    """Exact solution of the water-filling ``sum_k c_k [a_k / lam - v_k]+ = budget``.
+
+    Term k carries power once the level ``1/lam`` passes its threshold
+    ``v_k / a_k``; at a threshold t the terms below it spend
+    ``t * sum c a - sum c v``. One sort and two cumulative sums give the
+    active set (Palomar and Fonollosa, IEEE TSP 53(2), 2005). Needs a > 0,
+    v >= 0 and c > 0; terms with ``v_k = inf`` never carry power.
+
+    Returns ``(num, den)``, the active set's ``sum c a`` and
+    ``budget + sum c v``, each added in index order, so ``lam = num / den``.
+    Returns None when no term can carry power.
+    """
+    v = np.asarray(v, dtype=float)
+    a, c = (np.broadcast_to(np.asarray(x, dtype=float), v.shape) for x in (a, c))
+    ca, cv, thr = c * a, c * v, v / a
+    live = int(np.isfinite(thr).sum())
+    if live == 0:
+        return None
+    order = np.argsort(thr, kind="stable")[:live]  # infinite thresholds sort last
+    spent = thr[order] * np.cumsum(ca[order]) - np.cumsum(cv[order])
+    active = np.zeros(v.shape, dtype=bool)
+    active[order[:max(int(np.searchsorted(spent, budget)), 1)]] = True
+    return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
 def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets):
@@ -243,29 +272,10 @@ def _envelope_terms(params: SolverParams, gains: GainTable, mode_sets: ModeSets)
     return lo, hi
 
 
-def _root_decreasing(fn, target: float, scale: float, rel_tol: float, side: str, what: str) -> float:
-    """Root of a nonincreasing function by bracket expansion and bisection."""
-    lo = scale * 1e-12
-    hi = scale * 1e12
-    for _ in range(200):
-        if fn(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket {what} from above")
-    for _ in range(200):
-        if fn(lo) >= target:
-            break
-        lo /= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket {what} from below")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo if side == "lo" else hi
+# The search prices only the open bracket, and where the upper envelope is
+# tight (one live direct destination, or high power with equal weights) its
+# exact root is the optimum price: keep mu_upper this far above it.
+_UPPER_MARGIN = 1e-10
 
 
 def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> tuple:
@@ -275,23 +285,17 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     mu_lower solves ``sum_k [min_u w_u / mu - vmax_k]+ = Ptot``, where vmin
     and vmax are the extreme admissible inverse gain terms per subcarrier.
     These sums bound the assigned power from above and below, so the
-    optimum price lies between the roots.
+    optimum price lies between the roots. Both roots are exact
+    (``water_level``); mu_upper is raised by a relative ``1e-10``. Returns
+    (0, 0) when no subcarrier has a usable link.
     """
     v_lo, v_hi = _envelope_terms(params, gains, mode_sets)
-    w_min = float(params.weights.min())
-    w_max = float(params.weights.max())
-    ptot = params.ptot
-
-    def p_upper(mu: float) -> float:
-        return float(np.maximum(2.0 * w_max / mu - v_lo, 0.0).sum())
-
-    def p_lower(mu: float) -> float:
-        return float(np.maximum(w_min / mu - v_hi, 0.0).sum())
-
-    scale = w_max / ptot
-    mu_upper = _root_decreasing(p_upper, ptot, scale, params.bracket_tol, "hi", "the upper price bound")
-    mu_lower = _root_decreasing(p_lower, ptot, scale, params.bracket_tol, "lo", "the lower price bound")
-    return min(mu_lower, mu_upper), mu_upper
+    upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
+    if upper is None:
+        return 0.0, 0.0
+    lower = water_level(float(params.weights.min()), v_hi, params.ptot)
+    mu_upper = upper[0] / upper[1] * (1.0 + _UPPER_MARGIN)
+    return min(lower[0] / lower[1], mu_upper), mu_upper
 
 
 def initial_price(
@@ -335,49 +339,21 @@ def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
     """Exact budget water-filling for a fixed (destination, mode) choice.
 
     Power on subcarrier k is ``c_k [w_k/lam - 1/g_k]+`` with c_k = 1 in
-    relay aided mode and 2 in direct mode; lam is set so the powers sum to
-    the budget. Returns (wsr, power) or None if no subcarrier can carry
-    power.
+    relay aided mode and 2 in direct mode; lam is ``water_level``'s exact
+    root, and a final rescale puts the rounding of the powers on the budget.
+    Returns (wsr, power) or None if no subcarrier can carry power.
     """
     w = params.weights[dest]
     g, relay = _chosen_gain(dest, mode, gains, g1)
     c = np.where(relay, 1.0, 2.0)
-    live = g > 0.0
-    if not np.any(live):
+    inv_g = _inverse(g)
+    level = water_level(w, inv_g, params.ptot, c)
+    if level is None:
         return None
-    inv_g = np.where(live, 1.0 / np.where(live, g, 1.0), np.inf)
-
-    def total(lam: float) -> float:
-        return float((c * np.maximum(w / lam - inv_g, 0.0)).sum())
-
-    hi = float((w[live] * g[live]).max())
-    lo = hi * 1e-30
-    for _ in range(200):
-        if total(lo) >= params.ptot:
-            break
-        lo /= 4.0
-    else:
+    power = c * np.maximum(w / (level[0] / level[1]) - inv_g, 0.0)
+    if not power.sum() > 0.0:  # a budget below the rounding of every 1/g
         return None
-    for _ in range(400):
-        if hi - lo <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if total(mid) >= params.ptot:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    # exact polish on the active set found by bisection
-    active = (w / lam - inv_g) > 0.0
-    if np.any(active):
-        lam_exact = float((c[active] * w[active]).sum() / (params.ptot + (c[active] * inv_g[active]).sum()))
-        if lam_exact > 0.0 and abs(total(lam_exact) - params.ptot) <= 1e-9 * params.ptot:
-            lam = lam_exact
-    power = c * np.maximum(w / lam - inv_g, 0.0)
-    ssum = power.sum()
-    if ssum <= 0.0:
-        return None
-    power *= params.ptot / ssum
+    power *= params.ptot / power.sum()
     return _state_wsr(dest, mode, power, params, gains, g1), power
 
 

@@ -263,6 +263,21 @@ def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("protocols", ["[proposed, highpower]", "[highpower]"])
+def test_realization_without_usable_links_reports_conditions_unmet(tmp_path, monkeypatch, protocols):
+    to_gains = cli.channel.to_gains
+
+    def dead(*args):
+        g = to_gains(*args)
+        return cli.channel.GainTable(g_su=0.0 * g.g_su, g_sr=0.0 * g.g_sr, g_ru=0.0 * g.g_ru)
+
+    monkeypatch.setattr(cli.channel, "to_gains", dead)
+    text = GOOD_YAML.replace("protocols: [proposed, reference]", f"protocols: {protocols}")
+    out = cli._run_realization(load_config(_write(tmp_path, text)), 0)
+    assert out["status"]["highpower"] == "conditions_unmet"
+    assert not out["highpower_met"]
+
+
 def test_parallel_run_logs_progress(tmp_path, caplog):
     cfg = load_config(_write(tmp_path, GOOD_YAML + "workers: 2\n"))
     assert cfg.workers == 2 and cfg.realizations == 3

@@ -116,3 +116,13 @@ def test_custom_factor_changes_the_verdict():
     lax = check_conditions(params, gains, factor=10.0)
     assert not strict.conditions_met and lax.conditions_met
     assert math.isclose(strict.margin, lax.margin, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mu_upper", [None, 0.0])
+def test_no_usable_link_fails_conditions(mu_upper):
+    # an all-zero table has the bracket (0, 0); the check must not divide by it
+    gains = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
+    params = solver.SolverParams(ptot=5.0, weights=[0.5, 0.5])
+    report = check_conditions(params, gains, mu_upper=mu_upper)
+    assert not report.conditions_met
+    assert report.threshold == 0.0 and report.margin == 0.0

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from relayalloc import channel, rates, reference, solver
 from relayalloc.channel import GainTable
@@ -19,6 +22,7 @@ from relayalloc.solver import (
     time_shared_direct_rate,
     time_shared_relay_rate,
     user_rates,
+    water_level,
     weighted_sum_rate,
 )
 
@@ -56,8 +60,6 @@ def test_params_validation():
         SolverParams(ptot=1.0, weights=[0.5, -0.5])
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[])
-    with pytest.raises(ValueError):
-        SolverParams(ptot=1.0, weights=[1.0], bracket_tol=0.0)
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[1.0], epsilon=0.0)
     with pytest.raises(ValueError):
@@ -167,6 +169,47 @@ def test_per_price_state_matches_power_grid_search():
             assert math.isclose(got, best_grid, rel_tol=1e-4, abs_tol=1e-4)
 
 
+# ------------------------------------------------------------ water-filling
+
+_GAIN = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3))
+_FLOOR = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf]), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(_GAIN, _FLOOR, st.sampled_from([1.0, 2.0])), min_size=1, max_size=12),
+    log_budget=st.floats(-9.0, 9.0),
+)
+@example(terms=[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 0.0, 1.0)], log_budget=0.0)
+@example(terms=[(1.0, math.inf, 1.0), (2.0, math.inf, 2.0)], log_budget=0.0)
+def test_water_level_matches_brentq(terms, log_budget):
+    # the sorted-breakpoint level against an independent root finder on
+    # the piecewise linear power sum in the level t = 1/lam
+    a, v, c = map(np.array, zip(*terms))
+    live = np.isfinite(v)
+    fill = water_level(a, v, 1.0, c)
+    if not live.any():
+        assert fill is None
+        return
+    scale = float((c * (a + v))[live].sum())
+    budget = scale * 10.0 ** log_budget
+    num, den = water_level(a, v, budget, c)
+    lam = num / den
+
+    def excess(t):
+        return float((c * np.maximum(a * t - v, 0.0)).sum()) - budget
+
+    thr = v[live] / a[live]
+    t_hi = 2.0 * (thr.max() + budget / float((c * a)[live].sum()))  # excess(t_hi) > 0
+    t_root = brentq(excess, thr.min(), t_hi, xtol=1e-300, rtol=1e-15, maxiter=1000)
+    assert math.isclose(1.0 / lam, t_root, rel_tol=1e-12)
+    # the level carries a relative rounding, so a budget far below the
+    # filled floor sum(c v) is met to the rounding of den = budget + sum(c v)
+    power = c * np.maximum(a / lam - v, 0.0)
+    assert abs(float(power.sum()) - budget) <= 1e-12 * den
+    assert np.all(power[~live] == 0.0)
+
+
 # ---------------------------------------------------------------- bracketing
 
 def test_bracket_single_direct_user():
@@ -215,6 +258,12 @@ def test_solve_all_zero_gains_returns_zero_wsr():
     assert len(powers) == 3 and min(powers) >= 0.0
     assert math.isclose(sum(powers), params.ptot, rel_tol=1e-12)
     assert weighted_sum_rate(alloc.assignments, params, t) == 0.0
+
+
+def test_bracket_without_usable_links_is_zero():
+    t = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
+    params = SolverParams(ptot=5.0, weights=[0.5, 0.5])
+    assert price_bracket(params, t, rates.classify(t, params.ptot)) == (0.0, 0.0)
 
 
 def test_bracket_contains_power_root():
