@@ -48,7 +48,7 @@ PROTO_REFERENCE = "reference"
 PROTO_HIGHPOWER = "highpower"
 _PROTOCOLS = (PROTO_PROPOSED, PROTO_REFERENCE, PROTO_HIGHPOWER)
 
-_SOLVER_KEYS = ("epsilon", "epsilon_is_relative", "max_iters", "highpower_factor")
+_SOLVER_KEYS = ("epsilon", "epsilon_is_relative", "highpower_factor")
 
 _DEFAULT_RELAYS = ((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0))
 _DEFAULT_REGION = {"x_min": -10.0, "x_max": 10.0, "y_min": -30.0, "y_max": -10.0}
@@ -83,7 +83,6 @@ class ExperimentConfig:
     shadowing_db_std: float = 0.0
     epsilon: float = 1e-6
     epsilon_is_relative: bool = True
-    max_iters: int = 10_000
     highpower_factor: float = 100.0
     workers: int = 1
     output_dir: str = "relayalloc_out"
@@ -102,7 +101,6 @@ class ExperimentConfig:
             weights=self.weights,
             epsilon=self.epsilon,
             epsilon_is_relative=self.epsilon_is_relative,
-            max_iters=self.max_iters,
             highpower_factor=self.highpower_factor,
         )
 
@@ -279,7 +277,6 @@ def load_config(path) -> ExperimentConfig:
         errors.append(f"solver.{key}: unknown key; valid: {list(_SOLVER_KEYS)}")
     epsilon = _as_float(sol, "epsilon", errors, default=1e-6)
     eps_rel = bool(sol.get("epsilon_is_relative", True))
-    max_iters = _as_int(sol, "max_iters", errors, default=10_000, minimum=1)
     hp_factor = _as_float(sol, "highpower_factor", errors, default=100.0)
 
     output_dir = raw.get("output_dir", "relayalloc_out")
@@ -308,7 +305,6 @@ def load_config(path) -> ExperimentConfig:
         shadowing_db_std=shadow_std,
         epsilon=epsilon,
         epsilon_is_relative=eps_rel,
-        max_iters=max_iters,
         highpower_factor=hp_factor,
         workers=workers,
         output_dir=output_dir,

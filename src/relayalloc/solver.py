@@ -15,9 +15,13 @@ by one sort of the thresholds ``v_k / a_k`` and two cumulative sums.
 
 P(mu) is step discontinuous, so the window may not be reachable. If the
 bracket collapses without reaching it, the total budget sits inside a power
-jump: no single assignment matches it exactly. In that case the assignments
-seen near the critical price are refilled to the exact budget and the best
-one is returned, flagged with ``status="bracket_collapse"``.
+jump: no single assignment matches it exactly. Only the subcarriers whose
+choice differs between the two edge states of the bracket are then in
+question (Yu and Lui, IEEE Trans. Commun. 54(7), 2006). Taking the first j
+of them from the lower edge and the rest from the upper one, for every j,
+gives one candidate per count of switched subcarriers; these and the
+greedy max weighted gain choice are refilled to the exact budget, and the
+best is returned with ``status="bracket_collapse"``.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ __all__ = [
 
 STATUS_KKT = "kkt"
 STATUS_GAP = "bracket_collapse"
-STATUS_MAX_ITERS = "max_iters"
 STATUS_CLOSED_FORM = "closed_form"
 
 
 class ConvergenceError(RuntimeError):
-    """No price satisfying the requested condition could be bracketed."""
+    """The price search did not end within its evaluation cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +79,6 @@ class SolverParams:
     weights: np.ndarray
     epsilon: float = 1e-6
     epsilon_is_relative: bool = True
-    max_iters: int = 10_000
     highpower_factor: float = 100.0
 
     def __post_init__(self) -> None:
@@ -90,8 +92,6 @@ class SolverParams:
             raise ValueError("ptot must be positive and finite")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.highpower_factor < 1.0:
             raise ValueError("highpower_factor must be at least 1")
 
@@ -372,42 +372,6 @@ def _greedy_assignment(params: SolverParams, gains: GainTable, mode_sets: ModeSe
     return dest, np.where(relay, MODE_RELAY, MODE_DIRECT)
 
 
-def _local_improve(dest, mode, params: SolverParams, gains: GainTable, mode_sets: ModeSets):
-    """Coordinate descent over single subcarrier reassignments.
-
-    Only worth the refill cost on small instances, where the duality gap of
-    the discrete assignment problem is not yet negligible.
-    """
-    dest = np.array(dest, dtype=int)
-    mode = np.array(mode, dtype=object)
-    fill = _refill(dest, mode, params, gains, mode_sets.g1)
-    if fill is None:
-        return None
-    best_wsr, best_power = fill
-    for _ in range(4):
-        improved = False
-        for k in range(len(dest)):
-            keep_u, keep_m = int(dest[k]), str(mode[k])
-            for u in range(params.num_destinations):
-                for m in (MODE_RELAY, MODE_DIRECT):
-                    if u == keep_u and m == keep_m:
-                        continue
-                    if m == MODE_RELAY and mode_sets.in_direct_set[k, u]:
-                        continue
-                    if m == MODE_DIRECT and mode_sets.in_relay_set[k, u]:
-                        continue
-                    dest[k], mode[k] = u, m
-                    fill = _refill(dest, mode, params, gains, mode_sets.g1)
-                    if fill is not None and fill[0] > best_wsr * (1.0 + 1e-14) + 1e-300:
-                        best_wsr, best_power = fill
-                        keep_u, keep_m = u, m
-                        improved = True
-            dest[k], mode[k] = keep_u, keep_m
-        if not improved:
-            break
-    return best_wsr, best_power, dest, mode
-
-
 def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> list:
     """Assignment list of a (destination, mode, power) choice.
 
@@ -436,6 +400,12 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
     return rows
 
 
+# Bisection in log price halves the log-width of the bracket, so even one
+# spanning the whole double range reaches the 1e-14 collapse width within
+# 59 evaluations; a search that runs past this cap is broken.
+_MAX_EVALS = 100
+
+
 def solve(
     params: SolverParams,
     gains: GainTable,
@@ -444,9 +414,11 @@ def solve(
 ) -> Allocation:
     """Full dual search returning the optimum allocation.
 
-    Bisects in log price between the analytic bounds, as described in the
-    module docstring. ``trace``, when given, is called with (iteration, mu,
-    total_power, lagrangian) after every price evaluation.
+    Bisects in log price between the analytic bounds and repairs a
+    collapsed bracket from its two edge states, as described in the module
+    docstring. ``trace``, when given, is called with (iteration, mu,
+    total_power, lagrangian) after every price evaluation. Raises
+    ``ConvergenceError`` if the search runs past ``_MAX_EVALS`` evaluations.
     """
     if params.num_destinations != gains.num_destinations:
         raise ValueError("weights length must match the number of destinations")
@@ -457,92 +429,69 @@ def solve(
 
     iterations = 0
 
-    def finish(dest, mode, power, wsr: float, mu: float, residual: float) -> Allocation:
+    def finish(dest, mode, power, wsr: float, mu: float, residual: float, status: str) -> Allocation:
         return Allocation(assignments=_assemble(dest, mode, power, gains), wsr=wsr, mu_star=mu,
                           residual=residual, iterations=iterations, status=status,
                           mu_lower=mu_lower, mu_upper=mu_upper)
 
-    if not (np.any(gains.g_su > 0.0) or np.any(mode_sets.g1 > 0.0)):
+    mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
+    if mu_upper == 0.0:
         # no candidate carries any rate: every split of the budget is
         # optimal, and the KKT conditions hold at price zero
-        kk, status, mu_lower, mu_upper = gains.num_subcarriers, STATUS_KKT, 0.0, 0.0
+        kk = gains.num_subcarriers
         power = np.full(kk, params.ptot / kk)
-        return finish(np.zeros(kk, dtype=int), np.full(kk, MODE_DIRECT), power, 0.0, 0.0, 0.0)
+        return finish(np.zeros(kk, dtype=int), np.full(kk, MODE_DIRECT), power, 0.0, 0.0, 0.0, STATUS_KKT)
 
-    mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     eps = params.epsilon_watts
     mu = initial_price(mu_lower, mu_upper, params, gains, mode_sets)
-
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
-    best: Optional[DualState] = None
-    seen: dict = {}
-    state = None
-    status = STATUS_MAX_ITERS
-
-    for it in range(1, params.max_iters + 1):
-        iterations = it
+    for iterations in range(1, _MAX_EVALS + 1):
         state = solve_at_price(mu, params, gains, mode_sets)
         if trace is not None:
-            trace(it, state.mu, state.total_power, state.lagrangian)
+            trace(iterations, state.mu, state.total_power, state.lagrangian)
         slack = params.ptot - state.total_power
-        if len(seen) < 4096:
-            seen[state.dest.tobytes() + state.mode.tobytes()] = state
-        if slack >= 0.0 and (best is None or state.total_power > best.total_power):
-            best = state
         if 0.0 <= slack < eps:
-            status = STATUS_KKT
-            break
+            # primal completion: the window may leave up to eps watts
+            # unspent, so rebalance the assignment's powers to the exact
+            # budget (never a worse WSR). residual keeps the dual stopping
+            # slack Ptot - Px(mu) that the window certified.
+            power = state.power
+            wsr = _state_wsr(state.dest, state.mode, power, params, gains, mode_sets.g1)
+            fill = _refill(state.dest, state.mode, params, gains, mode_sets.g1)
+            if fill is not None and fill[0] >= wsr:
+                wsr, power = fill
+            return finish(state.dest, state.mode, power, wsr, state.mu, slack, STATUS_KKT)
         if slack < 0.0:
             lo = max(lo, mu)
         else:
             hi = min(hi, mu)
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
-            status = STATUS_GAP
             break
         mu = math.sqrt(lo * hi)
+    else:
+        raise ConvergenceError(f"price search did not end within {_MAX_EVALS} evaluations")
 
-    if status == STATUS_KKT:
-        # primal completion: the window may leave up to eps watts unspent,
-        # so rebalance the final assignment's powers to the exact budget
-        # (same assignment, never a worse WSR). residual keeps the dual
-        # stopping slack Ptot - Px(mu) that the window certified.
-        power = state.power
-        wsr = _state_wsr(state.dest, state.mode, power, params, gains, mode_sets.g1)
-        fill = _refill(state.dest, state.mode, params, gains, mode_sets.g1)
-        if fill is not None and fill[0] >= wsr:
-            wsr, power = fill
-        return finish(state.dest, state.mode, power, wsr, state.mu, params.ptot - state.total_power)
-
-    if status == STATUS_GAP:
-        # The budget falls inside a power jump at the critical price: refill
-        # each assignment seen during the search to the exact budget and keep
-        # the best. Both edge states of the final bracket and the greedy
-        # weighted max gain choice are included as candidates.
-        for edge in (lo, hi):
-            st = solve_at_price(edge, params, gains, mode_sets)
-            seen.setdefault(st.dest.tobytes() + st.mode.tobytes(), st)
-        candidates = [(st.dest, st.mode) for st in seen.values()]
-        candidates.append(_greedy_assignment(params, gains, mode_sets))
-        best_fill = None
-        for dest, mode in candidates:
-            fill = _refill(dest, mode, params, gains, mode_sets.g1)
-            if fill is not None and (best_fill is None or fill[0] > best_fill[0]):
-                best_fill = (fill[0], fill[1], dest, mode)
-        if best_fill is not None:
-            # polish small instances where single flips still matter
-            if gains.num_subcarriers * 2 * params.num_destinations <= 64:
-                polished = _local_improve(best_fill[2], best_fill[3], params, gains, mode_sets)
-                if polished is not None and polished[0] > best_fill[0]:
-                    best_fill = polished
-            wsr, power, dest, mode = best_fill
-            residual = max(params.ptot - float(power.sum()), 0.0)
-            return finish(dest, mode, power, wsr, 0.5 * (lo + hi), residual)
-        status = STATUS_MAX_ITERS  # nothing could carry power, fall through
-
-    if best is None:
-        best = solve_at_price(mu_upper, params, gains, mode_sets)
-    wsr = _state_wsr(best.dest, best.mode, best.power, params, gains, mode_sets.g1)
-    return finish(best.dest, best.mode, best.power, wsr, best.mu, params.ptot - best.total_power)
+    # The budget falls inside a power jump at the critical price. Mix j
+    # takes the first j tied subcarriers from the lower edge state and the
+    # rest from the upper one; each mix and the greedy choice is refilled to
+    # the exact budget, and the first strict maximum is kept.
+    a = solve_at_price(lo, params, gains, mode_sets)
+    b = solve_at_price(hi, params, gains, mode_sets)
+    tied = np.nonzero((a.dest != b.dest) | (a.mode != b.mode))[0]
+    candidates = []
+    for j in range(tied.size + 1):
+        dest, mode = b.dest.copy(), b.mode.copy()
+        dest[tied[:j]], mode[tied[:j]] = a.dest[tied[:j]], a.mode[tied[:j]]
+        candidates.append((dest, mode))
+    candidates.append(_greedy_assignment(params, gains, mode_sets))
+    fills = [(fill, dest, mode) for dest, mode in candidates
+             if (fill := _refill(dest, mode, params, gains, mode_sets.g1)) is not None]
+    if not fills:  # no mix can carry power: the upper edge state stands
+        wsr = _state_wsr(b.dest, b.mode, b.power, params, gains, mode_sets.g1)
+        return finish(b.dest, b.mode, b.power, wsr, b.mu, params.ptot - b.total_power, STATUS_GAP)
+    (wsr, power), dest, mode = max(fills, key=lambda f: f[0][0])  # first of equal maxima
+    residual = max(params.ptot - float(power.sum()), 0.0)
+    return finish(dest, mode, power, wsr, 0.5 * (lo + hi), residual, STATUS_GAP)
 
 
 def _assignment_rates(assignments, gains: GainTable):

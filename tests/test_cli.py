@@ -228,11 +228,34 @@ def test_main_protocol_override(tmp_path, capsys):
     assert main([str(good), "-p", "nonsense"]) == 2
 
 
-@pytest.mark.parametrize("key", ["n_grid", "delta_factor"])
+@pytest.mark.parametrize("key", ["n_grid", "delta_factor", "max_iters"])
 def test_load_config_rejects_removed_search_knobs(tmp_path, key):
     text = GOOD_YAML + f"solver:\n  {key}: 10\n  epsilon: 1.0e-6\n"
     with pytest.raises(ConfigError, match=f"solver.{key}"):
         load_config(_write(tmp_path, text))
+
+
+FLAT_YAML = """\
+num_subcarriers: 64
+num_destinations: 8
+ptot_dbw: 35.0
+noise_dbw: -30.0
+seed: 1
+realizations: 20
+protocols: [proposed, reference]
+taps: {num_taps: 1}
+"""
+
+
+def test_flat_channel_collapse_beats_the_reference(tmp_path):
+    # one tap makes every subcarrier of a realization identical, so each
+    # price gives them all one choice; where the bracket collapses, only a
+    # split of them between the two edge choices spends the budget well
+    report = run_monte_carlo(load_config(_write(tmp_path, FLAT_YAML)))
+    collapsed = [i for i, s in enumerate(report.statuses["proposed"]) if s == "bracket_collapse"]
+    assert collapsed
+    for i in collapsed:
+        assert report.wsr["proposed"][i] > report.wsr["reference"][i]
 
 
 def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):

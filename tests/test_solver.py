@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from relayalloc import channel, rates, reference, solver
+from relayalloc import channel, cli, rates, reference, solver
 from relayalloc.channel import GainTable
 from relayalloc.cli import realization_seeds
 from relayalloc.solver import (
@@ -62,8 +62,6 @@ def test_params_validation():
         SolverParams(ptot=1.0, weights=[])
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[1.0], epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(ptot=1.0, weights=[1.0], max_iters=0)
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[1.0], highpower_factor=0.5)
 
@@ -410,16 +408,56 @@ def test_solve_trace_is_called_every_iteration():
     assert all(m > 0.0 for m in mus)
 
 
-def test_solve_max_iters_returns_best_feasible():
-    rng = np.random.default_rng(27)
-    gains = _random_table(rng, k=3, u=2, n=2)
-    params = SolverParams(ptot=5.0, weights=[0.5, 0.5], epsilon=1e-12, max_iters=1)
+def test_search_past_the_evaluation_cap_raises(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "_MAX_EVALS", 1)
+    gains = _random_table(np.random.default_rng(27), k=3, u=2, n=2)
+    params = SolverParams(ptot=5.0, weights=[0.5, 0.5])
+    first = []
+    with pytest.raises(solver.ConvergenceError, match="1 evaluations"):
+        solve(params, gains, trace=lambda *row: first.append(row))
+    [(_, _, power, _)] = first
+    assert not 0.0 <= params.ptot - power < params.epsilon_watts  # the first price misses the window
+    config = tmp_path / "config.yaml"
+    config.write_text("num_subcarriers: 8\nnum_destinations: 2\nptot_dbw: 20.0\nnoise_dbw: -30.0\n")
+    assert cli.main([str(config), "-o", str(tmp_path / "out")]) == 1
+    assert "price search did not end" in capsys.readouterr().err
+
+
+_TIE_GAINS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])
+
+
+@st.composite
+def _tie_rich_instances(draw):
+    """(gains, weights, ptot) from a few gain levels; a third have identical subcarriers."""
+    k, u, n = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rows = 1 if draw(st.integers(0, 2)) == 0 else k
+
+    def block(*shape):
+        flat = draw(st.lists(_TIE_GAINS, min_size=rows * math.prod(shape), max_size=rows * math.prod(shape)))
+        return np.broadcast_to(np.reshape(flat, (rows, *shape)), (k, *shape)).copy()
+
+    weights = np.ones(u) if draw(st.booleans()) else np.array(draw(
+        st.lists(st.sampled_from([1.0, 2.0]), min_size=u, max_size=u)))
+    return _table(block(u), block(n), block(n, u)), weights, draw(st.sampled_from([0.1, 1.0, 10.0, 1000.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_rich_instances())
+@example(instance=(  # six identical subcarriers: the bracket collapses with all six tied
+    _table(np.tile([1.0, 0.5], (6, 1)), np.tile([1.0, 2.0], (6, 1)), np.tile([[4.0, 1.0], [0.5, 4.0]], (6, 1, 1))),
+    np.ones(2), 10.0))
+def test_solve_on_tie_rich_inputs(instance):
+    gains, weights, ptot = instance
+    params = SolverParams(ptot=ptot, weights=weights)
     alloc = solve(params, gains)
-    if alloc.status == STATUS_KKT:  # needs a lucky exact hit
-        pytest.skip("window hit on the first iterate")
-    assert not alloc.converged
-    assert alloc.iterations == 1
-    assert alloc.residual >= 0.0
+    assert alloc.status in (STATUS_KKT, solver.STATUS_GAP)
+    powers = np.array([a.sum_power for a in alloc.assignments])
+    assert powers.min() >= 0.0
+    assert math.isclose(powers.sum(), ptot, rel_tol=1e-9)
+    assert weighted_sum_rate(alloc.assignments, params, gains) == alloc.wsr
+    if np.all(weights == weights[0]) and alloc.mu_upper > 0.0:  # the reference needs a usable link
+        ref = reference.solve_reference(gains, ptot, weights=weights)
+        assert alloc.wsr >= ref.wsr - 1e-12 * abs(ref.wsr)
 
 
 def _synthesized(num_subcarriers, num_destinations, index):
