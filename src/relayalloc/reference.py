@@ -11,6 +11,7 @@ is what makes this baseline lose to the joint optimisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,10 +99,15 @@ def solve_reference(
     """Run the baseline protocol and return rates at the filled powers.
 
     When (uniform) weights are given, ``wsr`` is scaled by the common weight
-    so it is directly comparable to a weighted sum rate.
+    so it is directly comparable to a weighted sum rate. Without a usable
+    link no split carries any rate: the budget is spread evenly, as
+    ``solver.solve`` does, and the water level is infinite (price zero).
     """
     dest, mode, gain = select_per_subcarrier(gains, weights=weights, g1_table=g1_table)
-    power, level = waterfill(gain, ptot)
+    if np.any(gain > 0.0):
+        power, level = waterfill(gain, ptot)
+    else:
+        power, level = np.full(gain.size, ptot / gain.size), math.inf
     per_k = np.log1p(gain * power)
     w0 = 1.0 if weights is None else float(np.asarray(weights, dtype=float).flat[0])
     return ReferenceAllocation(

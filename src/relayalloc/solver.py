@@ -4,10 +4,19 @@ For a price mu on total power, every subcarrier independently picks the
 destination and mode maximizing its contribution to the Lagrangian, with a
 closed form optimum power. The assigned power P(mu) does not increase with
 the price, so the price is driven to the complementary slackness window
-``0 <= Ptot - P(mu) < eps`` by bisection in log price inside two analytic
-price bounds: each evaluation shrinks the bracket ``(lo, hi)`` with
-``P(lo) >= Ptot >= P(hi)`` and the next price is ``sqrt(lo * hi)``. The
-window ``eps`` defaults to ``1e-6 * Ptot``.
+``0 <= Ptot - P(mu) < eps`` inside two analytic price bounds: each
+evaluation shrinks the bracket ``(lo, hi)`` with ``P(lo) >= Ptot >= P(hi)``.
+The window ``eps`` defaults to ``1e-6 * Ptot``.
+
+For a fixed assignment, P is linear in 1/mu on its active subcarriers, so
+the next price is the one at which the last state's assignment spends
+``Ptot - eps/2``, the middle of the window: a safeguarded Newton step in
+1/mu (Yu and Lui, IEEE Trans. Commun. 54(7), 2006). Aiming at ``Ptot``
+itself would land a rounding error over the budget. Where that price is
+not strictly inside the bracket (whose edges include the last price, so a
+repeat is excluded too), the search bisects in log price,
+``sqrt(lo * hi)``, instead. The inverse gains and admissibility masks do
+not depend on the price and are built once per solve.
 
 The price bounds and every fixed assignment refill solve a water-filling
 ``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
@@ -184,7 +193,27 @@ def water_level(a, v, budget: float, c=1.0):
     return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
-def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets):
+@dataclass(frozen=True, eq=False)
+class _GainTerms:
+    """Price independent parts of the candidate tables, built once per solve."""
+
+    g1: np.ndarray          # (K, U) relay aided effective gains
+    g_su: np.ndarray        # (K, U) direct gains
+    inv_g1: np.ndarray      # (K, U) ``_inverse(g1)``
+    inv_g_su: np.ndarray    # (K, U) ``_inverse(g_su)``
+    relay_ok: np.ndarray    # (K, U) relay aided mode admissible
+    direct_ok: np.ndarray   # (K, U) direct mode admissible
+
+
+def _gain_terms(gains: GainTable, mode_sets: ModeSets) -> _GainTerms:
+    return _GainTerms(
+        g1=mode_sets.g1, g_su=gains.g_su,
+        inv_g1=_inverse(mode_sets.g1), inv_g_su=_inverse(gains.g_su),
+        relay_ok=~mode_sets.in_direct_set, direct_ok=~mode_sets.in_relay_set,
+    )
+
+
+def _candidate_tables(mu: float, params: SolverParams, terms: _GainTerms):
     """Metric and power of every admissible (u, mode) candidate at price mu.
 
     Returns (value, power) arrays of shape (K, 2U) where candidate 2u is
@@ -193,22 +222,17 @@ def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_se
     argmax break ties toward the lowest destination and relay aided mode.
     """
     w = params.weights[None, :]
-    g1 = mode_sets.g1
-    g_su = gains.g_su
-    relay_ok = ~mode_sets.in_direct_set
-    direct_ok = ~mode_sets.in_relay_set
+    p_relay = np.maximum(w / mu - terms.inv_g1, 0.0)
+    val_relay = w * np.log1p(terms.g1 * p_relay) - mu * p_relay
+    q = np.maximum(w / mu - terms.inv_g_su, 0.0)
+    val_direct = 2.0 * w * np.log1p(terms.g_su * q) - 2.0 * mu * q
 
-    p_relay = np.maximum(w / mu - _inverse(g1), 0.0)
-    val_relay = w * np.log1p(g1 * p_relay) - mu * p_relay
-    q = np.maximum(w / mu - _inverse(g_su), 0.0)
-    val_direct = 2.0 * w * np.log1p(g_su * q) - 2.0 * mu * q
-
-    k, u = g_su.shape
+    k, u = terms.g_su.shape
     value = np.full((k, 2 * u), -np.inf)
     power = np.zeros((k, 2 * u))
-    value[:, 0::2] = np.where(relay_ok, val_relay, -np.inf)
+    value[:, 0::2] = np.where(terms.relay_ok, val_relay, -np.inf)
     power[:, 0::2] = p_relay
-    value[:, 1::2] = np.where(direct_ok, val_direct, -np.inf)
+    value[:, 1::2] = np.where(terms.direct_ok, val_direct, -np.inf)
     power[:, 1::2] = 2.0 * q
     return value, power
 
@@ -225,17 +249,25 @@ def assignment_metric(u: int, mode: str, k: int, mu: float, params: SolverParams
         raise ValueError("mu must be positive")
     if mode not in (MODE_RELAY, MODE_DIRECT):
         raise ValueError(f"unknown mode {mode!r}")
-    value = float(_candidate_tables(mu, params, gains, mode_sets)[0][k, 2 * u + (mode == MODE_DIRECT)])
+    value, _ = _candidate_tables(mu, params, _gain_terms(gains, mode_sets))
+    value = float(value[k, 2 * u + (mode == MODE_DIRECT)])
     if value == -math.inf:
         raise ValueError(f"{mode} mode is inadmissible for destination {u} on subcarrier {k}")
     return value
 
 
-def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
-    """Per subcarrier maximization of the Lagrangian at a fixed price."""
+def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets,
+                   terms: Optional[_GainTerms] = None) -> DualState:
+    """Per subcarrier maximization of the Lagrangian at a fixed price.
+
+    ``terms`` are the price independent ``_gain_terms`` of (gains,
+    mode_sets); ``solve`` builds them once for all its evaluations.
+    """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    value, power = _candidate_tables(mu, params, gains, mode_sets)
+    if terms is None:
+        terms = _gain_terms(gains, mode_sets)
+    value, power = _candidate_tables(mu, params, terms)
     pick = np.argmax(value, axis=1)  # first maximum: lowest u, relay before direct
     rows = np.arange(value.shape[0])
     p = power[rows, pick]
@@ -249,25 +281,22 @@ def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets:
     )
 
 
-def _envelope_terms(params: SolverParams, gains: GainTable, mode_sets: ModeSets):
+def _envelope_terms(terms: _GainTerms):
     """Per subcarrier extreme inverse gain terms over admissible candidates.
 
     The largest term is taken over live (nonzero gain) candidates only: a
     dead candidate never carries power, and a subcarrier without a live one
     gets ``inf`` so it adds nothing to the lower power bound.
     """
-    inv_relay = _inverse(mode_sets.g1)
-    inv_direct = 2.0 * _inverse(gains.g_su)
-    relay_ok = ~mode_sets.in_direct_set
-    direct_ok = ~mode_sets.in_relay_set
+    inv_direct = 2.0 * terms.inv_g_su
     hi = np.maximum(
-        np.where(relay_ok & (mode_sets.g1 > 0.0), inv_relay, -np.inf).max(axis=1),
-        np.where(direct_ok & (gains.g_su > 0.0), inv_direct, -np.inf).max(axis=1),
+        np.where(terms.relay_ok & (terms.g1 > 0.0), terms.inv_g1, -np.inf).max(axis=1),
+        np.where(terms.direct_ok & (terms.g_su > 0.0), inv_direct, -np.inf).max(axis=1),
     )
     hi[np.isneginf(hi)] = np.inf
     lo = np.minimum(
-        np.where(relay_ok, inv_relay, np.inf).min(axis=1),
-        np.where(direct_ok, inv_direct, np.inf).min(axis=1),
+        np.where(terms.relay_ok, terms.inv_g1, np.inf).min(axis=1),
+        np.where(terms.direct_ok, inv_direct, np.inf).min(axis=1),
     )
     return lo, hi
 
@@ -289,7 +318,7 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     (``water_level``); mu_upper is raised by a relative ``1e-10``. Returns
     (0, 0) when no subcarrier has a usable link.
     """
-    v_lo, v_hi = _envelope_terms(params, gains, mode_sets)
+    v_lo, v_hi = _envelope_terms(_gain_terms(gains, mode_sets))
     upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
     if upper is None:
         return 0.0, 0.0
@@ -400,9 +429,26 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
     return rows
 
 
-# Bisection in log price halves the log-width of the bracket, so even one
-# spanning the whole double range reaches the 1e-14 collapse width within
-# 59 evaluations; a search that runs past this cap is broken.
+def _newton_price(state: DualState, params: SolverParams, terms: _GainTerms, target: float) -> float:
+    """Price at which the assignment of ``state`` spends ``target`` watts.
+
+    On the active subcarriers of a fixed assignment the power is
+    ``sum c_k (w_k / mu - 1/g_k)`` with c_k = 1 relay aided and 2 direct,
+    linear in 1/mu, so one division gives ``sum c w / (target + sum c/g)``.
+    Returns 0 when no subcarrier is active.
+    """
+    k = np.nonzero(state.power > 0.0)[0]
+    dest = state.dest[k]
+    relay = state.mode[k] == MODE_RELAY
+    c = np.where(relay, 1.0, 2.0)
+    inv_g = np.where(relay, terms.inv_g1[k, dest], terms.inv_g_su[k, dest])
+    return float((c * params.weights[dest]).sum()) / (target + float((c * inv_g).sum()))
+
+
+# Every price lies strictly inside the bracket, so each evaluation shrinks
+# it until the window or the 1e-14 collapse width is reached. The most
+# measured is 59 evaluations, on a collapse (benchmark workloads, seeds
+# 1..10); a search that runs past this cap is broken.
 _MAX_EVALS = 100
 
 
@@ -414,10 +460,11 @@ def solve(
 ) -> Allocation:
     """Full dual search returning the optimum allocation.
 
-    Bisects in log price between the analytic bounds and repairs a
-    collapsed bracket from its two edge states, as described in the module
-    docstring. ``trace``, when given, is called with (iteration, mu,
-    total_power, lagrangian) after every price evaluation. Raises
+    Takes safeguarded Newton steps in 1/mu inside the analytic bounds,
+    falling back to bisection in log price, and repairs a collapsed bracket
+    from its two edge states, as described in the module docstring.
+    ``trace``, when given, is called with (iteration, mu, total_power,
+    lagrangian) after every price evaluation. Raises
     ``ConvergenceError`` if the search runs past ``_MAX_EVALS`` evaluations.
     """
     if params.num_destinations != gains.num_destinations:
@@ -443,10 +490,11 @@ def solve(
         return finish(np.zeros(kk, dtype=int), np.full(kk, MODE_DIRECT), power, 0.0, 0.0, 0.0, STATUS_KKT)
 
     eps = params.epsilon_watts
+    terms = _gain_terms(gains, mode_sets)
     mu = initial_price(mu_lower, mu_upper, params, gains, mode_sets)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
     for iterations in range(1, _MAX_EVALS + 1):
-        state = solve_at_price(mu, params, gains, mode_sets)
+        state = solve_at_price(mu, params, gains, mode_sets, terms)
         if trace is not None:
             trace(iterations, state.mu, state.total_power, state.lagrangian)
         slack = params.ptot - state.total_power
@@ -467,7 +515,10 @@ def solve(
             hi = min(hi, mu)
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
             break
-        mu = math.sqrt(lo * hi)
+        # the last price is now an edge of the bracket, so a Newton price
+        # strictly inside it never repeats one
+        newton = _newton_price(state, params, terms, params.ptot - 0.5 * eps)
+        mu = newton if lo < newton < hi else math.sqrt(lo * hi)
     else:
         raise ConvergenceError(f"price search did not end within {_MAX_EVALS} evaluations")
 
@@ -475,8 +526,8 @@ def solve(
     # takes the first j tied subcarriers from the lower edge state and the
     # rest from the upper one; each mix and the greedy choice is refilled to
     # the exact budget, and the first strict maximum is kept.
-    a = solve_at_price(lo, params, gains, mode_sets)
-    b = solve_at_price(hi, params, gains, mode_sets)
+    a = solve_at_price(lo, params, gains, mode_sets, terms)
+    b = solve_at_price(hi, params, gains, mode_sets, terms)
     tied = np.nonzero((a.dest != b.dest) | (a.mode != b.mode))[0]
     candidates = []
     for j in range(tied.size + 1):

@@ -286,8 +286,7 @@ def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("protocols", ["[proposed, highpower]", "[highpower]"])
-def test_realization_without_usable_links_reports_conditions_unmet(tmp_path, monkeypatch, protocols):
+def _kill_every_link(monkeypatch):
     to_gains = cli.channel.to_gains
 
     def dead(*args):
@@ -295,10 +294,23 @@ def test_realization_without_usable_links_reports_conditions_unmet(tmp_path, mon
         return cli.channel.GainTable(g_su=0.0 * g.g_su, g_sr=0.0 * g.g_sr, g_ru=0.0 * g.g_ru)
 
     monkeypatch.setattr(cli.channel, "to_gains", dead)
+
+
+@pytest.mark.parametrize("protocols", ["[proposed, highpower]", "[highpower]"])
+def test_realization_without_usable_links_reports_conditions_unmet(tmp_path, monkeypatch, protocols):
+    _kill_every_link(monkeypatch)
     text = GOOD_YAML.replace("protocols: [proposed, reference]", f"protocols: {protocols}")
     out = cli._run_realization(load_config(_write(tmp_path, text)), 0)
     assert out["status"]["highpower"] == "conditions_unmet"
     assert not out["highpower_met"]
+
+
+def test_main_without_usable_links_runs_the_reference(tmp_path, monkeypatch):
+    # no split of the budget carries any rate: both protocols report WSR 0
+    _kill_every_link(monkeypatch)
+    assert main([str(_write(tmp_path, GOOD_YAML)), "-o", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["average_wsr"] == {"proposed": 0.0, "reference": 0.0}
 
 
 def test_parallel_run_logs_progress(tmp_path, caplog):

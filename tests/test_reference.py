@@ -124,6 +124,14 @@ def test_reference_equal_gains_spread_uniformly():
     np.testing.assert_allclose(ref.power, [2.0, 2.0, 2.0], rtol=1e-9)
 
 
+def test_reference_without_usable_links_spreads_the_budget():
+    t = _table(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((4, 1, 2)))
+    ref = solve_reference(t, 6.0, weights=np.array([0.5, 0.5]))
+    assert ref.wsr == 0.0 and ref.water_level == math.inf
+    np.testing.assert_array_equal(ref.power, np.full(4, 1.5))
+    np.testing.assert_array_equal(ref.rates_per_subcarrier, np.zeros(4))
+
+
 def test_reference_single_slot_direct_rate():
     # the baseline's direct mode only uses the broadcasting slot
     t = _table([[3.0]], [[0.01]], [[[0.01]]])

@@ -1,4 +1,4 @@
-"""Dual price search: metrics, bracketing, log-price bisection."""
+"""Dual price search: metrics, bracketing, the safeguarded Newton step in 1/mu."""
 
 import math
 
@@ -286,25 +286,57 @@ def test_initial_price_is_geometric_mean_of_bracket():
     assert initial_price(0.5, 0.5, params, DIRECT1, ms) == 0.5
 
 
-def test_search_bisects_the_bracket_in_log_price():
-    # two direct users with unequal weights: the power root sits strictly
-    # inside the bracket. Replaying the trace, every price after the first
-    # is the geometric mean of the bracket the earlier evaluations left.
-    t = _table([[1.0, 2.0]], [[0.001]], [[[0.001, 0.001]]])
+# six identical subcarriers: at 10 W and equal weights the bracket collapses
+# with all six tied
+SIX_TIED = _table(np.tile([1.0, 0.5], (6, 1)), np.tile([1.0, 2.0], (6, 1)),
+                  np.tile([[4.0, 1.0], [0.5, 4.0]], (6, 1, 1)))
+# two direct users with unequal weights: the power root sits strictly inside
+# the bracket
+TWO_DIRECT = _table([[1.0, 2.0]], [[0.001]], [[[0.001, 0.001]]])
+
+
+def test_search_prices_stay_inside_a_shrinking_bracket():
+    # replaying the trace, every price lies strictly inside the bracket the
+    # earlier evaluations left, and each evaluation shrinks it
+    rng = np.random.default_rng(28)
+    cases = [(TWO_DIRECT, [1.0, 0.5], 2.0), (SIX_TIED, [1.0, 1.0], 10.0)]
+    cases += [(_random_table(rng, k=6, u=3, n=2), rng.uniform(0.2, 1.0, 3), float(rng.uniform(0.5, 50.0)))
+              for _ in range(8)]
+    statuses = set()
+    for gains, weights, ptot in cases:
+        params = SolverParams(ptot=ptot, weights=weights)
+        ms = rates.classify(gains, params.ptot)
+        rows = []
+        alloc = solve(params, gains, ms, trace=lambda *r: rows.append(r))
+        statuses.add(alloc.status)
+        lo, hi = price_bracket(params, gains, ms)
+        assert (alloc.mu_lower, alloc.mu_upper) == (lo, hi)
+        for i, (_, mu, total_power, _) in enumerate(rows, start=1):
+            assert lo < mu < hi
+            if i == len(rows) and alloc.status == STATUS_KKT:
+                break  # the window was reached: the bracket stays
+            width = hi - lo
+            lo, hi = (mu, hi) if total_power > params.ptot else (lo, mu)
+            assert hi - lo < width
+    assert statuses == {STATUS_KKT, solver.STATUS_GAP}
+
+
+def test_search_steps_to_the_newton_price_of_the_last_state():
+    # with the first state's assignment fixed, the power is linear in 1/mu:
+    # the second price spends ptot - eps/2 on it, inside the KKT window
     params = SolverParams(ptot=2.0, weights=[1.0, 0.5])
-    ms = rates.classify(t, params.ptot)
+    ms = rates.classify(TWO_DIRECT, params.ptot)
     rows = []
-    alloc = solve(params, t, ms, trace=lambda *r: rows.append(r))
-    lo, hi = price_bracket(params, t, ms)
-    assert (alloc.mu_lower, alloc.mu_upper) == (lo, hi)
-    for _, mu, total_power, _ in rows:
-        assert lo < mu < hi
-        assert math.isclose(mu, math.sqrt(lo * hi), rel_tol=1e-15)
-        if total_power > params.ptot:
-            lo = mu
-        else:
-            hi = mu
-    assert alloc.status == STATUS_KKT
+    alloc = solve(params, TWO_DIRECT, ms, trace=lambda *r: rows.append(r))
+    assert alloc.status == STATUS_KKT and alloc.iterations == len(rows) == 2
+    first = solve_at_price(rows[0][1], params, TWO_DIRECT, ms)
+    active = first.power > 0.0
+    relay = first.mode[active] == rates.MODE_RELAY
+    c = np.where(relay, 1.0, 2.0)
+    g = np.where(relay, ms.g1[0, first.dest[active]], TWO_DIRECT.g_su[0, first.dest[active]])
+    w = params.weights[first.dest[active]]
+    newton = float((c * w).sum()) / (params.ptot - params.epsilon_watts / 2.0 + float((c / g).sum()))
+    assert rows[1][1] == newton
     assert 0.0 <= alloc.residual < params.epsilon_watts
 
 
@@ -443,9 +475,7 @@ def _tie_rich_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_tie_rich_instances())
-@example(instance=(  # six identical subcarriers: the bracket collapses with all six tied
-    _table(np.tile([1.0, 0.5], (6, 1)), np.tile([1.0, 2.0], (6, 1)), np.tile([[4.0, 1.0], [0.5, 4.0]], (6, 1, 1))),
-    np.ones(2), 10.0))
+@example(instance=(SIX_TIED, np.ones(2), 10.0))
 def test_solve_on_tie_rich_inputs(instance):
     gains, weights, ptot = instance
     params = SolverParams(ptot=ptot, weights=weights)
@@ -455,9 +485,47 @@ def test_solve_on_tie_rich_inputs(instance):
     assert powers.min() >= 0.0
     assert math.isclose(powers.sum(), ptot, rel_tol=1e-9)
     assert weighted_sum_rate(alloc.assignments, params, gains) == alloc.wsr
-    if np.all(weights == weights[0]) and alloc.mu_upper > 0.0:  # the reference needs a usable link
+    if np.all(weights == weights[0]):
         ref = reference.solve_reference(gains, ptot, weights=weights)
         assert alloc.wsr >= ref.wsr - 1e-12 * abs(ref.wsr)
+
+
+@st.composite
+def _any_scale_instances(draw):
+    """(gains, weights, ptot): ``scale * lognormal(0, 2)`` gains, 30% of them zero."""
+    k, u, n = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8.0, 10.0))
+
+    def block(*shape):
+        return scale * rng.lognormal(0.0, 2.0, shape) * (rng.random(shape) >= 0.3)
+
+    weights = rng.uniform(0.1, 1.0, u) if draw(st.booleans()) else np.ones(u)
+    return _table(block(k, u), block(k, n), block(k, n, u)), weights, 10.0 ** draw(st.floats(-3.0, 8.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scale_instances())
+def test_solve_raises_nothing_on_gains_of_any_scale(instance):
+    gains, weights, ptot = instance
+    alloc = solve(SolverParams(ptot=ptot, weights=weights), gains)
+    assert alloc.status in (STATUS_KKT, solver.STATUS_GAP)
+    powers = np.array([a.sum_power for a in alloc.assignments])
+    assert powers.min() >= 0.0
+    assert math.isclose(powers.sum(), ptot, rel_tol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tie_rich_instances(), _any_scale_instances()), st.sampled_from([2.0, 4.0]))
+def test_weight_scaling_by_a_power_of_two_is_exact(instance, factor):
+    # a power of two scales the prices, the metrics and the WSR without
+    # rounding, so the whole search repeats step for step
+    gains, weights, ptot = instance
+    base = solve(SolverParams(ptot=ptot, weights=weights), gains)
+    scaled = solve(SolverParams(ptot=ptot, weights=factor * weights), gains)
+    assert (scaled.status, scaled.iterations) == (base.status, base.iterations)
+    assert [(a.u, a.mode) for a in scaled.assignments] == [(a.u, a.mode) for a in base.assignments]
+    assert scaled.wsr == factor * base.wsr
 
 
 def _synthesized(num_subcarriers, num_destinations, index):
