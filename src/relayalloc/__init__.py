@@ -13,9 +13,7 @@ from .channel import (
     Region,
     TapProfile,
     Topology,
-    load_realization,
     place_destinations,
-    save_realization,
     synthesize_realization,
     to_gains,
 )
@@ -28,11 +26,9 @@ from .rates import (
     PerPairGains,
     RelayAidedSolution,
     classify,
-    crossover_power,
     direct_rate,
     effective_gain_table,
     relay_aided_solution,
-    relay_rate,
 )
 from .reference import ReferenceAllocation, select_per_subcarrier, solve_reference, waterfill
 from .solver import (
@@ -41,7 +37,6 @@ from .solver import (
     DualState,
     SolverParams,
     SubcarrierAssignment,
-    assignment_metric,
     initial_price,
     price_bracket,
     solve,
@@ -70,22 +65,17 @@ __all__ = [
     "SubcarrierAssignment",
     "TapProfile",
     "Topology",
-    "assignment_metric",
     "check_conditions",
     "classify",
-    "crossover_power",
     "direct_rate",
     "effective_gain_table",
     "initial_price",
-    "load_realization",
     "oracle_global_wsr",
     "oracle_relay_gain",
     "oracle_split_optimality",
     "place_destinations",
     "price_bracket",
     "relay_aided_solution",
-    "relay_rate",
-    "save_realization",
     "select_per_subcarrier",
     "solve",
     "solve_at_price",

@@ -10,9 +10,7 @@ are squared magnitudes divided by the receiver noise variance.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,8 +24,6 @@ __all__ = [
     "place_destinations",
     "synthesize_realization",
     "to_gains",
-    "save_realization",
-    "load_realization",
 ]
 
 # Role tags keep per-link random streams independent of iteration order.
@@ -295,47 +291,3 @@ def to_gains(realization: ChannelRealization, noise_variance: float) -> GainTabl
         noise_variance=noise_variance,
     )
 
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def save_realization(path, realization: ChannelRealization) -> None:
-    """Write per link frequency responses, one row per subcarrier."""
-    n, u = realization.num_relays, realization.num_destinations
-    header = ["k"]
-    header += [f"su_{j}" for j in range(u)]
-    header += [f"sr_{i}" for i in range(n)]
-    header += [f"ru_{i}_{j}" for i in range(n) for j in range(u)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(realization.num_subcarriers):
-            row = [str(k)]
-            row += [_fmt_complex(realization.freq_su[k, j]) for j in range(u)]
-            row += [_fmt_complex(realization.freq_sr[k, i]) for i in range(n)]
-            row += [_fmt_complex(realization.freq_ru[k, i, j]) for i in range(n) for j in range(u)]
-            writer.writerow(row)
-
-
-def load_realization(path) -> ChannelRealization:
-    """Read a realization written by save_realization (taps are not kept)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    u = sum(1 for h in header if h.startswith("su_"))
-    n = sum(1 for h in header if h.startswith("sr_"))
-    if u < 1 or n < 1 or len(header) != 1 + u + n + n * u:
-        raise ValueError(f"malformed channel file {path}")
-    k = len(rows)
-    freq_su = np.empty((k, u), dtype=complex)
-    freq_sr = np.empty((k, n), dtype=complex)
-    freq_ru = np.empty((k, n, u), dtype=complex)
-    for row in rows:
-        kk = int(row[0])
-        vals = [complex(c) for c in row[1:]]
-        freq_su[kk] = vals[:u]
-        freq_sr[kk] = vals[u:u + n]
-        freq_ru[kk] = np.reshape(vals[u + n:], (n, u))
-    return ChannelRealization(num_subcarriers=k, freq_su=freq_su, freq_sr=freq_sr, freq_ru=freq_ru)

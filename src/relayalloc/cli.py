@@ -48,7 +48,7 @@ PROTO_REFERENCE = "reference"
 PROTO_HIGHPOWER = "highpower"
 _PROTOCOLS = (PROTO_PROPOSED, PROTO_REFERENCE, PROTO_HIGHPOWER)
 
-_SOLVER_KEYS = ("epsilon", "epsilon_is_relative", "highpower_factor")
+_SOLVER_KEYS = ("epsilon", "highpower_factor")
 
 _DEFAULT_RELAYS = ((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0))
 _DEFAULT_REGION = {"x_min": -10.0, "x_max": 10.0, "y_min": -30.0, "y_max": -10.0}
@@ -82,7 +82,6 @@ class ExperimentConfig:
     tap_decay: float = 3.0
     shadowing_db_std: float = 0.0
     epsilon: float = 1e-6
-    epsilon_is_relative: bool = True
     highpower_factor: float = 100.0
     workers: int = 1
     output_dir: str = "relayalloc_out"
@@ -100,7 +99,6 @@ class ExperimentConfig:
             ptot=self.ptot_watts,
             weights=self.weights,
             epsilon=self.epsilon,
-            epsilon_is_relative=self.epsilon_is_relative,
             highpower_factor=self.highpower_factor,
         )
 
@@ -153,10 +151,14 @@ def _as_float(raw: dict, key: str, errors: list, default=None, required=False):
             errors.append(f"{key}: required")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except (TypeError, ValueError):
         errors.append(f"{key}: expected a number, got {raw[key]!r}")
         return default
+    if not math.isfinite(value):
+        errors.append(f"{key}: expected a finite number, got {raw[key]!r}")
+        return default
+    return value
 
 
 def _as_int(raw: dict, key: str, errors: list, default=None, required=False, minimum=None):
@@ -276,7 +278,6 @@ def load_config(path) -> ExperimentConfig:
     for key in sorted(set(sol) - set(_SOLVER_KEYS), key=str):
         errors.append(f"solver.{key}: unknown key; valid: {list(_SOLVER_KEYS)}")
     epsilon = _as_float(sol, "epsilon", errors, default=1e-6)
-    eps_rel = bool(sol.get("epsilon_is_relative", True))
     hp_factor = _as_float(sol, "highpower_factor", errors, default=100.0)
 
     output_dir = raw.get("output_dir", "relayalloc_out")
@@ -287,7 +288,7 @@ def load_config(path) -> ExperimentConfig:
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         num_subcarriers=kk,
         num_destinations=uu,
         ptot_dbw=ptot_dbw,
@@ -304,11 +305,15 @@ def load_config(path) -> ExperimentConfig:
         tap_decay=tap_decay,
         shadowing_db_std=shadow_std,
         epsilon=epsilon,
-        epsilon_is_relative=eps_rel,
         highpower_factor=hp_factor,
         workers=workers,
         output_dir=output_dir,
     )
+    try:
+        config.solver_params()  # epsilon and highpower_factor ranges
+    except ValueError as exc:
+        raise ConfigError(f"invalid config:\n  solver: {exc}") from exc
+    return config
 
 
 def realization_seeds(master_seed: int, index: int) -> tuple:

@@ -4,8 +4,8 @@ When the water level implied by the upper price bound dwarfs every inverse
 gain (and every gain, so that the log arguments are large), the dual search
 can be skipped: equal power per subcarrier with the best direct gain
 destination per subcarrier is optimum up to vanishing terms. The conditions
-are checked with a configurable margin factor and reported, so callers can
-fall back to the full search when they do not hold.
+are checked with the margin ``SolverParams.highpower_factor`` and reported,
+so callers can fall back to the full search when they do not hold.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class HighPowerReport:
     ``threshold`` is ``min_u w_u / mu_upper``, the smallest water level any
     destination can see at the upper price bound. ``margin`` is the ratio of
     the threshold to the larger of the two quantities it must dominate; the
-    conditions hold when ``margin >= factor``.
+    conditions hold when ``margin >= factor``, the ``highpower_factor`` of
+    the solver parameters.
     """
 
     conditions_met: bool
@@ -44,18 +45,16 @@ def check_conditions(
     params: SolverParams,
     gains: GainTable,
     mu_upper: Optional[float] = None,
-    factor: Optional[float] = None,
     g1_table: Optional[np.ndarray] = None,
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
-    The threshold must exceed ``factor`` times both the largest admissible
-    inverse gain max(1/g1, 1/g_su) and the largest gain max(g1, g_su) over
-    all subcarrier destination pairs. mu_upper and the effective gain table
-    are computed when not supplied.
+    The threshold must exceed ``params.highpower_factor`` times both the
+    largest admissible inverse gain max(1/g1, 1/g_su) and the largest gain
+    max(g1, g_su) over all subcarrier destination pairs. mu_upper and the
+    effective gain table are computed when not supplied.
     """
-    if factor is None:
-        factor = params.highpower_factor
+    factor = params.highpower_factor
     if mu_upper is None:
         mode_sets = rates.classify(gains, params.ptot)
         _, mu_upper = solver.price_bracket(params, gains, mode_sets)
@@ -84,7 +83,6 @@ def check_conditions(
 def solve_high_power(
     params: SolverParams,
     gains: GainTable,
-    factor: Optional[float] = None,
     report: Optional[HighPowerReport] = None,
     bracket: Optional[tuple] = None,
 ) -> Allocation:
@@ -102,7 +100,7 @@ def solve_high_power(
         if bracket is None:
             bracket = solver.price_bracket(params, gains, mode_sets)
         if report is None:
-            report = check_conditions(params, gains, bracket[1], factor, mode_sets.g1)
+            report = check_conditions(params, gains, bracket[1], mode_sets.g1)
     mu_lower, mu_upper = bracket
     if not report.conditions_met:
         raise ValueError(
@@ -112,16 +110,16 @@ def solve_high_power(
 
     w = params.weights
     kk = gains.num_subcarriers
-    p_k = params.ptot / kk
     if np.all(w == w[0]):
         dest = np.argmax(gains.g_su, axis=1)
     else:
         # the weighted log dominates every gain difference in this regime
         dest = np.full(kk, int(np.argmax(w)))
 
-    rate = 2.0 * np.log1p(gains.g_su[np.arange(kk), dest] * p_k / 2.0)  # rates.direct_rate per subcarrier
+    power = np.full(kk, params.ptot / kk)
+    rate = solver._rates(gains.g_su[np.arange(kk), dest], power, np.zeros(kk, dtype=bool))
     return Allocation(
-        assignments=solver._assemble(dest, np.full(kk, rates.MODE_DIRECT), np.full(kk, p_k), gains),
+        assignments=solver._assemble(dest, np.full(kk, rates.MODE_DIRECT), power, gains),
         wsr=solver._weighted_total(w[dest], rate),
         mu_star=mu_upper,
         residual=0.0,

@@ -37,12 +37,10 @@ __all__ = [
     "RelayClosedForm",
     "ModeSets",
     "direct_rate",
-    "relay_rate",
     "relay_aided_solution",
     "relay_closed_form",
     "pair_closed_form",
     "effective_gain_table",
-    "crossover_power",
     "classify",
 ]
 
@@ -136,13 +134,6 @@ def relay_aided_solution(gains: PerPairGains, power: float) -> RelayAidedSolutio
         source_fraction=float(cf.source_fraction[0, 0]),
         relay_fractions=fractions,
     )
-
-
-def relay_rate(gains: PerPairGains, power: float) -> float:
-    """Two slot rate of optimally configured relay aided transmission."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    return float(np.log1p(relay_aided_solution(gains, 0.0).effective_gain * power))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,19 +234,6 @@ def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -
     return relay_closed_form(g_su, g_sr, g_ru).gain
 
 
-def crossover_power(g1: float, g_su: float) -> Optional[float]:
-    """Total power below which relay aided mode beats direct mode.
-
-    Returns None when there is no crossover: either the relay aided gain
-    never wins (g1 <= g_su) or it always wins (g_su == 0).
-    """
-    if g1 < 0 or g_su < 0:
-        raise ValueError("gains must be nonnegative")
-    if g1 <= g_su or g_su == 0.0:
-        return None
-    return 4.0 * (g1 - g_su) / g_su**2
-
-
 @dataclass(frozen=True, eq=False)
 class ModeSets:
     """Per (subcarrier, destination) mode admissibility at a given budget.
@@ -272,12 +250,6 @@ class ModeSets:
     crossover: np.ndarray       # (K, U)
     in_direct_set: np.ndarray   # (K, U) bool
     in_relay_set: np.ndarray    # (K, U) bool
-
-    def direct_set(self, k: int) -> tuple:
-        return tuple(int(u) for u in np.nonzero(self.in_direct_set[k])[0])
-
-    def relay_set(self, k: int) -> tuple:
-        return tuple(int(u) for u in np.nonzero(self.in_relay_set[k])[0])
 
 
 def classify(gains: GainTable, ptot: float) -> ModeSets:

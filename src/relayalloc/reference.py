@@ -43,9 +43,10 @@ def select_per_subcarrier(
 ):
     """Destination, mode and scalar gain per subcarrier.
 
-    The selection metric is max(g1, g_su) per destination; relay aided mode
-    wins only on a strict gain advantage. Defined for equal priorities; a
-    weights argument is accepted for signature parity but must be uniform.
+    The selection is ``solver.max_gain_choice`` without weights: the metric
+    is max(g1, g_su) per destination, and relay aided mode wins only on a
+    strict gain advantage. Defined for equal priorities; a weights argument
+    is accepted for signature parity but must be uniform.
     """
     if weights is not None:
         w = np.asarray(weights, dtype=float)
@@ -53,15 +54,7 @@ def select_per_subcarrier(
             raise ValueError("the baseline protocol is defined for equal weights only")
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
-    per_dest = np.maximum(g1_table, gains.g_su)
-    dest = np.argmax(per_dest, axis=1)
-    rows = np.arange(gains.num_subcarriers)
-    g1 = g1_table[rows, dest]
-    g_su = gains.g_su[rows, dest]
-    relay = g1 > g_su
-    mode = np.where(relay, rates.MODE_RELAY, rates.MODE_DIRECT)
-    gain = np.where(relay, g1, g_su)
-    return dest, mode, gain
+    return solver.max_gain_choice(g1_table, gains.g_su)
 
 
 def waterfill(gain: np.ndarray, ptot: float) -> tuple:
@@ -100,11 +93,12 @@ def solve_reference(
 
     When (uniform) weights are given, ``wsr`` is scaled by the common weight
     so it is directly comparable to a weighted sum rate. Without a usable
-    link no split carries any rate: the budget is spread evenly, as
-    ``solver.solve`` does, and the water level is infinite (price zero).
+    link (no gain with a finite inverse) no split carries any rate: the
+    budget is spread evenly, as ``solver.solve`` does, and the water level
+    is infinite (price zero).
     """
     dest, mode, gain = select_per_subcarrier(gains, weights=weights, g1_table=g1_table)
-    if np.any(gain > 0.0):
+    if np.isfinite(solver._inverse(gain)).any():
         power, level = waterfill(gain, ptot)
     else:
         power, level = np.full(gain.size, ptot / gain.size), math.inf

@@ -51,16 +51,14 @@ __all__ = [
     "DualState",
     "SubcarrierAssignment",
     "Allocation",
-    "assignment_metric",
     "solve_at_price",
     "price_bracket",
     "initial_price",
     "water_level",
+    "max_gain_choice",
     "solve",
     "weighted_sum_rate",
     "user_rates",
-    "time_shared_relay_rate",
-    "time_shared_direct_rate",
 ]
 
 STATUS_KKT = "kkt"
@@ -79,15 +77,14 @@ class SolverParams:
     ``weights`` are the per destination priorities; by convention they sum
     to one, but any positive values are accepted (the optimum assignments
     are invariant to a common positive scaling). ``epsilon`` is the width of
-    the stopping window relative to ``ptot``, or in watts when
-    ``epsilon_is_relative`` is unset. ``highpower_factor`` is the margin
-    demanded by the high power closed form checks.
+    the stopping window relative to ``ptot``: a window of W watts is
+    ``epsilon = W / ptot``. ``highpower_factor`` is the margin demanded by
+    the high power closed form checks. Every number must be finite.
     """
 
     ptot: float
     weights: np.ndarray
     epsilon: float = 1e-6
-    epsilon_is_relative: bool = True
     highpower_factor: float = 100.0
 
     def __post_init__(self) -> None:
@@ -99,10 +96,10 @@ class SolverParams:
             raise ValueError("weights must be positive and finite")
         if not (self.ptot > 0.0 and np.isfinite(self.ptot)):
             raise ValueError("ptot must be positive and finite")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.highpower_factor < 1.0:
-            raise ValueError("highpower_factor must be at least 1")
+        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
+        if not (self.highpower_factor >= 1.0 and np.isfinite(self.highpower_factor)):
+            raise ValueError("highpower_factor must be finite and at least 1")
 
     @property
     def num_destinations(self) -> int:
@@ -110,7 +107,7 @@ class SolverParams:
 
     @property
     def epsilon_watts(self) -> float:
-        return self.epsilon * self.ptot if self.epsilon_is_relative else self.epsilon
+        return self.epsilon * self.ptot
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +160,8 @@ class Allocation:
 
 
 def _inverse(arr: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    """``1 / arr``, infinite where arr is zero or too small to invert."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(arr > 0.0, 1.0 / np.where(arr > 0.0, arr, 1.0), np.inf)
 
 
@@ -237,25 +235,6 @@ def _candidate_tables(mu: float, params: SolverParams, terms: _GainTerms):
     return value, power
 
 
-def assignment_metric(u: int, mode: str, k: int, mu: float, params: SolverParams, gains: GainTable,
-                      mode_sets: ModeSets) -> float:
-    """Best achievable ``w * rate - mu * power`` for one candidate.
-
-    The maximizing total power is ``[w/mu - 1/g1]+`` in relay aided mode and
-    ``2 [w/mu - 1/g_su]+`` in direct mode; the value is the candidate's
-    entry of ``_candidate_tables``.
-    """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    if mode not in (MODE_RELAY, MODE_DIRECT):
-        raise ValueError(f"unknown mode {mode!r}")
-    value, _ = _candidate_tables(mu, params, _gain_terms(gains, mode_sets))
-    value = float(value[k, 2 * u + (mode == MODE_DIRECT)])
-    if value == -math.inf:
-        raise ValueError(f"{mode} mode is inadmissible for destination {u} on subcarrier {k}")
-    return value
-
-
 def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets,
                    terms: Optional[_GainTerms] = None) -> DualState:
     """Per subcarrier maximization of the Lagrangian at a fixed price.
@@ -327,13 +306,7 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     return min(lower[0] / lower[1], mu_upper), mu_upper
 
 
-def initial_price(
-    mu_lower: float,
-    mu_upper: float,
-    params: SolverParams,
-    gains: GainTable,
-    mode_sets: ModeSets,
-) -> float:
+def initial_price(mu_lower: float, mu_upper: float) -> float:
     """First price of the search: the geometric mean of the bracket."""
     return math.sqrt(mu_lower * mu_upper)
 
@@ -386,19 +359,22 @@ def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
     return _state_wsr(dest, mode, power, params, gains, g1), power
 
 
-def _greedy_assignment(params: SolverParams, gains: GainTable, mode_sets: ModeSets):
-    """Per subcarrier best weighted gain choice, a strong refill candidate.
+def max_gain_choice(g1: np.ndarray, g_su: np.ndarray, weights: Optional[np.ndarray] = None):
+    """Per subcarrier destination of the largest (weighted) gain, and its mode.
 
-    Picks the destination maximizing w_u * max(g1, g_su) with the better of
-    the two gains deciding the mode. Refilling this choice always reaches at
-    least the baseline protocol's rates, since the direct mode here uses
-    both slots.
+    Picks the destination maximizing ``w_u * max(g1, g_su)``, or
+    ``max(g1, g_su)`` without weights (lowest index on ties); relay aided
+    mode needs a strict gain advantage. Returns (dest, mode, gain). The
+    reference protocol selects with it, and the collapse repair refills its
+    weighted choice: with direct mode on both slots, that reaches at least
+    the reference protocol's rates.
     """
-    per_dest = params.weights[None, :] * np.maximum(mode_sets.g1, gains.g_su)
-    dest = np.argmax(per_dest, axis=1)
-    rows = np.arange(gains.num_subcarriers)
-    relay = mode_sets.g1[rows, dest] > gains.g_su[rows, dest]
-    return dest, np.where(relay, MODE_RELAY, MODE_DIRECT)
+    best = np.maximum(g1, g_su)
+    dest = np.argmax(best if weights is None else weights[None, :] * best, axis=1)
+    rows = np.arange(dest.size)
+    g1_k, g_su_k = g1[rows, dest], g_su[rows, dest]
+    relay = g1_k > g_su_k
+    return dest, np.where(relay, MODE_RELAY, MODE_DIRECT), np.where(relay, g1_k, g_su_k)
 
 
 def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> list:
@@ -491,7 +467,7 @@ def solve(
 
     eps = params.epsilon_watts
     terms = _gain_terms(gains, mode_sets)
-    mu = initial_price(mu_lower, mu_upper, params, gains, mode_sets)
+    mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
     for iterations in range(1, _MAX_EVALS + 1):
         state = solve_at_price(mu, params, gains, mode_sets, terms)
@@ -534,7 +510,7 @@ def solve(
         dest, mode = b.dest.copy(), b.mode.copy()
         dest[tied[:j]], mode[tied[:j]] = a.dest[tied[:j]], a.mode[tied[:j]]
         candidates.append((dest, mode))
-    candidates.append(_greedy_assignment(params, gains, mode_sets))
+    candidates.append(max_gain_choice(mode_sets.g1, gains.g_su, params.weights)[:2])
     fills = [(fill, dest, mode) for dest, mode in candidates
              if (fill := _refill(dest, mode, params, gains, mode_sets.g1)) is not None]
     if not fills:  # no mix can carry power: the upper edge state stands
@@ -566,25 +542,3 @@ def user_rates(assignments, gains: GainTable) -> np.ndarray:
     """Unweighted per destination rates of an assignment list."""
     u, rate = _assignment_rates(assignments, gains)
     return np.bincount(u, weights=rate, minlength=gains.num_destinations)
-
-
-def time_shared_relay_rate(share: float, energy: float, g1: float) -> float:
-    """Perspective form ``share * ln(1 + g1 * energy / share)``.
-
-    Jointly concave in (share, energy) on share >= 0; continuous extension
-    at share = 0.
-    """
-    if share < 0.0 or energy < 0.0 or g1 < 0.0:
-        raise ValueError("share, energy and g1 must be nonnegative")
-    if share == 0.0:
-        return 0.0
-    return share * math.log1p(g1 * energy / share)
-
-
-def time_shared_direct_rate(share: float, energy: float, g_su: float) -> float:
-    """Perspective form ``2 share * ln(1 + g_su * energy / (2 share))``."""
-    if share < 0.0 or energy < 0.0 or g_su < 0.0:
-        raise ValueError("share, energy and g_su must be nonnegative")
-    if share == 0.0:
-        return 0.0
-    return 2.0 * share * math.log1p(g_su * energy / (2.0 * share))

@@ -16,14 +16,7 @@ from relayalloc.cli import realization_seeds
 from relayalloc.oracle import oracle_global_wsr, oracle_relay_gain, oracle_split_optimality
 from relayalloc.rates import PerPairGains
 from relayalloc.reference import waterfill
-from relayalloc.solver import (
-    STATUS_KKT,
-    SolverParams,
-    solve,
-    solve_at_price,
-    time_shared_direct_rate,
-    time_shared_relay_rate,
-)
+from relayalloc.solver import STATUS_KKT, SolverParams, solve, solve_at_price
 
 MASTER_SEED = 20260818
 NOISE_WATTS = 1e-3  # -30 dBW
@@ -32,6 +25,29 @@ BENCH_REGION = channel.Region(x_min=-10.0, x_max=10.0, y_min=-30.0, y_max=-10.0)
 # destinations far enough out that uniform power allocation leaves the mean
 # subcarrier SNR a few dB below zero: the low power operating regime
 LOW_SNR_REGION = channel.Region(x_min=-10.0, x_max=10.0, y_min=-50.0, y_max=-30.0)
+
+
+def time_shared_relay_rate(share: float, energy: float, g1: float) -> float:
+    """Perspective form ``share * ln(1 + g1 * energy / share)``.
+
+    Jointly concave in (share, energy) on share >= 0; continuous extension
+    at share = 0. It is the rate of a relay aided candidate that holds a
+    ``share`` of the frame in the time-sharing relaxation.
+    """
+    if share < 0.0 or energy < 0.0 or g1 < 0.0:
+        raise ValueError("share, energy and g1 must be nonnegative")
+    if share == 0.0:
+        return 0.0
+    return share * math.log1p(g1 * energy / share)
+
+
+def time_shared_direct_rate(share: float, energy: float, g_su: float) -> float:
+    """Perspective form ``2 share * ln(1 + g_su * energy / (2 share))``."""
+    if share < 0.0 or energy < 0.0 or g_su < 0.0:
+        raise ValueError("share, energy and g_su must be nonnegative")
+    if share == 0.0:
+        return 0.0
+    return 2.0 * share * math.log1p(g_su * energy / (2.0 * share))
 
 
 @contextmanager
@@ -155,9 +171,14 @@ def test_criterion_03_mode_crossover_power():
 
     with verdict("criterion 03: crossover power matches the numeric root"):
         rng = np.random.default_rng(103)
-        for _ in range(100):
-            g_su = float(rng.lognormal(0.0, 0.7))
-            g1 = g_su * (1.0 + float(rng.uniform(0.05, 4.0)))
+        # 100 single-relay pairs whose relay links both beat the direct one,
+        # so the relay aided gain g1 = g_sr g_ru / (g_sr + g_ru - g_su) wins
+        su = rng.lognormal(0.0, 0.7, (100, 1))
+        sr = su * (1.0 + rng.uniform(0.05, 8.0, (100, 1)))
+        ru = su * (1.0 + rng.uniform(0.05, 8.0, (100, 1)))
+        ms = rates.classify(channel.GainTable(g_su=su, g_sr=sr, g_ru=ru[:, :, None]), 1.0)
+        assert np.all(ms.g1 > su)
+        for g_su, g1, crossover in zip(su[:, 0].tolist(), ms.g1[:, 0].tolist(), ms.crossover[:, 0].tolist()):
 
             def gap(p):
                 return math.log1p(g1 * p) - 2.0 * math.log1p(g_su * p / 2.0)
@@ -169,7 +190,7 @@ def test_criterion_03_mode_crossover_power():
                     break
                 b *= 2.0
             root = brentq(gap, a, b, xtol=1e-300, rtol=1e-13)
-            assert math.isclose(root, rates.crossover_power(g1, g_su), rel_tol=1e-6)
+            assert math.isclose(root, crossover, rel_tol=1e-6)
 
 
 def test_criterion_04_global_optimality_small_instances(desk_instances):
@@ -267,8 +288,9 @@ def test_criterion_09_concavity_and_integrality(desk_instances, bench_population
                 g_sr=rng.lognormal(0.0, 1.0, 2),
                 g_ru=rng.lognormal(0.0, 1.0, 2),
             )
-            assert rates.relay_rate(pair, mix) >= (
-                lam * rates.relay_rate(pair, p1) + (1 - lam) * rates.relay_rate(pair, p2) - 1e-12
+            g1 = rates.relay_aided_solution(pair, 0.0).effective_gain
+            assert math.log1p(g1 * mix) >= (
+                lam * math.log1p(g1 * p1) + (1 - lam) * math.log1p(g1 * p2) - 1e-12
             )
         # perspective forms, jointly concave in (share, energy)
         for fn in (time_shared_relay_rate, time_shared_direct_rate):
@@ -308,3 +330,17 @@ def test_criterion_10_waterfill_kkt():
                     assert abs(level - 1.0 / gi - pi) <= 1e-10 * max(1.0, level)
                 else:
                     assert gi == 0.0 or level <= 1.0 / gi + 1e-10 * max(1.0, 1.0 / gi)
+
+
+def test_time_shared_forms():
+    assert time_shared_relay_rate(0.0, 1.0, 2.0) == 0.0
+    assert time_shared_direct_rate(0.0, 1.0, 2.0) == 0.0
+    # share one recovers the plain rate functions
+    assert math.isclose(time_shared_relay_rate(1.0, 3.0, 2.0), math.log1p(6.0), rel_tol=1e-12)
+    assert math.isclose(
+        time_shared_direct_rate(1.0, 3.0, 2.0), 2.0 * math.log1p(3.0), rel_tol=1e-12
+    )
+    with pytest.raises(ValueError):
+        time_shared_relay_rate(-0.1, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        time_shared_direct_rate(0.5, -1.0, 1.0)

@@ -1,4 +1,4 @@
-"""Channel synthesis: placement, tap statistics, transforms, persistence."""
+"""Channel synthesis: placement, tap statistics, transforms."""
 
 import math
 
@@ -10,9 +10,7 @@ from relayalloc.channel import (
     Region,
     TapProfile,
     Topology,
-    load_realization,
     place_destinations,
-    save_realization,
     synthesize_realization,
     to_gains,
 )
@@ -150,24 +148,3 @@ def test_gain_table_shape_validation():
     with pytest.raises(ValueError):
         GainTable(g_su=-np.ones((2, 2)), g_sr=np.ones((2, 1)), g_ru=np.ones((2, 1, 2)))
 
-
-def test_realization_roundtrip(tmp_path):
-    real = synthesize_realization(
-        _topo(dest=((0.0, -20.0), (3.0, -15.0)), relays=((5.0, -5.0), (-5.0, -5.0))),
-        TapProfile.exponential(), 16, 21,
-    )
-    path = tmp_path / "realization.csv"
-    save_realization(path, real)
-    back = load_realization(path)
-    assert back.num_subcarriers == 16
-    np.testing.assert_array_equal(back.freq_su, real.freq_su)
-    np.testing.assert_array_equal(back.freq_sr, real.freq_sr)
-    np.testing.assert_array_equal(back.freq_ru, real.freq_ru)
-    assert back.taps_su is None
-
-
-def test_load_rejects_malformed_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("k,su_0,zz_9\n0,1+0j,2+0j\n")
-    with pytest.raises(ValueError):
-        load_realization(path)

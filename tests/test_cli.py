@@ -220,6 +220,39 @@ geometry:
     assert (tmp_path / "cli_out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("field, line", [
+    ("solver.epsilon_is_relative", "solver: {epsilon_is_relative: false}"),
+    ("epsilon", "solver: {epsilon: .nan}"),
+    ("epsilon", "solver: {epsilon: .inf}"),
+    ("epsilon", "solver: {epsilon: -1.0e-6}"),
+    ("highpower_factor", "solver: {highpower_factor: .nan}"),
+    ("ptot_dbw", "ptot_dbw: .inf"),
+    ("noise_dbw", "noise_dbw: .nan"),
+])
+def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
+    key = line.split(":")[0] + ":"
+    text = "".join(row for row in GOOD_YAML.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
+    assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_exit_code_contract(tmp_path, capsys):
+    good = _write(tmp_path, GOOD_YAML)
+    # an output directory that is an existing file fails at run time
+    taken = _write(tmp_path, "", "taken")
+    assert main([str(good), "-o", str(taken)]) == 1
+    assert "error:" in capsys.readouterr().err
+    # noise so strong that every gain is too small to invert: no usable
+    # link, and every protocol still runs
+    dead = GOOD_YAML.replace("noise_dbw: -30.0", "noise_dbw: 3070.0").replace(
+        "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
+    assert main([str(_write(tmp_path, dead)), "-o", str(tmp_path / "dead")]) == 0
+    summary = json.loads((tmp_path / "dead" / "summary.json").read_text())
+    assert summary["average_wsr"]["proposed"] == 0.0
+    assert summary["status_counts"]["highpower"] == {"conditions_unmet": 3}
+
+
 def test_main_protocol_override(tmp_path, capsys):
     good = _write(tmp_path, GOOD_YAML)
     assert main([str(good), "-o", str(tmp_path / "o1"), "-p", "proposed"]) == 0
@@ -228,7 +261,7 @@ def test_main_protocol_override(tmp_path, capsys):
     assert main([str(good), "-p", "nonsense"]) == 2
 
 
-@pytest.mark.parametrize("key", ["n_grid", "delta_factor", "max_iters"])
+@pytest.mark.parametrize("key", ["n_grid", "delta_factor", "max_iters", "epsilon_is_relative"])
 def test_load_config_rejects_removed_search_knobs(tmp_path, key):
     text = GOOD_YAML + f"solver:\n  {key}: 10\n  epsilon: 1.0e-6\n"
     with pytest.raises(ConfigError, match=f"solver.{key}"):

@@ -1,6 +1,7 @@
 """Closed-form allocation for the regime where the budget dwarfs every gain."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,9 +113,10 @@ def test_matches_dual_solver_when_conditions_hold():
 def test_custom_factor_changes_the_verdict():
     gains = _table([[1.0, 2.0], [2.0, 1.0]])
     params = solver.SolverParams(ptot=500.0, weights=[0.5, 0.5])
-    strict = check_conditions(params, gains, factor=1000.0)
-    lax = check_conditions(params, gains, factor=10.0)
+    strict = check_conditions(replace(params, highpower_factor=1000.0), gains)
+    lax = check_conditions(replace(params, highpower_factor=10.0), gains)
     assert not strict.conditions_met and lax.conditions_met
+    assert (strict.factor, lax.factor) == (1000.0, 10.0)
     assert math.isclose(strict.margin, lax.margin, rel_tol=1e-12)
 
 
@@ -126,3 +128,22 @@ def test_no_usable_link_fails_conditions(mu_upper):
     report = check_conditions(params, gains, mu_upper=mu_upper)
     assert not report.conditions_met
     assert report.threshold == 0.0 and report.margin == 0.0
+
+
+def test_wsr_is_bit_identical_to_the_recomputed_weighted_sum_rate():
+    # the closed form adds its rates by the solver's own path, so its WSR is
+    # exactly what weighted_sum_rate recomputes from the assignments
+    rng = np.random.default_rng(17)
+    met = 0
+    for _ in range(300):
+        k, u = int(rng.integers(8, 65)), int(rng.integers(1, 5))
+        gains = _table(rng.lognormal(0.0, 1.0, (k, u)), rng.lognormal(0.0, 1.0, (k, 2)),
+                       rng.lognormal(0.0, 1.0, (k, 2, u)))
+        w = np.full(u, 1.0 / u) if rng.random() < 0.5 else rng.uniform(0.1, 1.0, u)
+        params = solver.SolverParams(ptot=10.0 ** rng.uniform(5.0, 8.0), weights=w)
+        report = check_conditions(params, gains)
+        if report.conditions_met:
+            met += 1
+            alloc = solve_high_power(params, gains, report=report)
+            assert alloc.wsr == solver.weighted_sum_rate(alloc.assignments, params, gains)
+    assert met >= 250

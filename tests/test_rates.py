@@ -18,13 +18,16 @@ from relayalloc.rates import (
     MODE_RELAY,
     PerPairGains,
     classify,
-    crossover_power,
     direct_rate,
     effective_gain_table,
     relay_aided_solution,
     relay_closed_form,
-    relay_rate,
 )
+
+
+def relay_rate(gains: PerPairGains, power: float) -> float:
+    """Two slot rate of the optimally configured relay aided pair."""
+    return float(np.log1p(relay_aided_solution(gains, 0.0).effective_gain * power))
 
 
 def random_pair(rng, n=None):
@@ -171,16 +174,25 @@ def test_pair_validation():
 
 # -------------------------------------------------------------- mode switching
 
+def _table(g_su, g_sr, g_ru):
+    return GainTable(g_su=np.asarray(g_su, float), g_sr=np.asarray(g_sr, float),
+                     g_ru=np.asarray(g_ru, float))
+
+
 def test_crossover_value():
-    assert math.isclose(crossover_power(2.0, 1.0), 4.0, rel_tol=1e-12)
+    # effective gain 4*3/(3+4-1) = 2 against direct gain 1: 4 (2 - 1) / 1 = 4 W
+    ms = classify(_table([[1.0]], [[4.0]], [[[3.0]]]), 1.0)
+    assert ms.g1[0, 0] == 2.0
+    assert math.isclose(ms.crossover[0, 0], 4.0, rel_tol=1e-12)
 
 
 def test_crossover_none_cases():
-    assert crossover_power(1.0, 1.0) is None
-    assert crossover_power(0.5, 1.0) is None
-    assert crossover_power(2.0, 0.0) is None
-    with pytest.raises(ValueError):
-        crossover_power(-1.0, 1.0)
+    # NaN where relay aided mode never wins (g1 == g_su, g1 < g_su), +inf
+    # where it always wins (g_su == 0)
+    ms = classify(_table([[2.0, 5.0, 0.0]], [[4.0]], [[[2.0, 1.0, 1.0]]]), 1.0)
+    assert ms.g1[0].tolist() == [2.0, 4.0, 0.8]
+    assert np.isnan(ms.crossover[0, :2]).all()
+    assert ms.crossover[0, 2] == math.inf
 
 
 def test_rates_tie_at_crossover():
@@ -190,17 +202,12 @@ def test_rates_tie_at_crossover():
     assert math.isclose(relay_rate(g, 4.0), direct_rate(1.0, 4.0), rel_tol=1e-12)
 
 
-def _table(g_su, g_sr, g_ru):
-    return GainTable(g_su=np.asarray(g_su, float), g_sr=np.asarray(g_sr, float),
-                     g_ru=np.asarray(g_ru, float))
-
-
 def test_classify_direct_only():
     # relay links hopeless everywhere: every pair is direct-only
     t = _table([[1.0, 2.0]], [[0.01]], [[[0.01, 0.01]]])
     ms = classify(t, 5.0)
-    assert ms.direct_set(0) == (0, 1)
-    assert ms.relay_set(0) == ()
+    assert ms.in_direct_set[0].tolist() == [True, True]
+    assert not ms.in_relay_set.any()
     assert np.all(np.isnan(ms.crossover))
 
 
@@ -209,12 +216,12 @@ def test_classify_threshold_sides():
     t = _table([[1.0]], [[4.0]], [[[3.0]]])
     low = classify(t, 3.0)
     assert math.isclose(low.g1[0, 0], 2.0, rel_tol=1e-12)
-    assert low.relay_set(0) == (0,)
+    assert low.in_relay_set[0, 0]
     at = classify(t, 4.0)  # boundary equality stays relay
-    assert at.relay_set(0) == (0,)
+    assert at.in_relay_set[0, 0]
     high = classify(t, 5.0)
-    assert high.relay_set(0) == ()
-    assert high.direct_set(0) == ()
+    assert not high.in_relay_set[0, 0]
+    assert not high.in_direct_set[0, 0]
 
 
 def test_classify_sets_disjoint():

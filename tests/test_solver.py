@@ -14,13 +14,10 @@ from relayalloc.cli import realization_seeds
 from relayalloc.solver import (
     STATUS_KKT,
     SolverParams,
-    assignment_metric,
     initial_price,
     price_bracket,
     solve,
     solve_at_price,
-    time_shared_direct_rate,
-    time_shared_relay_rate,
     user_rates,
     water_level,
     weighted_sum_rate,
@@ -64,24 +61,38 @@ def test_params_validation():
         SolverParams(ptot=1.0, weights=[1.0], epsilon=0.0)
     with pytest.raises(ValueError):
         SolverParams(ptot=1.0, weights=[1.0], highpower_factor=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverParams(ptot=1.0, weights=[1.0], epsilon=bad)
+        with pytest.raises(ValueError, match="highpower_factor"):
+            SolverParams(ptot=1.0, weights=[1.0], highpower_factor=bad)
+        with pytest.raises(ValueError, match="ptot"):
+            SolverParams(ptot=bad, weights=[1.0])
 
 
 def test_epsilon_watts_modes():
-    # the default window is relative: 1e-6 of the budget
+    # the window is relative: 1e-6 of the budget by default
     assert math.isclose(SolverParams(ptot=100.0, weights=[1.0]).epsilon_watts, 1e-4, rel_tol=1e-12)
     p = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.01)
     assert math.isclose(p.epsilon_watts, 1.0, rel_tol=1e-12)
-    absolute = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.1, epsilon_is_relative=False)
-    assert absolute.epsilon_watts == 0.1
+    # a window of W watts is epsilon = W / ptot
+    watts = SolverParams(ptot=100.0, weights=[1.0], epsilon=0.1 / 100.0)
+    assert math.isclose(watts.epsilon_watts, 0.1, rel_tol=1e-15)
 
 
 # ------------------------------------------------------------------- metrics
 
+def _metric(u, mode, k, mu, params, gains):
+    """Candidate (u, mode)'s entry of the Lagrangian table of subcarrier k at price mu."""
+    terms = solver._gain_terms(gains, rates.classify(gains, params.ptot))
+    value, _ = solver._candidate_tables(mu, params, terms)
+    return float(value[k, 2 * u + (mode == rates.MODE_DIRECT)])
+
+
 def test_relay_metric_frozen_value():
     # effective gain 2, weight 0.25, price 0.1: power 2, value 0.25 ln5 - 0.2
     params = SolverParams(ptot=40.0, weights=[0.25])
-    ms = rates.classify(AMBI, params.ptot)
-    got = assignment_metric(0, rates.MODE_RELAY, 0, 0.1, params, AMBI, ms)
+    got = _metric(0, rates.MODE_RELAY, 0, 0.1, params, AMBI)
     assert math.isclose(got, 0.25 * math.log(5.0) - 0.2, rel_tol=1e-12)
     assert math.isclose(got, 0.2023594781085251, rel_tol=1e-12)
 
@@ -89,30 +100,28 @@ def test_relay_metric_frozen_value():
 def test_direct_metric_frozen_value():
     # direct gain 2, weight 0.25, price 0.1: per-slot power 2, sum power 4
     params = SolverParams(ptot=40.0, weights=[0.25])
-    ms = rates.classify(DIRECT2, params.ptot)
-    got = assignment_metric(0, rates.MODE_DIRECT, 0, 0.1, params, DIRECT2, ms)
+    got = _metric(0, rates.MODE_DIRECT, 0, 0.1, params, DIRECT2)
     assert math.isclose(got, 0.5 * math.log(5.0) - 0.4, rel_tol=1e-12)
     assert math.isclose(got, 0.4047189562170502, rel_tol=1e-12)
 
 
 def test_metric_clamps_to_zero():
     params = SolverParams(ptot=40.0, weights=[0.25])
-    ms = rates.classify(AMBI, params.ptot)
     # price so high that the water level sits below the inverse gain
-    assert assignment_metric(0, rates.MODE_RELAY, 0, 10.0, params, AMBI, ms) == 0.0
+    assert _metric(0, rates.MODE_RELAY, 0, 10.0, params, AMBI) == 0.0
 
 
 def test_metric_rejects_inadmissible_mode():
+    # an inadmissible candidate carries -inf, so no price picks it
     params = SolverParams(ptot=3.0, weights=[1.0])
-    ms = rates.classify(RELAY1, params.ptot)
-    with pytest.raises(ValueError):
-        assignment_metric(0, rates.MODE_DIRECT, 0, 0.1, params, RELAY1, ms)
+    assert _metric(0, rates.MODE_DIRECT, 0, 0.1, params, RELAY1) == -math.inf
+    assert solve_at_price(0.1, params, RELAY1, rates.classify(RELAY1, params.ptot)).mode[0] == rates.MODE_RELAY
     params2 = SolverParams(ptot=40.0, weights=[0.25])
     ms2 = rates.classify(DIRECT2, params2.ptot)
+    assert _metric(0, rates.MODE_RELAY, 0, 0.1, params2, DIRECT2) == -math.inf
+    assert solve_at_price(0.1, params2, DIRECT2, ms2).mode[0] == rates.MODE_DIRECT
     with pytest.raises(ValueError):
-        assignment_metric(0, rates.MODE_RELAY, 0, 0.1, params2, DIRECT2, ms2)
-    with pytest.raises(ValueError):
-        assignment_metric(0, rates.MODE_DIRECT, 0, 0.0, params2, DIRECT2, ms2)
+        solve_at_price(0.0, params2, DIRECT2, ms2)
 
 
 def test_price_solve_prefers_direct_on_ambivalent_pair():
@@ -162,7 +171,7 @@ def test_per_price_state_matches_power_grid_search():
                 if not ms.in_relay_set[k, u]:
                     v = 2.0 * w[u] * np.log1p(gains.g_su[k, u] * p_grid / 2.0) - mu * p_grid
                     best_grid = max(best_grid, float(v.max()))
-            got = assignment_metric(int(state.dest[k]), str(state.mode[k]), k, mu, params, gains, ms)
+            got = _metric(int(state.dest[k]), str(state.mode[k]), k, mu, params, gains)
             assert got >= best_grid - 1e-12
             assert math.isclose(got, best_grid, rel_tol=1e-4, abs_tol=1e-4)
 
@@ -282,8 +291,8 @@ def test_initial_price_is_geometric_mean_of_bracket():
     params = SolverParams(ptot=2.0, weights=[1.0])
     ms = rates.classify(DIRECT1, params.ptot)
     mu_l, mu_u = price_bracket(params, DIRECT1, ms)
-    assert math.isclose(initial_price(mu_l, mu_u, params, DIRECT1, ms), math.sqrt(mu_l * mu_u), rel_tol=1e-15)
-    assert initial_price(0.5, 0.5, params, DIRECT1, ms) == 0.5
+    assert math.isclose(initial_price(mu_l, mu_u), math.sqrt(mu_l * mu_u), rel_tol=1e-15)
+    assert initial_price(0.5, 0.5) == 0.5
 
 
 # six identical subcarriers: at 10 W and equal weights the bracket collapses
@@ -528,6 +537,15 @@ def test_weight_scaling_by_a_power_of_two_is_exact(instance, factor):
     assert scaled.wsr == factor * base.wsr
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tie_rich_instances(), _any_scale_instances()), st.floats(1.0, 1e3))
+def test_wsr_never_falls_as_the_budget_grows(instance, growth):
+    gains, weights, ptot = instance
+    base = solve(SolverParams(ptot=ptot, weights=weights), gains)
+    grown = solve(SolverParams(ptot=growth * ptot, weights=weights), gains)
+    assert grown.wsr >= base.wsr
+
+
 def _synthesized(num_subcarriers, num_destinations, index):
     placement_seed, channel_seed = realization_seeds(20260818, index)
     region = channel.Region(x_min=-10.0, x_max=10.0, y_min=-30.0, y_max=-10.0)
@@ -617,17 +635,3 @@ def test_user_rates_sum_matches_equal_weight_wsr():
     alloc = solve(params, gains)
     per_user = user_rates(alloc.assignments, gains)
     assert math.isclose(0.5 * per_user.sum(), alloc.wsr, rel_tol=1e-9)
-
-
-def test_time_shared_forms():
-    assert time_shared_relay_rate(0.0, 1.0, 2.0) == 0.0
-    assert time_shared_direct_rate(0.0, 1.0, 2.0) == 0.0
-    # share one recovers the plain rate functions
-    assert math.isclose(time_shared_relay_rate(1.0, 3.0, 2.0), math.log1p(6.0), rel_tol=1e-12)
-    assert math.isclose(
-        time_shared_direct_rate(1.0, 3.0, 2.0), 2.0 * math.log1p(3.0), rel_tol=1e-12
-    )
-    with pytest.raises(ValueError):
-        time_shared_relay_rate(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        time_shared_direct_rate(0.5, -1.0, 1.0)
