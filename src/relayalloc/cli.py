@@ -59,7 +59,11 @@ class ConfigError(ValueError):
 
 
 def _db_to_watts(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear watts of a dB value; inf past the float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +199,9 @@ def load_config(path) -> ExperimentConfig:
     uu = _as_int(raw, "num_destinations", errors, required=True, minimum=1)
     ptot_dbw = _as_float(raw, "ptot_dbw", errors, required=True)
     noise_dbw = _as_float(raw, "noise_dbw", errors, required=True)
+    for key, db in (("ptot_dbw", ptot_dbw), ("noise_dbw", noise_dbw)):
+        if db is not None and not 0.0 < _db_to_watts(db) < math.inf:
+            errors.append(f"{key}: {db!r} dB is not a positive finite number of watts")
     seed = _as_int(raw, "seed", errors, default=0, minimum=0)
     realizations = _as_int(raw, "realizations", errors, default=1, minimum=1)
     workers = _as_int(raw, "workers", errors, default=1, minimum=1)
@@ -336,6 +343,7 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     mode_sets = rates.classify(gains, params.ptot)
 
     uu = config.num_destinations
+    single = config.realizations == 1  # only a single run emits per subcarrier tables
     bracket = None  # (mu_lower, mu_upper), shared by the proposed and highpower protocols
     out: dict = {
         "index": index,
@@ -345,38 +353,38 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
         "residual": math.nan,
         "highpower_met": False,
         "assignments": {},
-        "g_su": gains.g_su,
-        "g1": mode_sets.g1,
+        "gain_tables": {"g_su": gains.g_su, "g1": mode_sets.g1} if single else {},
     }
+
+    def record(proto: str, alloc: solver.Allocation) -> None:
+        out["wsr"][proto] = alloc.wsr
+        out["user_rates"][proto] = np.bincount(alloc.dest, weights=alloc.rate, minlength=uu)
+        out["status"][proto] = alloc.status
+        if single:
+            out["assignments"][proto] = alloc.assignments
 
     for proto in config.protocols:
         if proto == PROTO_PROPOSED:
             alloc = solver.solve(params, gains, mode_sets)
             bracket = (alloc.mu_lower, alloc.mu_upper)
-            out["wsr"][proto] = alloc.wsr
-            out["user_rates"][proto] = solver.user_rates(alloc.assignments, gains)
-            out["status"][proto] = alloc.status
+            record(proto, alloc)
             out["residual"] = alloc.residual
-            out["assignments"][proto] = alloc.assignments
         elif proto == PROTO_REFERENCE:
             ref = reference.solve_reference(gains, params.ptot, weights=params.weights, g1_table=mode_sets.g1)
             out["wsr"][proto] = ref.wsr
             out["user_rates"][proto] = np.bincount(ref.dest, weights=ref.rates_per_subcarrier, minlength=uu)
             out["status"][proto] = "waterfill"
-            # direct mode uses the broadcasting slot only in this protocol
-            out["assignments"][proto] = solver._assemble(ref.dest, ref.mode, ref.power, gains,
-                                                         direct_both_slots=False)
+            if single:
+                # direct mode uses the broadcasting slot only in this protocol
+                out["assignments"][proto] = solver._assemble(ref.dest, ref.mode, ref.power, gains,
+                                                             direct_both_slots=False)
         elif proto == PROTO_HIGHPOWER:
             if bracket is None:
                 bracket = solver.price_bracket(params, gains, mode_sets)
             report = highpower.check_conditions(params, gains, mu_upper=bracket[1], g1_table=mode_sets.g1)
             out["highpower_met"] = report.conditions_met
             if report.conditions_met:
-                alloc = highpower.solve_high_power(params, gains, report=report, bracket=bracket)
-                out["wsr"][proto] = alloc.wsr
-                out["user_rates"][proto] = solver.user_rates(alloc.assignments, gains)
-                out["status"][proto] = alloc.status
-                out["assignments"][proto] = alloc.assignments
+                record(proto, highpower.solve_high_power(params, gains, report=report, bracket=bracket))
             else:
                 out["wsr"][proto] = math.nan
                 out["user_rates"][proto] = np.full(uu, math.nan)
@@ -416,11 +424,6 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
         residuals[i] = res["residual"]
         hp_met[i] = res["highpower_met"]
 
-    assignments = {}
-    gain_tables = {}
-    if rr == 1:
-        assignments = results[0]["assignments"]
-        gain_tables = {"g_su": results[0]["g_su"], "g1": results[0]["g1"]}
     return RunReport(
         config=config,
         wsr=wsr,
@@ -428,8 +431,8 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
         statuses=statuses,
         residuals=residuals,
         highpower_met=hp_met,
-        assignments=assignments,
-        gain_tables=gain_tables,
+        assignments=results[0]["assignments"],  # empty unless a single run
+        gain_tables=results[0]["gain_tables"],
     )
 
 

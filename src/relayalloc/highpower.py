@@ -116,10 +116,11 @@ def solve_high_power(
         # the weighted log dominates every gain difference in this regime
         dest = np.full(kk, int(np.argmax(w)))
 
+    mode = np.full(kk, rates.MODE_DIRECT)
     power = np.full(kk, params.ptot / kk)
     rate = solver._rates(gains.g_su[np.arange(kk), dest], power, np.zeros(kk, dtype=bool))
     return Allocation(
-        assignments=solver._assemble(dest, np.full(kk, rates.MODE_DIRECT), power, gains),
+        assignments=solver._LazyAssignments(dest, mode, power, gains),
         wsr=solver._weighted_total(w[dest], rate),
         mu_star=mu_upper,
         residual=0.0,
@@ -127,4 +128,8 @@ def solve_high_power(
         status=solver.STATUS_CLOSED_FORM,
         mu_lower=mu_lower,
         mu_upper=mu_upper,
+        dest=dest,
+        mode=mode,
+        power=power,
+        rate=rate,
     )

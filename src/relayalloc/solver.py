@@ -31,11 +31,19 @@ of them from the lower edge and the rest from the upper one, for every j,
 gives one candidate per count of switched subcarriers; these and the
 greedy max weighted gain choice are refilled to the exact budget, and the
 best is returned with ``status="bracket_collapse"``.
+
+The result is per subcarrier arrays: destination, mode, total power and
+unweighted rate, with the WSR their weighted sum. The relay set and the
+source and relay power split of each relay aided subcarrier serve only
+reports, so ``Allocation.assignments`` assembles them as
+``SubcarrierAssignment`` rows on first access, through one more batched
+closed form call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -143,9 +151,17 @@ class SubcarrierAssignment:
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """Final allocation plus diagnostics of the price search."""
+    """Final allocation plus diagnostics of the price search.
 
-    assignments: list
+    ``dest``, ``mode``, ``power`` and ``rate`` are the per subcarrier
+    destination, mode, total power and unweighted rate; ``wsr`` is the
+    weighted sum of ``rate``, added left to right. ``assignments`` holds the
+    same choice as ``SubcarrierAssignment`` rows with the source and relay
+    power split; ``solve`` and the high power closed form store a view that
+    assembles them on first access.
+    """
+
+    assignments: Sequence
     wsr: float
     mu_star: float
     residual: float
@@ -153,6 +169,10 @@ class Allocation:
     status: str
     mu_lower: float
     mu_upper: float
+    dest: np.ndarray
+    mode: np.ndarray
+    power: np.ndarray
+    rate: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -332,9 +352,11 @@ def _chosen_gain(dest, mode, gains: GainTable, g1: np.ndarray):
     return np.where(relay, g1[rows, dest], gains.g_su[rows, dest]), relay
 
 
-def _state_wsr(dest, mode, power, params: SolverParams, gains: GainTable, g1: np.ndarray) -> float:
+def _state_wsr(dest, mode, power, params: SolverParams, gains: GainTable, g1: np.ndarray) -> tuple:
+    """(wsr, rate) of a (destination, mode, power) choice."""
     gain, relay = _chosen_gain(dest, mode, gains, g1)
-    return _weighted_total(params.weights[dest], _rates(gain, power, relay))
+    rate = _rates(gain, power, relay)
+    return _weighted_total(params.weights[dest], rate), rate
 
 
 def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
@@ -343,7 +365,7 @@ def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
     Power on subcarrier k is ``c_k [w_k/lam - 1/g_k]+`` with c_k = 1 in
     relay aided mode and 2 in direct mode; lam is ``water_level``'s exact
     root, and a final rescale puts the rounding of the powers on the budget.
-    Returns (wsr, power) or None if no subcarrier can carry power.
+    Returns (wsr, rate, power) or None if no subcarrier can carry power.
     """
     w = params.weights[dest]
     g, relay = _chosen_gain(dest, mode, gains, g1)
@@ -356,7 +378,7 @@ def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
     if not power.sum() > 0.0:  # a budget below the rounding of every 1/g
         return None
     power *= params.ptot / power.sum()
-    return _state_wsr(dest, mode, power, params, gains, g1), power
+    return (*_state_wsr(dest, mode, power, params, gains, g1), power)
 
 
 def max_gain_choice(g1: np.ndarray, g_su: np.ndarray, weights: Optional[np.ndarray] = None):
@@ -403,6 +425,28 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
                 relay_indices=relay_set, relay_powers=relay_powers,
             ))
     return rows
+
+
+class _LazyAssignments(Sequence):
+    """Read-only ``_assemble`` rows of a choice, assembled once on first access."""
+
+    def __init__(self, dest, mode, power, gains: GainTable) -> None:
+        self._choice = (dest, mode, power, gains)
+        self._rows = None
+
+    def _built(self) -> list:
+        if self._rows is None:
+            self._rows = _assemble(*self._choice)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._choice[0])
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
 
 
 def _newton_price(state: DualState, params: SolverParams, terms: _GainTerms, target: float) -> float:
@@ -452,18 +496,22 @@ def solve(
 
     iterations = 0
 
-    def finish(dest, mode, power, wsr: float, mu: float, residual: float, status: str) -> Allocation:
-        return Allocation(assignments=_assemble(dest, mode, power, gains), wsr=wsr, mu_star=mu,
-                          residual=residual, iterations=iterations, status=status,
-                          mu_lower=mu_lower, mu_upper=mu_upper)
+    def finish(dest, mode, power, wsr: float, rate, mu: float, residual: float, status: str) -> Allocation:
+        return Allocation(assignments=_LazyAssignments(dest, mode, power, gains), wsr=wsr, mu_star=mu,
+                          residual=residual, iterations=iterations, status=status, mu_lower=mu_lower,
+                          mu_upper=mu_upper, dest=dest, mode=mode, power=power, rate=rate)
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     if mu_upper == 0.0:
-        # no candidate carries any rate: every split of the budget is
-        # optimal, and the KKT conditions hold at price zero
+        # no gain has a finite inverse, so no water level exists: the rates
+        # are zero or rounding small for any split of the budget, and the
+        # KKT conditions hold at price zero. The greedy choice spread
+        # evenly reports the rates it does carry.
         kk = gains.num_subcarriers
+        dest, mode, _ = max_gain_choice(mode_sets.g1, gains.g_su, params.weights)
         power = np.full(kk, params.ptot / kk)
-        return finish(np.zeros(kk, dtype=int), np.full(kk, MODE_DIRECT), power, 0.0, 0.0, 0.0, STATUS_KKT)
+        wsr, rate = _state_wsr(dest, mode, power, params, gains, mode_sets.g1)
+        return finish(dest, mode, power, wsr, rate, 0.0, 0.0, STATUS_KKT)
 
     eps = params.epsilon_watts
     terms = _gain_terms(gains, mode_sets)
@@ -480,11 +528,11 @@ def solve(
             # budget (never a worse WSR). residual keeps the dual stopping
             # slack Ptot - Px(mu) that the window certified.
             power = state.power
-            wsr = _state_wsr(state.dest, state.mode, power, params, gains, mode_sets.g1)
+            wsr, rate = _state_wsr(state.dest, state.mode, power, params, gains, mode_sets.g1)
             fill = _refill(state.dest, state.mode, params, gains, mode_sets.g1)
             if fill is not None and fill[0] >= wsr:
-                wsr, power = fill
-            return finish(state.dest, state.mode, power, wsr, state.mu, slack, STATUS_KKT)
+                wsr, rate, power = fill
+            return finish(state.dest, state.mode, power, wsr, rate, state.mu, slack, STATUS_KKT)
         if slack < 0.0:
             lo = max(lo, mu)
         else:
@@ -514,11 +562,11 @@ def solve(
     fills = [(fill, dest, mode) for dest, mode in candidates
              if (fill := _refill(dest, mode, params, gains, mode_sets.g1)) is not None]
     if not fills:  # no mix can carry power: the upper edge state stands
-        wsr = _state_wsr(b.dest, b.mode, b.power, params, gains, mode_sets.g1)
-        return finish(b.dest, b.mode, b.power, wsr, b.mu, params.ptot - b.total_power, STATUS_GAP)
-    (wsr, power), dest, mode = max(fills, key=lambda f: f[0][0])  # first of equal maxima
+        wsr, rate = _state_wsr(b.dest, b.mode, b.power, params, gains, mode_sets.g1)
+        return finish(b.dest, b.mode, b.power, wsr, rate, b.mu, params.ptot - b.total_power, STATUS_GAP)
+    (wsr, rate, power), dest, mode = max(fills, key=lambda f: f[0][0])  # first of equal maxima
     residual = max(params.ptot - float(power.sum()), 0.0)
-    return finish(dest, mode, power, wsr, 0.5 * (lo + hi), residual, STATUS_GAP)
+    return finish(dest, mode, power, wsr, rate, 0.5 * (lo + hi), residual, STATUS_GAP)
 
 
 def _assignment_rates(assignments, gains: GainTable):

@@ -228,6 +228,10 @@ geometry:
     ("highpower_factor", "solver: {highpower_factor: .nan}"),
     ("ptot_dbw", "ptot_dbw: .inf"),
     ("noise_dbw", "noise_dbw: .nan"),
+    # finite in dB, but overflowing or underflowing in watts
+    ("ptot_dbw", "ptot_dbw: 4000"),
+    ("noise_dbw", "noise_dbw: 4000"),
+    ("noise_dbw", "noise_dbw: -4000"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
     key = line.split(":")[0] + ":"
@@ -249,7 +253,10 @@ def test_main_exit_code_contract(tmp_path, capsys):
         "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
     assert main([str(_write(tmp_path, dead)), "-o", str(tmp_path / "dead")]) == 0
     summary = json.loads((tmp_path / "dead" / "summary.json").read_text())
-    assert summary["average_wsr"]["proposed"] == 0.0
+    # the budget spread evenly still carries subnormal rates, and both
+    # protocols report them
+    average = summary["average_wsr"]
+    assert 0.0 < average["reference"] * (1.0 - 1e-12) <= average["proposed"]
     assert summary["status_counts"]["highpower"] == {"conditions_unmet": 3}
 
 
@@ -365,9 +372,74 @@ def test_realization_reads_the_relay_closed_form_in_batches(tmp_path, monkeypatc
                         lambda *a, **kw: calls.append("relay_aided_solution") or solution(*a, **kw))
     monkeypatch.setattr(cli.rates.PerPairGains, "from_table",
                         classmethod(lambda cls, *a: calls.append("from_table") or from_table(cls, *a)))
-    cfg = load_config(_write(tmp_path, GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0")))
+    # a single run, the only one that keeps assignment rows
+    text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0").replace("realizations: 3", "realizations: 1")
+    cfg = load_config(_write(tmp_path, text))
     assert cfg.protocols == ("proposed", "reference")
     out = cli._run_realization(cfg, 0)
     for proto in cfg.protocols:
         assert sum(a.mode == cli.rates.MODE_RELAY for a in out["assignments"][proto]) >= 4
     assert calls == []
+
+
+def _count_row_builds(monkeypatch) -> list:
+    """Record every call that assembles assignment rows or their relay split."""
+    calls = []
+    assemble, closed_form = cli.solver._assemble, cli.rates.pair_closed_form
+    monkeypatch.setattr(cli.solver, "_assemble",
+                        lambda *a, **kw: calls.append("_assemble") or assemble(*a, **kw))
+    monkeypatch.setattr(cli.rates, "pair_closed_form",
+                        lambda *a: calls.append("pair_closed_form") or closed_form(*a))
+    return calls
+
+
+def test_only_a_single_run_assembles_assignment_rows(tmp_path, monkeypatch):
+    # at 90 dBW the high power conditions hold, so all three protocols
+    # allocate; a Monte-Carlo run reads their arrays and never their rows
+    calls = _count_row_builds(monkeypatch)
+    text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0").replace(
+        "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
+    assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "mc")]) == 0
+    assert json.loads((tmp_path / "mc" / "summary.json").read_text())["highpower_conditions_met"] == 3
+    assert calls == []
+    assert not list((tmp_path / "mc").glob("alloc_*.csv"))
+
+    single = _write(tmp_path, text.replace("realizations: 3", "realizations: 1"), "single.yaml")
+    assert main([str(single), "-o", str(tmp_path / "single")]) == 0
+    assert calls.count("_assemble") == 3
+    for proto in ("proposed", "reference", "highpower"):
+        rows = (tmp_path / "single" / f"alloc_{proto}.csv").read_text().splitlines()
+        assert len(rows) == 1 + 8
+
+
+DEAD_YAML = """\
+num_subcarriers: 64
+num_destinations: 8
+ptot_dbw: 35.0
+noise_dbw: 3070.0
+seed: 1
+realizations: 20
+protocols: [proposed, reference]
+"""
+
+
+def test_dead_table_reports_the_rates_of_its_spread(tmp_path, monkeypatch):
+    # every gain is subnormal, so no inverse gain is finite and both
+    # protocols spread the budget evenly; the proposed one reports the
+    # rates that spread carries, through the same path as weighted_sum_rate
+    solved = []
+    solve = cli.solver.solve
+
+    def recording_solve(params, gains, mode_sets):
+        solved.append((params, gains, solve(params, gains, mode_sets)))
+        return solved[-1][2]
+
+    monkeypatch.setattr(cli.solver, "solve", recording_solve)
+    cfg = load_config(_write(tmp_path, DEAD_YAML))
+    for i in range(cfg.realizations):
+        out = cli._run_realization(cfg, i)
+        params, gains, alloc = solved[-1]
+        assert cli.solver.price_bracket(params, gains, cli.rates.classify(gains, params.ptot)) == (0.0, 0.0)
+        assert 0.0 < alloc.wsr == cli.solver.weighted_sum_rate(alloc.assignments, params, gains)
+        np.testing.assert_array_equal(out["user_rates"]["proposed"], cli.solver.user_rates(alloc.assignments, gains))
+        assert out["wsr"]["proposed"] >= out["wsr"]["reference"] * (1.0 - 1e-12)

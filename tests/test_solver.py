@@ -1,5 +1,6 @@
 """Dual price search: metrics, bracketing, the safeguarded Newton step in 1/mu."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from relayalloc import channel, cli, rates, reference, solver
+from relayalloc import channel, cli, highpower, rates, reference, solver
 from relayalloc.channel import GainTable
 from relayalloc.cli import realization_seeds
 from relayalloc.solver import (
@@ -544,6 +545,47 @@ def test_wsr_never_falls_as_the_budget_grows(instance, growth):
     base = solve(SolverParams(ptot=ptot, weights=weights), gains)
     grown = solve(SolverParams(ptot=growth * ptot, weights=weights), gains)
     assert grown.wsr >= base.wsr
+
+
+def _assert_arrays_match_rows(alloc, params, gains):
+    rows = alloc.assignments
+    expected = solver._assemble(alloc.dest, alloc.mode, alloc.power, gains)
+    assert len(rows) == len(expected) == gains.num_subcarriers
+    for row, want in zip(rows, expected):
+        for f in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(row, f.name), getattr(want, f.name))
+    per_dest = np.bincount(alloc.dest, weights=alloc.rate, minlength=gains.num_destinations)
+    np.testing.assert_array_equal(per_dest, user_rates(rows, gains))
+    assert alloc.wsr == weighted_sum_rate(rows, params, gains)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tie_rich_instances(), _any_scale_instances()))
+@example(instance=(SIX_TIED, np.ones(2), 10.0))
+def test_allocation_arrays_match_the_assignment_rows(instance):
+    # the arrays are the result; the rows, their per destination rates and
+    # their weighted sum are recomputations that must agree bit for bit
+    gains, weights, ptot = instance
+    params = SolverParams(ptot=ptot, weights=weights)
+    _assert_arrays_match_rows(solve(params, gains), params, gains)
+    # the closed form's bookkeeping does not depend on its regime, so it is
+    # forced on every drawn table
+    report = dataclasses.replace(highpower.check_conditions(params, gains), conditions_met=True)
+    _assert_arrays_match_rows(highpower.solve_high_power(params, gains, report=report), params, gains)
+
+
+def test_solve_assembles_rows_only_when_they_are_read(monkeypatch):
+    calls = []
+    assemble, closed_form = solver._assemble, rates.pair_closed_form
+    monkeypatch.setattr(solver, "_assemble", lambda *a, **kw: calls.append("_assemble") or assemble(*a, **kw))
+    monkeypatch.setattr(rates, "pair_closed_form", lambda *a: calls.append("pair_closed_form") or closed_form(*a))
+    gains = _synthesized(64, 8, 0)  # at 0 dBW most subcarriers go relay aided
+    alloc = solve(SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains)
+    assert len(alloc.assignments) == 64
+    assert calls == []
+    relayed = [a for a in alloc.assignments if a.mode == rates.MODE_RELAY]
+    assert len(relayed) > 32 and alloc.assignments[-1].k == 63
+    assert calls == ["_assemble", "pair_closed_form"]  # once, then cached
 
 
 def _synthesized(num_subcarriers, num_destinations, index):
