@@ -5,6 +5,10 @@ subcarrier relay selection closed forms (``rates``), a dual decomposition
 price search (``solver``), a high power shortcut (``highpower``) and a per
 subcarrier baseline (``reference``), plus channel synthesis (``channel``),
 brute force verifiers (``oracle``) and an experiment CLI (``cli``).
+
+``rates.classify`` reduces every (subcarrier, destination) pair to its
+price independent terms, one ``ModeSets``; every protocol (``solve``,
+``solve_high_power`` and ``solve_reference``) returns one ``Allocation``.
 """
 
 from .channel import (
@@ -30,7 +34,7 @@ from .rates import (
     effective_gain_table,
     relay_aided_solution,
 )
-from .reference import ReferenceAllocation, select_per_subcarrier, solve_reference, waterfill
+from .reference import solve_reference, waterfill
 from .solver import (
     Allocation,
     ConvergenceError,
@@ -58,7 +62,6 @@ __all__ = [
     "MODE_RELAY",
     "ModeSets",
     "PerPairGains",
-    "ReferenceAllocation",
     "Region",
     "RelayAidedSolution",
     "SolverParams",
@@ -76,7 +79,6 @@ __all__ = [
     "place_destinations",
     "price_bracket",
     "relay_aided_solution",
-    "select_per_subcarrier",
     "solve",
     "solve_at_price",
     "solve_high_power",

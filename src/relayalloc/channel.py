@@ -11,7 +11,6 @@ are squared magnitudes divided by the receiver noise variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -145,19 +144,18 @@ class TapProfile:
 class ChannelRealization:
     """Per link complex frequency responses on a K subcarrier grid.
 
-    ``freq_*`` entries are K point DFTs of the zero padded taps. Tap arrays
-    are kept for consistency checks and are None for realizations loaded
-    from disk, where only the frequency domain view is stored.
+    ``freq_*`` entries are K point DFTs of the zero padded ``taps_*``; the
+    taps are kept for consistency checks.
     """
 
     num_subcarriers: int
     freq_su: np.ndarray  # (K, U)
     freq_sr: np.ndarray  # (K, N)
     freq_ru: np.ndarray  # (K, N, U)
-    taps_su: Optional[np.ndarray] = None  # (L, U)
-    taps_sr: Optional[np.ndarray] = None  # (L, N)
-    taps_ru: Optional[np.ndarray] = None  # (L, N, U)
-    seed: Optional[int] = None
+    taps_su: np.ndarray  # (L, U)
+    taps_sr: np.ndarray  # (L, N)
+    taps_ru: np.ndarray  # (L, N, U)
+    seed: int
 
     @property
     def num_relays(self) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "ExperimentConfig",
     "RunReport",
     "load_config",
-    "run_single",
     "run_monte_carlo",
     "emit",
     "main",
@@ -180,11 +179,12 @@ def _as_int(raw: dict, key: str, errors: list, default=None, required=False, min
     return value
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Parse and validate a YAML or JSON config file.
 
-    All validation failures are collected and reported together, listed by
-    field name.
+    ``overrides`` replace top level keys of the file before validation, so
+    command line overrides pass the same checks. All validation failures
+    are collected and reported together, listed by field name.
     """
     text = Path(path).read_text()
     try:
@@ -193,6 +193,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a mapping at the top level")
+    raw = {**raw, **(overrides or {})}
 
     errors: list = []
     kk = _as_int(raw, "num_subcarriers", errors, required=True, minimum=1)
@@ -200,8 +201,9 @@ def load_config(path) -> ExperimentConfig:
     ptot_dbw = _as_float(raw, "ptot_dbw", errors, required=True)
     noise_dbw = _as_float(raw, "noise_dbw", errors, required=True)
     for key, db in (("ptot_dbw", ptot_dbw), ("noise_dbw", noise_dbw)):
-        if db is not None and not 0.0 < _db_to_watts(db) < math.inf:
-            errors.append(f"{key}: {db!r} dB is not a positive finite number of watts")
+        # a subnormal noise power overflows the gains it divides
+        if db is not None and not sys.float_info.min <= _db_to_watts(db) < math.inf:
+            errors.append(f"{key}: {db!r} dB is not a finite number of watts of at least {sys.float_info.min!r}")
     seed = _as_int(raw, "seed", errors, default=0, minimum=0)
     realizations = _as_int(raw, "realizations", errors, default=1, minimum=1)
     workers = _as_int(raw, "workers", errors, default=1, minimum=1)
@@ -228,6 +230,9 @@ def load_config(path) -> ExperimentConfig:
     bad = [p for p in protocols if p not in _PROTOCOLS]
     if bad:
         errors.append(f"protocols: unknown entries {bad}; valid: {list(_PROTOCOLS)}")
+    repeated = [p for i, p in enumerate(protocols) if p in protocols[:i]]
+    if repeated:
+        errors.append(f"protocols: repeated entries {repeated}")
     if (
         PROTO_REFERENCE in protocols
         and w_arr is not None
@@ -370,14 +375,8 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
             record(proto, alloc)
             out["residual"] = alloc.residual
         elif proto == PROTO_REFERENCE:
-            ref = reference.solve_reference(gains, params.ptot, weights=params.weights, g1_table=mode_sets.g1)
-            out["wsr"][proto] = ref.wsr
-            out["user_rates"][proto] = np.bincount(ref.dest, weights=ref.rates_per_subcarrier, minlength=uu)
-            out["status"][proto] = "waterfill"
-            if single:
-                # direct mode uses the broadcasting slot only in this protocol
-                out["assignments"][proto] = solver._assemble(ref.dest, ref.mode, ref.power, gains,
-                                                             direct_both_slots=False)
+            record(proto, reference.solve_reference(gains, params.ptot, weights=params.weights,
+                                                    g1_table=mode_sets.g1))
         elif proto == PROTO_HIGHPOWER:
             if bracket is None:
                 bracket = solver.price_bracket(params, gains, mode_sets)
@@ -392,10 +391,6 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     return out
 
 
-def _job(args) -> dict:
-    return _run_realization(*args)
-
-
 def run_monte_carlo(config: ExperimentConfig) -> RunReport:
     """Run every realization and aggregate in realization index order."""
     rr = config.realizations
@@ -403,7 +398,7 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
     results: list = [None] * rr
     if config.workers > 1 and rr > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for res in pool.map(_job, [(config, i) for i in range(rr)]):
+            for res in pool.map(_run_realization, [config] * rr, range(rr)):
                 results[res["index"]] = res
                 log.info("realization %d/%d done", res["index"] + 1, rr)
     else:
@@ -434,13 +429,6 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
         assignments=results[0]["assignments"],  # empty unless a single run
         gain_tables=results[0]["gain_tables"],
     )
-
-
-def run_single(config: ExperimentConfig) -> RunReport:
-    """Single realization study with per subcarrier tables."""
-    if config.realizations != 1:
-        raise ConfigError("realizations: run_single requires realizations = 1")
-    return run_monte_carlo(config)
 
 
 def _fmt(x: float) -> str:
@@ -571,21 +559,13 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
 
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.protocols is not None:
+        overrides["protocols"] = [p.strip() for p in args.protocols.split(",") if p.strip()]
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be nonnegative")
-            overrides["seed"] = args.seed
-        if args.protocols is not None:
-            protos = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-            bad = [p for p in protos if p not in _PROTOCOLS]
-            if bad or not protos:
-                raise ConfigError(f"protocols: unknown entries {bad}; valid: {list(_PROTOCOLS)}")
-            overrides["protocols"] = protos
-        if overrides:
-            config = ExperimentConfig(**{**config.__dict__, **overrides})
+        config = load_config(args.config, overrides)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

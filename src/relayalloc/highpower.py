@@ -66,7 +66,7 @@ def check_conditions(
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
     both = np.stack([g1_table, gains.g_su])
-    max_inv = float(solver._inverse(both).max())
+    max_inv = float(rates._inverse(both).max())
     max_gain = float(both.max())
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf

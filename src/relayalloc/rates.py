@@ -234,10 +234,17 @@ def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -
     return relay_closed_form(g_su, g_sr, g_ru).gain
 
 
+def _inverse(arr: np.ndarray) -> np.ndarray:
+    """``1 / arr``, infinite where arr is zero or too small to invert."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(arr > 0.0, 1.0 / np.where(arr > 0.0, arr, 1.0), np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSets:
-    """Per (subcarrier, destination) mode admissibility at a given budget.
+    """Price independent terms of every (subcarrier, destination) pair at a budget.
 
+    ``inv_g1`` and ``inv_g_su`` are ``_inverse`` of ``g1`` and ``g_su``.
     ``in_direct_set`` marks pairs where relay aided mode can never win, so
     only direct mode is admissible; ``in_relay_set`` marks pairs where relay
     aided mode wins for every feasible power, so only it is admissible.
@@ -247,6 +254,8 @@ class ModeSets:
 
     ptot: float
     g1: np.ndarray              # (K, U) relay aided effective gains
+    inv_g1: np.ndarray          # (K, U) ``1 / g1``
+    inv_g_su: np.ndarray        # (K, U) ``1 / g_su``
     crossover: np.ndarray       # (K, U)
     in_direct_set: np.ndarray   # (K, U) bool
     in_relay_set: np.ndarray    # (K, U) bool
@@ -267,5 +276,5 @@ def classify(gains: GainTable, ptot: float) -> ModeSets:
     in_direct = g1 <= g_su
     # boundary equality keeps relay mode strictly winning at the budget
     in_relay = (g1 > g_su) & (ptot <= crossover)
-    return ModeSets(ptot=float(ptot), g1=g1, crossover=crossover,
-                    in_direct_set=in_direct, in_relay_set=in_relay)
+    return ModeSets(ptot=float(ptot), g1=g1, inv_g1=_inverse(g1), inv_g_su=_inverse(g_su),
+                    crossover=crossover, in_direct_set=in_direct, in_relay_set=in_relay)

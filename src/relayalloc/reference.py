@@ -12,7 +12,6 @@ is what makes this baseline lose to the joint optimisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,41 +19,7 @@ import numpy as np
 from . import rates, solver
 from .channel import GainTable
 
-__all__ = ["ReferenceAllocation", "select_per_subcarrier", "waterfill", "solve_reference"]
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceAllocation:
-    """Outcome of the baseline protocol on one gain table."""
-
-    dest: np.ndarray        # (K,) destination per subcarrier
-    mode: np.ndarray        # (K,) MODE_RELAY or MODE_DIRECT
-    gain: np.ndarray        # (K,) gain the water-filling saw
-    power: np.ndarray       # (K,)
-    rates_per_subcarrier: np.ndarray
-    wsr: float
-    water_level: float
-
-
-def select_per_subcarrier(
-    gains: GainTable,
-    weights: Optional[np.ndarray] = None,
-    g1_table: Optional[np.ndarray] = None,
-):
-    """Destination, mode and scalar gain per subcarrier.
-
-    The selection is ``solver.max_gain_choice`` without weights: the metric
-    is max(g1, g_su) per destination, and relay aided mode wins only on a
-    strict gain advantage. Defined for equal priorities; a weights argument
-    is accepted for signature parity but must be uniform.
-    """
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if not np.all(w == w.flat[0]):
-            raise ValueError("the baseline protocol is defined for equal weights only")
-    if g1_table is None:
-        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
-    return solver.max_gain_choice(g1_table, gains.g_su)
+__all__ = ["waterfill", "solve_reference"]
 
 
 def waterfill(gain: np.ndarray, ptot: float) -> tuple:
@@ -71,7 +36,7 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
         raise ValueError("gains must be nonnegative and finite")
     if not (ptot > 0.0 and np.isfinite(ptot)):
         raise ValueError("ptot must be positive and finite")
-    inv = solver._inverse(g)
+    inv = rates._inverse(g)
     fill = solver.water_level(1.0, inv, ptot)
     if fill is None:
         raise ValueError("water-filling needs at least one positive gain")
@@ -88,28 +53,46 @@ def solve_reference(
     ptot: float,
     weights: Optional[np.ndarray] = None,
     g1_table: Optional[np.ndarray] = None,
-) -> ReferenceAllocation:
-    """Run the baseline protocol and return rates at the filled powers.
+) -> solver.Allocation:
+    """Run the baseline protocol; returns an ``Allocation`` with status ``waterfill``.
 
-    When (uniform) weights are given, ``wsr`` is scaled by the common weight
-    so it is directly comparable to a weighted sum rate. Without a usable
-    link (no gain with a finite inverse) no split carries any rate: the
-    budget is spread evenly, as ``solver.solve`` does, and the water level
-    is infinite (price zero).
+    The selection is ``solver.max_gain_choice`` without weights: the metric
+    is max(g1, g_su) per destination, and relay aided mode wins only on a
+    strict gain advantage. The protocol is defined for equal priorities, so
+    weights, when given, must be uniform; ``wsr`` is then scaled by the
+    common weight w0 so it is directly comparable to a weighted sum rate,
+    and the price is ``w0 / level``. ``rate`` is the single slot rate
+    ``ln(1 + g p)`` of each subcarrier. Without a usable link (no gain with
+    a finite inverse) no split carries any rate: the budget is spread
+    evenly, as ``solver.solve`` does, and the price is 0. The assignment
+    rows spend a direct subcarrier's power in the broadcasting slot only.
     """
-    dest, mode, gain = select_per_subcarrier(gains, weights=weights, g1_table=g1_table)
-    if np.isfinite(solver._inverse(gain)).any():
+    w0 = 1.0
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if not np.all(w == w.flat[0]):
+            raise ValueError("the baseline protocol is defined for equal weights only")
+        w0 = float(w.flat[0])
+    if g1_table is None:
+        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
+    dest, mode, gain = solver.max_gain_choice(g1_table, gains.g_su)
+    if np.isfinite(rates._inverse(gain)).any():
         power, level = waterfill(gain, ptot)
     else:
         power, level = np.full(gain.size, ptot / gain.size), math.inf
-    per_k = np.log1p(gain * power)
-    w0 = 1.0 if weights is None else float(np.asarray(weights, dtype=float).flat[0])
-    return ReferenceAllocation(
+    rate = np.log1p(gain * power)
+    mu = w0 / level
+    return solver.Allocation(
+        assignments=solver._LazyAssignments(dest, mode, power, gains, direct_both_slots=False),
+        wsr=w0 * float(rate.sum()),
+        mu_star=mu,
+        residual=0.0,
+        iterations=0,
+        status=solver.STATUS_WATERFILL,
+        mu_lower=mu,
+        mu_upper=mu,
         dest=dest,
         mode=mode,
-        gain=gain,
         power=power,
-        rates_per_subcarrier=per_k,
-        wsr=w0 * float(per_k.sum()),
-        water_level=level,
+        rate=rate,
     )

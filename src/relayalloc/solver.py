@@ -16,7 +16,8 @@ itself would land a rounding error over the budget. Where that price is
 not strictly inside the bracket (whose edges include the last price, so a
 repeat is excluded too), the search bisects in log price,
 ``sqrt(lo * hi)``, instead. The inverse gains and admissibility masks do
-not depend on the price and are built once per solve.
+not depend on the price: every evaluation reads them from the ``ModeSets``
+of ``rates.classify``.
 
 The price bounds and every fixed assignment refill solve a water-filling
 ``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
@@ -43,6 +44,7 @@ closed form call.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import rates
 from .channel import GainTable
-from .rates import MODE_DIRECT, MODE_RELAY, ModeSets
+from .rates import MODE_DIRECT, MODE_RELAY, ModeSets, _inverse
 
 __all__ = [
     "ConvergenceError",
@@ -72,6 +74,7 @@ __all__ = [
 STATUS_KKT = "kkt"
 STATUS_GAP = "bracket_collapse"
 STATUS_CLOSED_FORM = "closed_form"
+STATUS_WATERFILL = "waterfill"
 
 
 class ConvergenceError(RuntimeError):
@@ -151,14 +154,15 @@ class SubcarrierAssignment:
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """Final allocation plus diagnostics of the price search.
+    """Final allocation of any protocol plus diagnostics of its price.
 
     ``dest``, ``mode``, ``power`` and ``rate`` are the per subcarrier
     destination, mode, total power and unweighted rate; ``wsr`` is the
-    weighted sum of ``rate``, added left to right. ``assignments`` holds the
-    same choice as ``SubcarrierAssignment`` rows with the source and relay
-    power split; ``solve`` and the high power closed form store a view that
-    assembles them on first access.
+    weighted sum of ``rate``, added left to right, except for the reference
+    protocol (status ``waterfill``), which reports its common weight times
+    numpy's pairwise sum. ``assignments`` holds the same choice as
+    ``SubcarrierAssignment`` rows with the source and relay power split, as
+    a view that assembles them on first access.
     """
 
     assignments: Sequence
@@ -176,13 +180,7 @@ class Allocation:
 
     @property
     def converged(self) -> bool:
-        return self.status in (STATUS_KKT, STATUS_CLOSED_FORM)
-
-
-def _inverse(arr: np.ndarray) -> np.ndarray:
-    """``1 / arr``, infinite where arr is zero or too small to invert."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(arr > 0.0, 1.0 / np.where(arr > 0.0, arr, 1.0), np.inf)
+        return self.status in (STATUS_KKT, STATUS_CLOSED_FORM, STATUS_WATERFILL)
 
 
 def water_level(a, v, budget: float, c=1.0):
@@ -211,27 +209,7 @@ def water_level(a, v, budget: float, c=1.0):
     return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
-@dataclass(frozen=True, eq=False)
-class _GainTerms:
-    """Price independent parts of the candidate tables, built once per solve."""
-
-    g1: np.ndarray          # (K, U) relay aided effective gains
-    g_su: np.ndarray        # (K, U) direct gains
-    inv_g1: np.ndarray      # (K, U) ``_inverse(g1)``
-    inv_g_su: np.ndarray    # (K, U) ``_inverse(g_su)``
-    relay_ok: np.ndarray    # (K, U) relay aided mode admissible
-    direct_ok: np.ndarray   # (K, U) direct mode admissible
-
-
-def _gain_terms(gains: GainTable, mode_sets: ModeSets) -> _GainTerms:
-    return _GainTerms(
-        g1=mode_sets.g1, g_su=gains.g_su,
-        inv_g1=_inverse(mode_sets.g1), inv_g_su=_inverse(gains.g_su),
-        relay_ok=~mode_sets.in_direct_set, direct_ok=~mode_sets.in_relay_set,
-    )
-
-
-def _candidate_tables(mu: float, params: SolverParams, terms: _GainTerms):
+def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets):
     """Metric and power of every admissible (u, mode) candidate at price mu.
 
     Returns (value, power) arrays of shape (K, 2U) where candidate 2u is
@@ -240,33 +218,26 @@ def _candidate_tables(mu: float, params: SolverParams, terms: _GainTerms):
     argmax break ties toward the lowest destination and relay aided mode.
     """
     w = params.weights[None, :]
-    p_relay = np.maximum(w / mu - terms.inv_g1, 0.0)
-    val_relay = w * np.log1p(terms.g1 * p_relay) - mu * p_relay
-    q = np.maximum(w / mu - terms.inv_g_su, 0.0)
-    val_direct = 2.0 * w * np.log1p(terms.g_su * q) - 2.0 * mu * q
+    p_relay = np.maximum(w / mu - mode_sets.inv_g1, 0.0)
+    val_relay = w * np.log1p(mode_sets.g1 * p_relay) - mu * p_relay
+    q = np.maximum(w / mu - mode_sets.inv_g_su, 0.0)
+    val_direct = 2.0 * w * np.log1p(gains.g_su * q) - 2.0 * mu * q
 
-    k, u = terms.g_su.shape
+    k, u = gains.g_su.shape
     value = np.full((k, 2 * u), -np.inf)
     power = np.zeros((k, 2 * u))
-    value[:, 0::2] = np.where(terms.relay_ok, val_relay, -np.inf)
+    value[:, 0::2] = np.where(mode_sets.in_direct_set, -np.inf, val_relay)
     power[:, 0::2] = p_relay
-    value[:, 1::2] = np.where(terms.direct_ok, val_direct, -np.inf)
+    value[:, 1::2] = np.where(mode_sets.in_relay_set, -np.inf, val_direct)
     power[:, 1::2] = 2.0 * q
     return value, power
 
 
-def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets,
-                   terms: Optional[_GainTerms] = None) -> DualState:
-    """Per subcarrier maximization of the Lagrangian at a fixed price.
-
-    ``terms`` are the price independent ``_gain_terms`` of (gains,
-    mode_sets); ``solve`` builds them once for all its evaluations.
-    """
+def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
+    """Per subcarrier maximization of the Lagrangian at a fixed price."""
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    if terms is None:
-        terms = _gain_terms(gains, mode_sets)
-    value, power = _candidate_tables(mu, params, terms)
+    value, power = _candidate_tables(mu, params, gains, mode_sets)
     pick = np.argmax(value, axis=1)  # first maximum: lowest u, relay before direct
     rows = np.arange(value.shape[0])
     p = power[rows, pick]
@@ -280,22 +251,24 @@ def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets:
     )
 
 
-def _envelope_terms(terms: _GainTerms):
+def _envelope_terms(gains: GainTable, mode_sets: ModeSets):
     """Per subcarrier extreme inverse gain terms over admissible candidates.
 
     The largest term is taken over live (nonzero gain) candidates only: a
     dead candidate never carries power, and a subcarrier without a live one
     gets ``inf`` so it adds nothing to the lower power bound.
     """
-    inv_direct = 2.0 * terms.inv_g_su
+    # relay aided mode is inadmissible on the direct set, direct mode on the relay set
+    relay_off, direct_off = mode_sets.in_direct_set, mode_sets.in_relay_set
+    inv_direct = 2.0 * mode_sets.inv_g_su
     hi = np.maximum(
-        np.where(terms.relay_ok & (terms.g1 > 0.0), terms.inv_g1, -np.inf).max(axis=1),
-        np.where(terms.direct_ok & (terms.g_su > 0.0), inv_direct, -np.inf).max(axis=1),
+        np.where(relay_off | (mode_sets.g1 <= 0.0), -np.inf, mode_sets.inv_g1).max(axis=1),
+        np.where(direct_off | (gains.g_su <= 0.0), -np.inf, inv_direct).max(axis=1),
     )
     hi[np.isneginf(hi)] = np.inf
     lo = np.minimum(
-        np.where(terms.relay_ok, terms.inv_g1, np.inf).min(axis=1),
-        np.where(terms.direct_ok, inv_direct, np.inf).min(axis=1),
+        np.where(relay_off, np.inf, mode_sets.inv_g1).min(axis=1),
+        np.where(direct_off, np.inf, inv_direct).min(axis=1),
     )
     return lo, hi
 
@@ -317,7 +290,7 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     (``water_level``); mu_upper is raised by a relative ``1e-10``. Returns
     (0, 0) when no subcarrier has a usable link.
     """
-    v_lo, v_hi = _envelope_terms(_gain_terms(gains, mode_sets))
+    v_lo, v_hi = _envelope_terms(gains, mode_sets)
     upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
     if upper is None:
         return 0.0, 0.0
@@ -327,8 +300,13 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
 
 
 def initial_price(mu_lower: float, mu_upper: float) -> float:
-    """First price of the search: the geometric mean of the bracket."""
-    return math.sqrt(mu_lower * mu_upper)
+    """Geometric mean of the bracket: the first price and the bisection step.
+
+    Where the product of the edges is not a normal number (a huge budget)
+    it underflows or loses digits, so the edges are rooted apart.
+    """
+    product = mu_lower * mu_upper
+    return math.sqrt(product) if product >= sys.float_info.min else math.sqrt(mu_lower) * math.sqrt(mu_upper)
 
 
 def _rates(gain: np.ndarray, power: np.ndarray, relay: np.ndarray) -> np.ndarray:
@@ -430,8 +408,8 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
 class _LazyAssignments(Sequence):
     """Read-only ``_assemble`` rows of a choice, assembled once on first access."""
 
-    def __init__(self, dest, mode, power, gains: GainTable) -> None:
-        self._choice = (dest, mode, power, gains)
+    def __init__(self, dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> None:
+        self._choice = (dest, mode, power, gains, direct_both_slots)
         self._rows = None
 
     def _built(self) -> list:
@@ -449,7 +427,7 @@ class _LazyAssignments(Sequence):
         return iter(self._built())
 
 
-def _newton_price(state: DualState, params: SolverParams, terms: _GainTerms, target: float) -> float:
+def _newton_price(state: DualState, params: SolverParams, mode_sets: ModeSets, target: float) -> float:
     """Price at which the assignment of ``state`` spends ``target`` watts.
 
     On the active subcarriers of a fixed assignment the power is
@@ -461,7 +439,7 @@ def _newton_price(state: DualState, params: SolverParams, terms: _GainTerms, tar
     dest = state.dest[k]
     relay = state.mode[k] == MODE_RELAY
     c = np.where(relay, 1.0, 2.0)
-    inv_g = np.where(relay, terms.inv_g1[k, dest], terms.inv_g_su[k, dest])
+    inv_g = np.where(relay, mode_sets.inv_g1[k, dest], mode_sets.inv_g_su[k, dest])
     return float((c * params.weights[dest]).sum()) / (target + float((c * inv_g).sum()))
 
 
@@ -514,11 +492,10 @@ def solve(
         return finish(dest, mode, power, wsr, rate, 0.0, 0.0, STATUS_KKT)
 
     eps = params.epsilon_watts
-    terms = _gain_terms(gains, mode_sets)
     mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
     for iterations in range(1, _MAX_EVALS + 1):
-        state = solve_at_price(mu, params, gains, mode_sets, terms)
+        state = solve_at_price(mu, params, gains, mode_sets)
         if trace is not None:
             trace(iterations, state.mu, state.total_power, state.lagrangian)
         slack = params.ptot - state.total_power
@@ -541,8 +518,8 @@ def solve(
             break
         # the last price is now an edge of the bracket, so a Newton price
         # strictly inside it never repeats one
-        newton = _newton_price(state, params, terms, params.ptot - 0.5 * eps)
-        mu = newton if lo < newton < hi else math.sqrt(lo * hi)
+        newton = _newton_price(state, params, mode_sets, params.ptot - 0.5 * eps)
+        mu = newton if lo < newton < hi else initial_price(lo, hi)
     else:
         raise ConvergenceError(f"price search did not end within {_MAX_EVALS} evaluations")
 
@@ -550,8 +527,8 @@ def solve(
     # takes the first j tied subcarriers from the lower edge state and the
     # rest from the upper one; each mix and the greedy choice is refilled to
     # the exact budget, and the first strict maximum is kept.
-    a = solve_at_price(lo, params, gains, mode_sets, terms)
-    b = solve_at_price(hi, params, gains, mode_sets, terms)
+    a = solve_at_price(lo, params, gains, mode_sets)
+    b = solve_at_price(hi, params, gains, mode_sets)
     tied = np.nonzero((a.dest != b.dest) | (a.mode != b.mode))[0]
     candidates = []
     for j in range(tied.size + 1):

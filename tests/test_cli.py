@@ -16,7 +16,6 @@ from relayalloc.cli import (
     main,
     realization_seeds,
     run_monte_carlo,
-    run_single,
 )
 
 GOOD_YAML = """\
@@ -139,20 +138,12 @@ def test_cdf_is_sorted_and_normalized(tmp_path):
     assert math.isclose(cdf[-1, 1], 1.0, rel_tol=1e-12)
 
 
-def test_run_single_requires_one_realization(tmp_path):
-    cfg = load_config(_write(tmp_path, GOOD_YAML))
-    with pytest.raises(ConfigError):
-        run_single(cfg)
-    single = ExperimentConfig(**{**cfg.__dict__, "realizations": 1})
-    report = run_single(single)
-    assert set(report.assignments) == {"proposed", "reference"}
-    assert report.gain_tables["g_su"].shape == (8, 2)
-
-
 def test_emit_writes_expected_files(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD_YAML))
     single = ExperimentConfig(**{**cfg.__dict__, "realizations": 1})
-    report = run_single(single)
+    report = run_monte_carlo(single)
+    assert set(report.assignments) == {"proposed", "reference"}
+    assert report.gain_tables["g_su"].shape == (8, 2)
     out = tmp_path / "out"
     paths = emit(report, out)
     names = {p.name for p in paths}
@@ -232,6 +223,9 @@ geometry:
     ("ptot_dbw", "ptot_dbw: 4000"),
     ("noise_dbw", "noise_dbw: 4000"),
     ("noise_dbw", "noise_dbw: -4000"),
+    # subnormal in watts: 1e-320 W would overflow the gains it divides
+    ("noise_dbw", "noise_dbw: -3200"),
+    ("ptot_dbw", "ptot_dbw: -3200"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
     key = line.split(":")[0] + ":"
@@ -258,6 +252,11 @@ def test_main_exit_code_contract(tmp_path, capsys):
     average = summary["average_wsr"]
     assert 0.0 < average["reference"] * (1.0 - 1e-12) <= average["proposed"]
     assert summary["status_counts"]["highpower"] == {"conditions_unmet": 3}
+    # a budget of 1e300 W: the product of the bracket edges underflows
+    huge = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 3000.0")
+    assert main([str(_write(tmp_path, huge)), "-o", str(tmp_path / "huge")]) == 0
+    summary = json.loads((tmp_path / "huge" / "summary.json").read_text())
+    assert summary["average_wsr"]["proposed"] >= summary["average_wsr"]["reference"] > 0.0
 
 
 def test_main_protocol_override(tmp_path, capsys):
@@ -266,6 +265,22 @@ def test_main_protocol_override(tmp_path, capsys):
     capsys.readouterr()
     assert not (tmp_path / "o1" / "rates_reference.csv").exists()
     assert main([str(good), "-p", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    # overrides pass the checks of the config file
+    (GOOD_YAML.replace("protocols: [proposed, reference]", "protocols: [proposed]") + "weights: [0.7, 0.3]\n",
+     ["-p", "reference"], "equal weights"),
+    (GOOD_YAML, ["-p", "proposed,proposed"], "repeated"),
+    (GOOD_YAML, ["-p", " , "], "nonempty"),
+    (GOOD_YAML, ["-s", "-1"], "seed"),
+    (GOOD_YAML.replace("protocols: [proposed, reference]", "protocols: [proposed, proposed]"), [], "repeated"),
+], ids=["reference_override_unequal_weights", "repeated_override", "empty_override", "negative_seed",
+        "repeated_in_file"])
+def test_main_rejects_bad_protocols_and_overrides(tmp_path, capsys, text, argv, message):
+    assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["n_grid", "delta_factor", "max_iters", "epsilon_is_relative"])
@@ -443,3 +458,25 @@ def test_dead_table_reports_the_rates_of_its_spread(tmp_path, monkeypatch):
         assert 0.0 < alloc.wsr == cli.solver.weighted_sum_rate(alloc.assignments, params, gains)
         np.testing.assert_array_equal(out["user_rates"]["proposed"], cli.solver.user_rates(alloc.assignments, gains))
         assert out["wsr"]["proposed"] >= out["wsr"]["reference"] * (1.0 - 1e-12)
+
+
+def test_reference_is_recorded_from_its_allocation(tmp_path, monkeypatch):
+    # the CLI records the reference like every other protocol: its rates
+    # row is the per destination sum of the allocation's rates, which the
+    # rows and the step 1 gains reproduce with the single slot direct rate
+    solved = []
+    solve_reference = cli.reference.solve_reference
+    monkeypatch.setattr(cli.reference, "solve_reference",
+                        lambda *a, **kw: solved.append(solve_reference(*a, **kw)) or solved[-1])
+    text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0").replace("realizations: 3", "realizations: 1")
+    out = cli._run_realization(load_config(_write(tmp_path, text)), 0)
+    [ref] = solved
+    assert out["status"]["reference"] == "waterfill" and out["wsr"]["reference"] == ref.wsr
+    np.testing.assert_array_equal(out["user_rates"]["reference"], np.bincount(ref.dest, weights=ref.rate, minlength=2))
+    assert out["assignments"]["reference"] is ref.assignments
+    tables = out["gain_tables"]
+    recomputed = np.zeros(2)
+    for a in ref.assignments:
+        gain = tables["g1" if a.mode == cli.rates.MODE_RELAY else "g_su"][a.k, a.u]
+        recomputed[a.u] += math.log1p(gain * a.sum_power)
+    np.testing.assert_allclose(out["user_rates"]["reference"], recomputed, rtol=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from relayalloc import rates, solver
 from relayalloc.channel import GainTable
-from relayalloc.reference import select_per_subcarrier, solve_reference, waterfill
+from relayalloc.reference import solve_reference, waterfill
 
 
 def _table(g_su, g_sr, g_ru):
@@ -24,33 +24,35 @@ def _random_table(rng, k=4, u=3, n=2):
 
 
 # ------------------------------------------------------------------ selection
+# one subcarrier spends the whole budget, so its single slot rate
+# ln(1 + g ptot) at ptot = 1 W names the gain the selection kept
 
 def test_selection_takes_best_gain_user():
     t = _table([[1.0, 2.5]], [[0.01]], [[[0.01, 0.01]]])
-    dest, mode, gain = select_per_subcarrier(t)
-    assert dest[0] == 1 and mode[0] == rates.MODE_DIRECT
-    assert math.isclose(gain[0], 2.5, rel_tol=1e-12)
+    ref = solve_reference(t, 1.0)
+    assert ref.dest[0] == 1 and ref.mode[0] == rates.MODE_DIRECT
+    assert math.isclose(ref.rate[0], math.log1p(2.5), rel_tol=1e-12)
 
 
 def test_selection_relay_mode_needs_strict_advantage():
     # effective gain 2 vs direct 1: relay mode
     t = _table([[1.0]], [[4.0]], [[[3.0]]])
-    _, mode, gain = select_per_subcarrier(t)
-    assert mode[0] == rates.MODE_RELAY and math.isclose(gain[0], 2.0, rel_tol=1e-12)
+    ref = solve_reference(t, 1.0)
+    assert ref.mode[0] == rates.MODE_RELAY and math.isclose(ref.rate[0], math.log1p(2.0), rel_tol=1e-12)
     # hopeless relays: effective gain collapses to the direct gain, tie
     # means direct wins
     t2 = _table([[1.0]], [[2.0, 3.0]], [[[0.4], [0.5]]])
-    _, mode2, gain2 = select_per_subcarrier(t2)
-    assert mode2[0] == rates.MODE_DIRECT
-    assert math.isclose(gain2[0], 1.0, rel_tol=1e-12)
+    ref2 = solve_reference(t2, 1.0)
+    assert ref2.mode[0] == rates.MODE_DIRECT
+    assert math.isclose(ref2.rate[0], math.log1p(1.0), rel_tol=1e-12)
 
 
 def test_selection_rejects_unequal_weights():
     t = _table([[1.0, 2.0]], [[1.0]], [[[1.0, 1.0]]])
-    with pytest.raises(ValueError):
-        select_per_subcarrier(t, weights=np.array([0.7, 0.3]))
+    with pytest.raises(ValueError, match="equal weights"):
+        solve_reference(t, 1.0, weights=np.array([0.7, 0.3]))
     # uniform weights pass through
-    select_per_subcarrier(t, weights=np.array([0.5, 0.5]))
+    solve_reference(t, 1.0, weights=np.array([0.5, 0.5]))
 
 
 # --------------------------------------------------------------- water-filling
@@ -127,9 +129,10 @@ def test_reference_equal_gains_spread_uniformly():
 def test_reference_without_usable_links_spreads_the_budget():
     t = _table(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((4, 1, 2)))
     ref = solve_reference(t, 6.0, weights=np.array([0.5, 0.5]))
-    assert ref.wsr == 0.0 and ref.water_level == math.inf
+    # an infinite water level is price zero
+    assert ref.wsr == 0.0 and ref.mu_star == 0.0
     np.testing.assert_array_equal(ref.power, np.full(4, 1.5))
-    np.testing.assert_array_equal(ref.rates_per_subcarrier, np.zeros(4))
+    np.testing.assert_array_equal(ref.rate, np.zeros(4))
 
 
 def test_reference_single_slot_direct_rate():
@@ -157,3 +160,48 @@ def test_reference_never_beats_the_joint_optimum():
         alloc = solver.solve(params, gains)
         ref = solve_reference(gains, ptot, weights=w)
         assert alloc.wsr >= ref.wsr - 1e-9
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_reference_returns_an_allocation_record(seed):
+    # seeded lognormal tables with 20% dead links, and the all-zero table
+    # (seed None), at 0.1 W and 10 W
+    if seed is None:
+        gains = _table(np.zeros((5, 3)), np.zeros((5, 2)), np.zeros((5, 2, 3)))
+    else:
+        rng = np.random.default_rng(seed)
+        gains = _random_table(rng, k=12, u=3, n=3)
+        gains = _table(gains.g_su * (rng.random((12, 3)) >= 0.2), gains.g_sr, gains.g_ru)
+    kk, uu = gains.g_su.shape
+    w = np.full(uu, 1.0 / uu)
+    g1 = rates.classify(gains, 1.0).g1
+    for ptot in (0.1, 10.0):
+        ref = solve_reference(gains, ptot, weights=w, g1_table=g1)
+        assert isinstance(ref, solver.Allocation)
+        assert ref.status == "waterfill" and ref.converged
+        assert (ref.residual, ref.iterations) == (0.0, 0)
+        # the price is the protocol's own: the common weight over its water level
+        dest, mode, gain = solver.max_gain_choice(g1, gains.g_su)
+        if np.any(gain > 0.0):
+            power, level = waterfill(gain, ptot)
+            assert ref.mu_star == ref.mu_lower == ref.mu_upper == w[0] / level > 0.0
+        else:
+            power = np.full(kk, ptot / kk)
+            assert ref.mu_star == ref.mu_lower == ref.mu_upper == 0.0
+        np.testing.assert_array_equal(ref.dest, dest)
+        np.testing.assert_array_equal(ref.mode, mode)
+        np.testing.assert_array_equal(ref.power, power)
+        np.testing.assert_array_equal(ref.rate, np.log1p(gain * power))
+        assert ref.wsr == w[0] * float(ref.rate.sum())
+        # the rows repeat the arrays, and a direct row spends all its power
+        # in the broadcasting slot
+        assert len(ref.assignments) == kk
+        for k, row in enumerate(ref.assignments):
+            assert (row.k, row.u, row.mode, row.sum_power) == (k, ref.dest[k], ref.mode[k], ref.power[k])
+            if row.mode == rates.MODE_DIRECT:
+                assert (row.broadcast_power, row.relaying_power) == (row.sum_power, 0.0)
+                assert row.relay_indices == ()
+            else:
+                parts = row.broadcast_power + float(np.sum(row.relay_powers))
+                assert row.relaying_power == 0.0
+                assert math.isclose(parts, row.sum_power, rel_tol=1e-12, abs_tol=1e-300)

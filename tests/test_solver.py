@@ -85,8 +85,7 @@ def test_epsilon_watts_modes():
 
 def _metric(u, mode, k, mu, params, gains):
     """Candidate (u, mode)'s entry of the Lagrangian table of subcarrier k at price mu."""
-    terms = solver._gain_terms(gains, rates.classify(gains, params.ptot))
-    value, _ = solver._candidate_tables(mu, params, terms)
+    value, _ = solver._candidate_tables(mu, params, gains, rates.classify(gains, params.ptot))
     return float(value[k, 2 * u + (mode == rates.MODE_DIRECT)])
 
 
@@ -294,6 +293,20 @@ def test_initial_price_is_geometric_mean_of_bracket():
     mu_l, mu_u = price_bracket(params, DIRECT1, ms)
     assert math.isclose(initial_price(mu_l, mu_u), math.sqrt(mu_l * mu_u), rel_tol=1e-15)
     assert initial_price(0.5, 0.5) == 0.5
+    # the bracket of a 1e300 W budget: the product of its edges underflows
+    assert math.isclose(initial_price(2e-300, 4e-300), math.sqrt(8.0) * 1e-300, rel_tol=1e-15)
+
+
+def test_solve_spends_a_huge_budget():
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        gains = _random_table(rng, k=6, u=3, n=2)
+        params = SolverParams(ptot=1e300, weights=rng.uniform(0.2, 1.0, 3))
+        alloc = solve(params, gains)
+        assert alloc.status in (STATUS_KKT, solver.STATUS_GAP)
+        assert 0.0 < alloc.mu_lower <= alloc.mu_star <= alloc.mu_upper
+        assert math.isclose(float(alloc.power.sum()), params.ptot, rel_tol=1e-9)
+        assert math.isfinite(alloc.wsr) and alloc.wsr == weighted_sum_rate(alloc.assignments, params, gains)
 
 
 # six identical subcarriers: at 10 W and equal weights the bracket collapses
