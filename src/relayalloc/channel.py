@@ -6,10 +6,20 @@ are normalized so that the total mean received power follows a distance power
 law, optionally multiplied by a log-normal shadowing term drawn in dB.
 Frequency responses are plain forward DFTs of the zero padded taps, and gains
 are squared magnitudes divided by the receiver noise variance.
+
+Each link draws from its own Philox stream, keyed by
+``SeedSequence([seed, role, a, b]).generate_state(2, np.uint64)`` for a role
+tag and the link's endpoint indices, so no draw depends on the order in which
+links are synthesized. A Philox stream is fixed by its key, so
+``synthesize_realization`` computes the keys of all links at once with a
+vectorized port of SeedSequence's hash (``_philox_keys``) and re-keys one
+generator per link through its ``state``, which gives the same streams as one
+keyed generator per link.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,12 +237,73 @@ def place_destinations(region: Region, num_destinations: int, rng_seed: int) -> 
     return np.column_stack([x, y])
 
 
-def _draw_link(rng: np.random.Generator, profile: TapProfile, distance: float) -> np.ndarray:
-    """Draw complex taps for one link: shadowing first, then tap gains."""
-    shadow = 10.0 ** (rng.normal(0.0, profile.shadowing_db_std) / 10.0)
-    var = profile.link_variances(distance) * shadow
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(profile.num_taps) + 1j * rng.standard_normal(profile.num_taps))
+def _uint32_words(value: int) -> list:
+    # SeedSequence's coercion of a nonnegative int: 32-bit words, least
+    # significant first, and [0] for zero
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_steps(m: int) -> tuple:
+    """SeedSequence's hash constants for m >= 4 entropy words, per round.
+
+    The hash constant is multiplied in every step, whatever the data: step
+    i xors with h[i] and multiplies by h[i + 1]. Row r holds the (xor,
+    multiply) pair of each pool word in round r: filling the pool, mixing
+    word src into the other three in order (the pair given to src itself is
+    never used), mixing in each further entropy word, and last
+    generate_state's own sequence. The arrays are read-only.
+    """
+    h = [0x43B0D7E5]
+    for _ in range(4 * m):
+        h.append(h[-1] * 0x931E8875 & 0xFFFFFFFF)
+    g = [0x8B51F9DD]
+    for _ in range(4):
+        g.append(g[-1] * 0x58F38DED & 0xFFFFFFFF)
+    rounds = ([[0, 1, 2, 3]] + [[4 + 3 * src + d - (d >= src) for d in range(4)] for src in range(4)]
+              + [[4 * w + d for d in range(4)] for w in range(4, m)])
+    xor = np.array([[h[i] for i in row] for row in rounds] + [g[:4]], dtype=np.uint32)
+    mult = np.array([[h[i + 1] for i in row] for row in rounds] + [g[1:]], dtype=np.uint32)
+    xor.flags.writeable = mult.flags.writeable = False
+    return xor, mult
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=row).generate_state(2, np.uint64)`` of every row.
+
+    A port of numpy's documented SeedSequence hash (4-word pool, no spawn
+    key) for a (links, m) uint32 array of entropy words, m >= 4. Its
+    constants do not depend on the data (``_hash_steps``), so each step of
+    the hash runs on every link at once, and on every pool word it updates
+    at once.
+    """
+    m = entropy.shape[1]
+    xor, mult = _hash_steps(m)
+    # 0-d operands keep numpy's per-call cost low on a few links
+    shift, mix_l, mix_r = (np.array(c, dtype=np.uint32) for c in (16, 0xCA01F9DD, 0x4973F715))
+
+    def hashmix(value, r):
+        value = (value ^ xor[r]) * mult[r]
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = mix_l * x - mix_r * y
+        return result ^ (result >> shift)
+
+    pool = hashmix(entropy[:, :4], 0)
+    for src in range(4):
+        mixed = mix(pool, hashmix(pool[:, src, None], 1 + src))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for w in range(4, m):
+        pool = mix(pool, hashmix(entropy[:, w, None], w + 1))
+    # generate_state(2, np.uint64) hashes each pool word once, into the low
+    # and high halves of the two key words
+    words = hashmix(pool, -1).astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
 
 
 def synthesize_realization(
@@ -241,7 +312,13 @@ def synthesize_realization(
     num_subcarriers: int,
     rng_seed: int,
 ) -> ChannelRealization:
-    """Draw one multipath realization of every link in the topology."""
+    """Draw one multipath realization of every link in the topology.
+
+    Link ``(role, a, b)`` draws from the stream of ``_link_rng(seed, role,
+    a, b)``: its shadowing first, then the real and the imaginary parts of
+    its taps. The keys of all links come from one batched ``_philox_keys``
+    call, and one ``Philox`` is re-keyed per link through its ``state``.
+    """
     seed = _check_seed(rng_seed)
     k = int(num_subcarriers)
     if k < profile.num_taps:
@@ -249,23 +326,41 @@ def synthesize_realization(
     n, u = topology.num_relays, topology.num_destinations
     length = profile.num_taps
 
+    # (role, a, b, distance) of every link, in the column order of the taps
     d_su = np.hypot(*(topology.dest_xy - topology.source_xy).T)
     d_sr = np.hypot(*(topology.relay_xy - topology.source_xy).T)
+    links = [
+        *((_ROLE_SOURCE_DEST, j, 0, d_su[j]) for j in range(u)),
+        *((_ROLE_SOURCE_RELAY, i, 0, d_sr[i]) for i in range(n)),
+        *((_ROLE_RELAY_DEST, i, j, float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i]))))
+          for i in range(n) for j in range(u)),
+    ]
+    seed_words = _uint32_words(seed)
+    keys = _philox_keys(np.array([[*seed_words, role, a, b] for role, a, b, _ in links], dtype=np.uint32))
 
-    taps_su = np.empty((length, u), dtype=complex)
-    for j in range(u):
-        taps_su[:, j] = _draw_link(_link_rng(seed, _ROLE_SOURCE_DEST, j, 0), profile, d_su[j])
+    # a fresh generator's state (counter 0, empty buffer), re-keyed per link;
+    # its seed is never drawn from
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    rng = np.random.Generator(bitgen)
+    z = np.empty((len(links), 1 + 2 * length))
+    for key, row in zip(keys, z):
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=row)
 
-    taps_sr = np.empty((length, n), dtype=complex)
-    for i in range(n):
-        taps_sr[:, i] = _draw_link(_link_rng(seed, _ROLE_SOURCE_RELAY, i, 0), profile, d_sr[i])
+    # scalar per link, as rng.normal(0, std) and TapProfile.link_variances
+    # compute them: numpy's vectorized ** can differ in the last bit
+    std = float(profile.shadowing_db_std)
+    shadow = [10.0 ** ((0.0 + std * z0) / 10.0) for z0 in z[:, 0].tolist()]
+    per_link = np.array([profile.mean_power(d) for *_, d in links]) / profile.variances.sum()
+    var = profile.variances * per_link[:, None] * np.array(shadow)[:, None]
+    taps = np.sqrt(var / 2.0) * (z[:, 1:1 + length] + 1j * z[:, 1 + length:])
 
-    taps_ru = np.empty((length, n, u), dtype=complex)
-    for i in range(n):
-        for j in range(u):
-            dist = float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i])))
-            taps_ru[:, i, j] = _draw_link(_link_rng(seed, _ROLE_RELAY_DEST, i, j), profile, dist)
-
+    # C-ordered blocks give C-ordered spectra, the layout to_gains reads
+    taps_su = np.ascontiguousarray(taps[:u].T)
+    taps_sr = np.ascontiguousarray(taps[u:u + n].T)
+    taps_ru = np.ascontiguousarray(taps[u + n:].T).reshape(length, n, u)
     return ChannelRealization(
         num_subcarriers=k,
         freq_su=np.fft.fft(taps_su, n=k, axis=0),

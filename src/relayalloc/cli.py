@@ -7,9 +7,10 @@ per subcarrier tables; Monte-Carlo runs aggregate weighted sum rates and the
 user 1 rate CDF over independently seeded realizations.
 
 Per realization seeds are derived from the master seed with a counter based
-scheme: realization ``i`` uses ``SeedSequence([seed, i])`` spawned into one
-placement seed and one channel seed, so any realization can be reproduced in
-isolation and worker count cannot affect results.
+scheme: realization ``i`` takes the two 64-bit words of
+``SeedSequence([seed, i]).generate_state(2, np.uint64)`` as its placement
+seed and its channel seed, so any realization can be reproduced in isolation
+and worker count cannot affect results.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
         elif proto == PROTO_HIGHPOWER:
             if bracket is None:
                 bracket = solver.price_bracket(params, gains, mode_sets)
-            report = highpower.check_conditions(params, gains, mu_upper=bracket[1], g1_table=mode_sets.g1)
+            report = highpower.check_conditions(params, gains, mu_upper=bracket[1], mode_sets=mode_sets)
             out["highpower_met"] = report.conditions_met
             if report.conditions_met:
                 record(proto, highpower.solve_high_power(params, gains, report=report, bracket=bracket))

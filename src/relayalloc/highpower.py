@@ -45,29 +45,26 @@ def check_conditions(
     params: SolverParams,
     gains: GainTable,
     mu_upper: Optional[float] = None,
-    g1_table: Optional[np.ndarray] = None,
+    mode_sets: Optional[rates.ModeSets] = None,
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
     The threshold must exceed ``params.highpower_factor`` times both the
     largest admissible inverse gain max(1/g1, 1/g_su) and the largest gain
-    max(g1, g_su) over all subcarrier destination pairs. mu_upper and the
-    effective gain table are computed when not supplied.
+    max(g1, g_su) over all subcarrier destination pairs. ``mode_sets``
+    (``rates.classify`` at ``params.ptot``) and mu_upper are computed when
+    not supplied.
     """
     factor = params.highpower_factor
-    if mu_upper is None:
+    if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
+    if mu_upper is None:
         _, mu_upper = solver.price_bracket(params, gains, mode_sets)
-        if g1_table is None:
-            g1_table = mode_sets.g1
-    if g1_table is None:
-        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
 
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
-    both = np.stack([g1_table, gains.g_su])
-    max_inv = float(rates._inverse(both).max())
-    max_gain = float(both.max())
+    max_inv = max(float(mode_sets.inv_g1.max()), float(mode_sets.inv_g_su.max()))
+    max_gain = max(float(mode_sets.g1.max()), float(gains.g_su.max()))
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf
     return HighPowerReport(
@@ -100,7 +97,7 @@ def solve_high_power(
         if bracket is None:
             bracket = solver.price_bracket(params, gains, mode_sets)
         if report is None:
-            report = check_conditions(params, gains, bracket[1], mode_sets.g1)
+            report = check_conditions(params, gains, bracket[1], mode_sets)
     mu_lower, mu_upper = bracket
     if not report.conditions_met:
         raise ValueError(

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayalloc.channel import (
     GainTable,
     Region,
     TapProfile,
     Topology,
+    _philox_keys,
+    _uint32_words,
     place_destinations,
     synthesize_realization,
     to_gains,
@@ -148,3 +152,108 @@ def test_gain_table_shape_validation():
     with pytest.raises(ValueError):
         GainTable(g_su=-np.ones((2, 2)), g_sr=np.ones((2, 1)), g_ru=np.ones((2, 1, 2)))
 
+
+_SMALL_ENDS = st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 40))
+
+
+@pytest.mark.parametrize(
+    "seeds, ends",
+    [
+        (st.integers(0, 2**64 - 1), _SMALL_ENDS),  # one or two seed words
+        (st.integers(2**64, 2**200), _SMALL_ENDS),  # three or more
+        (st.integers(0, 2**64 - 1), st.tuples(st.integers(0, 3), st.integers(0, 2**32 - 1),
+                                              st.integers(0, 2**32 - 1))),
+    ],
+    ids=["seed_below_2_64", "seed_from_2_64", "endpoints_to_2_32"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_keys_equal_seed_sequence_keys(seeds, ends, data):
+    seed = data.draw(seeds, label="seed")
+    links = data.draw(st.lists(ends, min_size=1, max_size=12), label="links")
+    entropy = np.array([[*_uint32_words(seed), *link] for link in links], dtype=np.uint32)
+    want = [np.random.SeedSequence(entropy=[seed, *link]).generate_state(2, np.uint64) for link in links]
+    np.testing.assert_array_equal(_philox_keys(entropy), np.array(want))
+
+
+def _link_by_link(topology, profile, num_subcarriers, seed):
+    """Reference synthesis: one ``Philox(SeedSequence([seed, role, a, b]))``
+    per link, drawing its shadowing, then the real and imaginary tap parts."""
+    def draw(role, a, b, distance):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, role, a, b])))
+        shadow = 10.0 ** (rng.normal(0.0, profile.shadowing_db_std) / 10.0)
+        var = profile.link_variances(distance) * shadow
+        scale = np.sqrt(var / 2.0)
+        return scale * (rng.standard_normal(profile.num_taps) + 1j * rng.standard_normal(profile.num_taps))
+
+    n, u, length = topology.num_relays, topology.num_destinations, profile.num_taps
+    d_su = np.hypot(*(topology.dest_xy - topology.source_xy).T)
+    d_sr = np.hypot(*(topology.relay_xy - topology.source_xy).T)
+    taps_su = np.empty((length, u), dtype=complex)
+    for j in range(u):
+        taps_su[:, j] = draw(0, j, 0, d_su[j])
+    taps_sr = np.empty((length, n), dtype=complex)
+    for i in range(n):
+        taps_sr[:, i] = draw(1, i, 0, d_sr[i])
+    taps_ru = np.empty((length, n, u), dtype=complex)
+    for i in range(n):
+        for j in range(u):
+            dist = float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i])))
+            taps_ru[:, i, j] = draw(2, i, j, dist)
+    return {
+        "taps_su": taps_su, "taps_sr": taps_sr, "taps_ru": taps_ru,
+        "freq_su": np.fft.fft(taps_su, n=num_subcarriers, axis=0),
+        "freq_sr": np.fft.fft(taps_sr, n=num_subcarriers, axis=0),
+        "freq_ru": np.fft.fft(taps_ru, n=num_subcarriers, axis=0),
+    }
+
+
+@st.composite
+def _synthesis_inputs(draw):
+    # relays sit in y in [-10, -1] and destinations below y = -11, so no link
+    # has zero length
+    def points(count, y_min, y_max):
+        return draw(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(y_min, y_max)),
+                             min_size=count, max_size=count))
+
+    topology = Topology(source_xy=(0.0, 0.0), relay_xy=points(draw(st.integers(1, 4)), -10.0, -1.0),
+                        dest_xy=points(draw(st.integers(1, 32)), -60.0, -11.0))
+    profile = TapProfile.exponential(
+        num_taps=draw(st.integers(1, 8)),
+        decay=draw(st.floats(1e-3, 50.0)),
+        shadowing_db_std=draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0))),
+    )
+    k = draw(st.integers(profile.num_taps, 256))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(2**64, 2**128)))
+    return topology, profile, k, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synthesis_inputs())
+def test_synthesis_equals_link_by_link_reference(inputs):
+    topology, profile, k, seed = inputs
+    real = synthesize_realization(topology, profile, k, seed)
+    want = _link_by_link(topology, profile, k, seed)
+    for name, arr in want.items():
+        got = getattr(real, name)
+        assert got.shape == arr.shape and np.array_equal(got, arr), name
+        # to_gains reads the spectra; keep the reference's C order too
+        assert got.flags.c_contiguous, name
+    assert (real.num_subcarriers, real.seed) == (k, seed)
+
+
+def test_taps_are_pinned():
+    # float.hex of a few taps of one shadowed draw with a two-word seed: a
+    # change of streams fails here even if the reference above changes with it
+    topo = Topology(source_xy=(0.0, 0.0), relay_xy=((5.0, -5.0), (-15.0, -5.0)),
+                    dest_xy=((0.0, -20.0), (3.0, -12.0), (-8.0, -25.0)))
+    prof = TapProfile.exponential(num_taps=3, shadowing_db_std=8.0)
+    real = synthesize_realization(topo, prof, 16, 2**63 + 12345)
+    pins = [
+        (real.taps_su[0, 2], "0x1.922d23c9b7d30p-9", "-0x1.d4ac5d4f1e568p-8"),
+        (real.taps_sr[2, 1], "-0x1.2aebfbb308e74p-13", "-0x1.2e3fcead648e4p-14"),
+        (real.taps_ru[1, 1, 2], "0x1.f232dc239cfa0p-13", "0x1.67a63f47c9977p-10"),
+        (real.taps_ru[0, 0, 0], "-0x1.09e11a383669cp-6", "0x1.8bc8d0c93354bp-7"),
+    ]
+    for tap, re, im in pins:
+        assert (float(tap.real).hex(), float(tap.imag).hex()) == (re, im)

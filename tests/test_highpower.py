@@ -147,3 +147,24 @@ def test_wsr_is_bit_identical_to_the_recomputed_weighted_sum_rate():
             alloc = solve_high_power(params, gains, report=report)
             assert alloc.wsr == solver.weighted_sum_rate(alloc.assignments, params, gains)
     assert met >= 250
+
+
+def test_report_takes_its_maxima_from_the_mode_sets():
+    # the maxima read from ModeSets equal those of the stacked g1 and g_su
+    # tables and of their inverses, bit for bit, whether or not the caller
+    # passes the mode sets
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        k, u, n = int(rng.integers(1, 17)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        g_su = rng.lognormal(0.0, 2.0, (k, u)) * (rng.random((k, u)) > 0.2)
+        gains = _table(g_su, rng.lognormal(0.0, 2.0, (k, n)), rng.lognormal(0.0, 2.0, (k, n, u)))
+        params = solver.SolverParams(ptot=10.0 ** rng.uniform(-2.0, 8.0), weights=np.full(u, 1.0 / u))
+        mode_sets = rates.classify(gains, params.ptot)
+        both = np.stack([mode_sets.g1, gains.g_su])
+        want = (float(rates._inverse(both).max()), float(both.max()))
+        mu_upper = solver.price_bracket(params, gains, mode_sets)[1]
+        default = check_conditions(params, gains)
+        given = check_conditions(params, gains, mu_upper=mu_upper, mode_sets=mode_sets)
+        for report in (default, given):
+            assert (report.max_inverse_gain, report.max_gain) == want
+        assert (default.threshold, default.margin) == (given.threshold, given.margin)
