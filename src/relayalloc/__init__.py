@@ -3,8 +3,9 @@
 The package splits the weighted sum rate maximization into the per
 subcarrier relay selection closed forms (``rates``), a dual decomposition
 price search (``solver``), a high power shortcut (``highpower``) and a per
-subcarrier baseline (``reference``), plus channel synthesis (``channel``),
-brute force verifiers (``oracle``) and an experiment CLI (``cli``).
+subcarrier baseline (``reference``), plus channel synthesis (``channel``)
+and an experiment CLI (``cli``). The brute force verifiers live with the
+tests, in ``tests/oracle.py``.
 
 ``rates.classify`` reduces every (subcarrier, destination) pair to its
 price independent terms, one ``ModeSets``; every protocol (``solve``,
@@ -22,17 +23,12 @@ from .channel import (
     to_gains,
 )
 from .highpower import HighPowerReport, check_conditions, solve_high_power
-from .oracle import oracle_global_wsr, oracle_relay_gain, oracle_split_optimality
 from .rates import (
     MODE_DIRECT,
     MODE_RELAY,
     ModeSets,
-    PerPairGains,
-    RelayAidedSolution,
     classify,
-    direct_rate,
     effective_gain_table,
-    relay_aided_solution,
 )
 from .reference import solve_reference, waterfill
 from .solver import (
@@ -61,24 +57,17 @@ __all__ = [
     "MODE_DIRECT",
     "MODE_RELAY",
     "ModeSets",
-    "PerPairGains",
     "Region",
-    "RelayAidedSolution",
     "SolverParams",
     "SubcarrierAssignment",
     "TapProfile",
     "Topology",
     "check_conditions",
     "classify",
-    "direct_rate",
     "effective_gain_table",
     "initial_price",
-    "oracle_global_wsr",
-    "oracle_relay_gain",
-    "oracle_split_optimality",
     "place_destinations",
     "price_bracket",
-    "relay_aided_solution",
     "solve",
     "solve_at_price",
     "solve_high_power",

@@ -10,11 +10,12 @@ are squared magnitudes divided by the receiver noise variance.
 Each link draws from its own Philox stream, keyed by
 ``SeedSequence([seed, role, a, b]).generate_state(2, np.uint64)`` for a role
 tag and the link's endpoint indices, so no draw depends on the order in which
-links are synthesized. A Philox stream is fixed by its key, so
-``synthesize_realization`` computes the keys of all links at once with a
-vectorized port of SeedSequence's hash (``_philox_keys``) and re-keys one
-generator per link through its ``state``, which gives the same streams as one
-keyed generator per link.
+links are synthesized; destination placement draws from the stream of the
+placement role. A Philox stream is fixed by its key, so ``_link_streams``
+computes the keys of all streams at once with a vectorized port of
+SeedSequence's hash (``_philox_keys``) and re-keys one generator per stream
+through its ``state``, which gives the same streams as one keyed generator
+per link.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max])):
+            raise ValueError("region bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("region must have positive area")
 
@@ -194,6 +197,8 @@ class GainTable:
         k, u = self.g_su.shape
         if self.g_sr.shape[0] != k or self.g_ru.shape != (k, self.g_sr.shape[1], u):
             raise ValueError("gain array shapes are inconsistent")
+        if self.g_sr.shape[1] < 1:
+            raise ValueError("gain table needs at least one relay")
         if self.noise_variance <= 0.0:
             raise ValueError("noise_variance must be positive")
 
@@ -208,12 +213,6 @@ class GainTable:
     @property
     def num_relays(self) -> int:
         return self.g_sr.shape[1]
-
-
-def _link_rng(seed: int, role: int, a: int, b: int) -> np.random.Generator:
-    # Philox keyed by (seed, role, a, b): streams are independent of the
-    # order in which links are synthesized and portable across platforms.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, role, a, b])))
 
 
 def _check_seed(rng_seed: int) -> int:
@@ -231,7 +230,7 @@ def place_destinations(region: Region, num_destinations: int, rng_seed: int) -> 
     """
     if num_destinations < 1:
         raise ValueError("num_destinations must be at least 1")
-    rng = _link_rng(_check_seed(rng_seed), _ROLE_PLACEMENT, 0, 0)
+    rng = next(_link_streams(_check_seed(rng_seed), [(_ROLE_PLACEMENT, 0, 0)]))
     x = rng.uniform(region.x_min, region.x_max, size=num_destinations)
     y = rng.uniform(region.y_min, region.y_max, size=num_destinations)
     return np.column_stack([x, y])
@@ -306,6 +305,25 @@ def _philox_keys(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
 
 
+def _link_streams(seed: int, links):
+    """Yield one generator, re-keyed to each ``(role, a, b)`` link in turn.
+
+    Link i gets the stream of ``Philox(SeedSequence([seed, role, a, b]))``:
+    a fresh generator's state (counter 0, empty buffer) with the link's key
+    from one batched ``_philox_keys`` call. Draw from it before asking for
+    the next link. The generator's own seed is never drawn from.
+    """
+    seed_words = _uint32_words(seed)
+    keys = _philox_keys(np.array([[*seed_words, *link] for link in links], dtype=np.uint32))
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    rng = np.random.Generator(bitgen)
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
+
+
 def synthesize_realization(
     topology: Topology,
     profile: TapProfile,
@@ -314,10 +332,8 @@ def synthesize_realization(
 ) -> ChannelRealization:
     """Draw one multipath realization of every link in the topology.
 
-    Link ``(role, a, b)`` draws from the stream of ``_link_rng(seed, role,
-    a, b)``: its shadowing first, then the real and the imaginary parts of
-    its taps. The keys of all links come from one batched ``_philox_keys``
-    call, and one ``Philox`` is re-keyed per link through its ``state``.
+    Link ``(role, a, b)`` draws from its ``_link_streams`` stream: its
+    shadowing first, then the real and the imaginary parts of its taps.
     """
     seed = _check_seed(rng_seed)
     k = int(num_subcarriers)
@@ -335,18 +351,8 @@ def synthesize_realization(
         *((_ROLE_RELAY_DEST, i, j, float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i]))))
           for i in range(n) for j in range(u)),
     ]
-    seed_words = _uint32_words(seed)
-    keys = _philox_keys(np.array([[*seed_words, role, a, b] for role, a, b, _ in links], dtype=np.uint32))
-
-    # a fresh generator's state (counter 0, empty buffer), re-keyed per link;
-    # its seed is never drawn from
-    bitgen = np.random.Philox(0)
-    state = bitgen.state
-    rng = np.random.Generator(bitgen)
     z = np.empty((len(links), 1 + 2 * length))
-    for key, row in zip(keys, z):
-        state["state"]["key"] = key
-        bitgen.state = state
+    for rng, row in zip(_link_streams(seed, [link[:3] for link in links]), z):
         rng.standard_normal(out=row)
 
     # scalar per link, as rng.normal(0, std) and TapProfile.link_variances

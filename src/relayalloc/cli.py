@@ -180,6 +180,25 @@ def _as_int(raw: dict, key: str, errors: list, default=None, required=False, min
     return value
 
 
+def _as_points(value, key: str, errors: list, count: Optional[int] = None) -> Optional[tuple]:
+    """``value`` as a tuple of finite (x, y) pairs, ``count`` of them if given.
+
+    Returns None after recording an error under ``key``.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1 or count not in (None, arr.shape[0]):
+        want = {None: "a list of [x, y] pairs", 1: "an [x, y] pair"}.get(count, f"{count} [x, y] pairs")
+        errors.append(f"{key}: expected {want}")
+        return None
+    if not np.all(np.isfinite(arr)):
+        errors.append(f"{key}: coordinates must be finite")
+        return None
+    return tuple(map(tuple, arr.tolist()))
+
+
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Parse and validate a YAML or JSON config file.
 
@@ -246,29 +265,14 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     if not isinstance(geometry, dict):
         errors.append("geometry: expected a mapping")
         geometry = {}
-    source_xy = tuple(geometry.get("source_xy", (0.0, 0.0)))
-    relay_xy = geometry.get("relay_xy", _DEFAULT_RELAYS)
-    try:
-        relay_arr = np.asarray(relay_xy, dtype=float)
-        if relay_arr.ndim != 2 or relay_arr.shape[1] != 2 or relay_arr.shape[0] < 1:
-            raise ValueError
-    except (TypeError, ValueError):
-        errors.append("geometry.relay_xy: expected a list of [x, y] pairs")
-        relay_arr = np.asarray(_DEFAULT_RELAYS)
+    source = _as_points([geometry.get("source_xy", (0.0, 0.0))], "geometry.source_xy", errors, count=1)
+    relay_xy = _as_points(geometry.get("relay_xy", _DEFAULT_RELAYS), "geometry.relay_xy", errors)
 
-    dest_xy = geometry.get("destination_xy")
-    region_raw = geometry.get("destination_region", None if dest_xy is not None else _DEFAULT_REGION)
-    region = None
-    if dest_xy is not None:
-        try:
-            dest_arr = np.asarray(dest_xy, dtype=float)
-            if uu is not None and dest_arr.shape != (uu, 2):
-                errors.append(f"geometry.destination_xy: expected {uu} [x, y] pairs")
-            dest_xy = tuple(map(tuple, dest_arr.tolist()))
-        except (TypeError, ValueError):
-            errors.append("geometry.destination_xy: expected a list of [x, y] pairs")
-            dest_xy = None
-    if dest_xy is None:
+    dest_xy = region = None
+    if geometry.get("destination_xy") is not None:
+        dest_xy = _as_points(geometry["destination_xy"], "geometry.destination_xy", errors, count=uu)
+    else:
+        region_raw = geometry.get("destination_region", _DEFAULT_REGION)
         try:
             region = channel.Region(**{k: float(region_raw[k]) for k in ("x_min", "x_max", "y_min", "y_max")})
         except (KeyError, TypeError, ValueError) as exc:
@@ -310,8 +314,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         seed=seed,
         realizations=realizations,
         protocols=tuple(protocols),
-        source_xy=source_xy,
-        relay_xy=tuple(map(tuple, relay_arr.tolist())),
+        source_xy=source[0],
+        relay_xy=relay_xy,
         destination_region=region,
         destination_xy=dest_xy,
         num_taps=num_taps,
@@ -322,10 +326,14 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         workers=workers,
         output_dir=output_dir,
     )
-    try:
-        config.solver_params()  # epsilon and highpower_factor ranges
-    except ValueError as exc:
-        raise ConfigError(f"invalid config:\n  solver: {exc}") from exc
+    # the ranges the solver and the tap profile check themselves
+    for key, build in (("solver", config.solver_params), ("taps", config.tap_profile)):
+        try:
+            build()
+        except ValueError as exc:
+            errors.append(f"{key}: {exc}")
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return config
 
 
@@ -379,12 +387,10 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
             record(proto, reference.solve_reference(gains, params.ptot, weights=params.weights,
                                                     g1_table=mode_sets.g1))
         elif proto == PROTO_HIGHPOWER:
-            if bracket is None:
-                bracket = solver.price_bracket(params, gains, mode_sets)
-            report = highpower.check_conditions(params, gains, mu_upper=bracket[1], mode_sets=mode_sets)
+            report = highpower.check_conditions(params, gains, mode_sets, bracket)
             out["highpower_met"] = report.conditions_met
             if report.conditions_met:
-                record(proto, highpower.solve_high_power(params, gains, report=report, bracket=bracket))
+                record(proto, highpower.solve_high_power(params, gains, report=report))
             else:
                 out["wsr"][proto] = math.nan
                 out["user_rates"][proto] = np.full(uu, math.nan)

@@ -30,7 +30,8 @@ class HighPowerReport:
     destination can see at the upper price bound. ``margin`` is the ratio of
     the threshold to the larger of the two quantities it must dominate; the
     conditions hold when ``margin >= factor``, the ``highpower_factor`` of
-    the solver parameters.
+    the solver parameters. ``mu_lower`` and ``mu_upper`` are the
+    ``solver.price_bracket`` the conditions were checked at.
     """
 
     conditions_met: bool
@@ -39,27 +40,31 @@ class HighPowerReport:
     max_gain: float
     margin: float
     factor: float
+    mu_lower: float
+    mu_upper: float
 
 
 def check_conditions(
     params: SolverParams,
     gains: GainTable,
-    mu_upper: Optional[float] = None,
     mode_sets: Optional[rates.ModeSets] = None,
+    bracket: Optional[tuple] = None,
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
     The threshold must exceed ``params.highpower_factor`` times both the
     largest admissible inverse gain max(1/g1, 1/g_su) and the largest gain
     max(g1, g_su) over all subcarrier destination pairs. ``mode_sets``
-    (``rates.classify`` at ``params.ptot``) and mu_upper are computed when
-    not supplied.
+    (``rates.classify`` at ``params.ptot``) and ``bracket``
+    (``solver.price_bracket``'s (mu_lower, mu_upper)) are computed when not
+    supplied.
     """
     factor = params.highpower_factor
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
-    if mu_upper is None:
-        _, mu_upper = solver.price_bracket(params, gains, mode_sets)
+    if bracket is None:
+        bracket = solver.price_bracket(params, gains, mode_sets)
+    mu_lower, mu_upper = bracket
 
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
@@ -74,6 +79,8 @@ def check_conditions(
         max_gain=max_gain,
         margin=margin,
         factor=factor,
+        mu_lower=mu_lower,
+        mu_upper=mu_upper,
     )
 
 
@@ -81,24 +88,19 @@ def solve_high_power(
     params: SolverParams,
     gains: GainTable,
     report: Optional[HighPowerReport] = None,
-    bracket: Optional[tuple] = None,
 ) -> Allocation:
     """Closed form allocation for the high power regime.
 
     Power is split uniformly over subcarriers. With equal weights each
     subcarrier goes to the destination with the largest direct gain; with
     unequal weights the weighted log dominates and every subcarrier goes to
-    the maximum weight destination (lowest index on ties). ``bracket`` is
-    ``solver.price_bracket``'s (mu_lower, mu_upper), computed when not
-    supplied. Raises ValueError when the regime conditions are not met.
+    the maximum weight destination (lowest index on ties). The price bracket
+    reported is the one ``report`` was checked at; ``report`` is computed
+    when not supplied. Raises ValueError when the regime conditions are not
+    met.
     """
-    if bracket is None or report is None:
-        mode_sets = rates.classify(gains, params.ptot)
-        if bracket is None:
-            bracket = solver.price_bracket(params, gains, mode_sets)
-        if report is None:
-            report = check_conditions(params, gains, bracket[1], mode_sets)
-    mu_lower, mu_upper = bracket
+    if report is None:
+        report = check_conditions(params, gains)
     if not report.conditions_met:
         raise ValueError(
             "high power conditions not met "
@@ -119,12 +121,12 @@ def solve_high_power(
     return Allocation(
         assignments=solver._LazyAssignments(dest, mode, power, gains),
         wsr=solver._weighted_total(w[dest], rate),
-        mu_star=mu_upper,
+        mu_star=report.mu_upper,
         residual=0.0,
         iterations=0,
         status=solver.STATUS_CLOSED_FORM,
-        mu_lower=mu_lower,
-        mu_upper=mu_upper,
+        mu_lower=report.mu_lower,
+        mu_upper=report.mu_upper,
         dest=dest,
         mode=mode,
         power=power,

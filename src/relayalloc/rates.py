@@ -10,9 +10,11 @@ the minimum of the worst source-relay link and the combined second hop.
 The relay aided problem has a closed form: sort relays by their source link
 gain, consider suffix sets, and pick the suffix whose beamforming ratio is
 largest. The result is a single effective gain so the two slot rate becomes
-``ln(1 + gain * P)`` for the total subcarrier power P. ``relay_closed_form``
-evaluates it for a whole batch of pairs at once; the gain table, the per
-pair ``relay_aided_solution`` and the solver's assignments all read it.
+``ln(1 + gain * P)`` for the total subcarrier power P; the relay set and the
+power split scale with P, so only fractions are kept. ``relay_closed_form``
+evaluates it for a whole batch of pairs at once: ``classify`` on the (K, U)
+grid, and ``relay_aided_solution`` on chosen (subcarrier, destination) pairs
+of a gain table, for the solver's assignment rows and rate recomputations.
 
 All rates are in nats per two slot frame.
 """
@@ -20,7 +22,6 @@ All rates are in nats per two slot frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,14 +33,10 @@ __all__ = [
     "CASE_SOURCE_DOMINATES",
     "CASE_RELAY_SUM_WEAK",
     "CASE_BEAMFORM",
-    "PerPairGains",
-    "RelayAidedSolution",
     "RelayClosedForm",
     "ModeSets",
-    "direct_rate",
-    "relay_aided_solution",
     "relay_closed_form",
-    "pair_closed_form",
+    "relay_aided_solution",
     "effective_gain_table",
     "classify",
 ]
@@ -55,95 +52,18 @@ CASES = (CASE_SOURCE_DOMINATES, CASE_RELAY_SUM_WEAK, CASE_BEAMFORM)
 
 
 @dataclass(frozen=True, eq=False)
-class PerPairGains:
-    """Gains seen by one (subcarrier, destination) pair."""
-
-    g_su: float
-    g_sr: np.ndarray  # (N,) source to relay
-    g_ru: np.ndarray  # (N,) relay to destination
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g_sr", np.asarray(self.g_sr, dtype=float))
-        object.__setattr__(self, "g_ru", np.asarray(self.g_ru, dtype=float))
-        if self.g_sr.ndim != 1 or self.g_sr.size < 1 or self.g_sr.shape != self.g_ru.shape:
-            raise ValueError("g_sr and g_ru must be 1-D arrays of equal nonzero length")
-        if self.g_su < 0 or np.any(self.g_sr < 0) or np.any(self.g_ru < 0):
-            raise ValueError("gains must be nonnegative")
-        if not (np.isfinite(self.g_su) and np.all(np.isfinite(self.g_sr)) and np.all(np.isfinite(self.g_ru))):
-            raise ValueError("gains must be finite")
-
-    @classmethod
-    def from_table(cls, gains: GainTable, k: int, u: int) -> "PerPairGains":
-        return cls(g_su=float(gains.g_su[k, u]), g_sr=gains.g_sr[k, :], g_ru=gains.g_ru[k, :, u])
-
-    @property
-    def num_relays(self) -> int:
-        return self.g_sr.size
-
-
-@dataclass(frozen=True, eq=False)
-class RelayAidedSolution:
-    """Optimum relay set and power split for one (subcarrier, destination).
-
-    ``sorted_order`` lists relay indices by increasing source link gain (ties
-    by relay index). ``x_idx``/``y_idx``/``z_idx`` are 0-based positions in
-    that order and are set only in the beamform case: x is the first relay
-    whose source link beats the direct link, y the last suffix whose second
-    hop sum still beats the direct link, z the maximizing suffix start.
-
-    ``source_fraction`` is the share of the subcarrier power spent by the
-    source in the broadcasting slot; the remainder goes to ``relay_set`` in
-    proportion to ``relay_fractions`` (which sum to one).
-    """
-
-    effective_gain: float
-    case_id: str
-    sorted_order: np.ndarray
-    x_idx: Optional[int]
-    y_idx: Optional[int]
-    z_idx: Optional[int]
-    relay_set: tuple
-    source_fraction: float
-    relay_fractions: np.ndarray
-
-
-def direct_rate(g_su: float, power: float) -> float:
-    """Two slot rate of direct transmission with the optimum equal split."""
-    if g_su < 0 or power < 0:
-        raise ValueError("g_su and power must be nonnegative")
-    return 2.0 * np.log1p(g_su * power / 2.0)
-
-
-def relay_aided_solution(gains: PerPairGains, power: float) -> RelayAidedSolution:
-    """Closed form optimum of the relay aided max-min rate problem.
-
-    The effective gain does not depend on ``power``; the split scales
-    linearly with it, so only fractions are returned.
-    """
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    cf = relay_closed_form(np.array([[gains.g_su]]), gains.g_sr[None, :], gains.g_ru[None, :, None])
-    [(relay_set, fractions)] = cf.relay_splits([1.0])
-    x, y, z = (int(v[0, 0]) if v[0, 0] >= 0 else None for v in (cf.x, cf.y, cf.z))
-    return RelayAidedSolution(
-        effective_gain=float(cf.gain[0, 0]),
-        case_id=CASES[cf.case[0, 0]],
-        sorted_order=cf.order[0],
-        x_idx=x, y_idx=y, z_idx=z,
-        relay_set=relay_set,
-        source_fraction=float(cf.source_fraction[0, 0]),
-        relay_fractions=fractions,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class RelayClosedForm:
     """The relay aided closed form of a batch of (subcarrier, destination) pairs.
 
     Row m holds one subcarrier's N relays and U destinations: per pair
     arrays are (M, U), per relay ones (M, N, U) in sorted position.
-    ``order``, ``x``, ``y`` and ``z`` are as in ``RelayAidedSolution``, with
-    -1 outside the beamform case; ``case`` indexes ``CASES``.
+    ``order`` lists relay indices by increasing source link gain (ties by
+    relay index). ``x``, ``y`` and ``z`` are 0-based positions in that order,
+    -1 outside the beamform case: x is the first relay whose source link
+    beats the direct link, y the last suffix whose second hop sum still
+    beats the direct link, z the maximizing suffix start. ``source_fraction``
+    is the share of the subcarrier power the source spends in the
+    broadcasting slot; ``case`` indexes ``CASES``.
     """
 
     gain: np.ndarray             # (M, U) effective gain
@@ -168,9 +88,11 @@ class RelayClosedForm:
         shared = np.asarray(shared, dtype=float)
         u = self.z.shape[1]
         z_safe = np.maximum(self.z, 0)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # only the entries from z on are read; the others may be 0/0 or
+        # overflow where the suffix sum at z is subnormal
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             frac = self.g_ru_sorted / np.take_along_axis(self.suffix_sum, z_safe, axis=1)
-        powers = shared[:, None] * frac.transpose(0, 2, 1).reshape(shared.size, frac.shape[1])
+            powers = shared[:, None] * frac.transpose(0, 2, 1).reshape(shared.size, frac.shape[1])
         order = np.repeat(self.order, u, axis=0).tolist()
         best = np.repeat(self.best, u).tolist()
         out = []
@@ -224,7 +146,7 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
     )
 
 
-def pair_closed_form(gains: GainTable, k: np.ndarray, u: np.ndarray) -> RelayClosedForm:
+def relay_aided_solution(gains: GainTable, k, u) -> RelayClosedForm:
     """Closed form of the pairs (k[i], u[i]) of a gain table, as rows i."""
     return relay_closed_form(gains.g_su[k, u][:, None], gains.g_sr[k], gains.g_ru[k, :, u][:, :, None])
 

@@ -385,7 +385,7 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
     reference protocol). One closed form call splits every relay aided one.
     """
     relay_k = np.nonzero(mode == MODE_RELAY)[0]
-    cf = rates.pair_closed_form(gains, relay_k, dest[relay_k])
+    cf = rates.relay_aided_solution(gains, relay_k, dest[relay_k])
     p_relay = power[relay_k]
     p_src = cf.source_fraction[:, 0] * p_relay
     splits = iter(zip(p_src.tolist(), cf.relay_splits(p_relay - p_src)))
@@ -553,7 +553,7 @@ def _assignment_rates(assignments, gains: GainTable):
     power = np.array([a.sum_power for a in assignments], dtype=float)
     relay = np.array([a.mode == MODE_RELAY for a in assignments], dtype=bool)
     gain = gains.g_su[k, u]
-    gain[relay] = rates.pair_closed_form(gains, k[relay], u[relay]).gain[:, 0]
+    gain[relay] = rates.relay_aided_solution(gains, k[relay], u[relay]).gain[:, 0]
     return u, _rates(gain, power, relay)
 
 

@@ -1,10 +1,12 @@
-"""Brute force verifiers, independent of the solver code paths.
+"""Brute force verifiers for the test suite, independent of the solver code paths.
 
 Everything here recomputes results from first principles: relay subsets and
 broadcast fractions are enumerated on grids, power is swept over a simplex
-grid, and nothing is shared with the production modules beyond the plain
-data containers. Orders of magnitude slower than the solvers by design;
-only meant for tiny instances inside the test suite.
+grid, and nothing is shared with the package beyond its plain data
+containers, ``GainTable`` and ``SolverParams``. A (subcarrier, destination)
+pair is the tuple ``(g_su, g_sr, g_ru)``: its direct gain and its N source to
+relay and relay to destination gains. Orders of magnitude slower than the
+solvers by design; only meant for tiny instances.
 """
 
 from __future__ import annotations
@@ -14,14 +16,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import GainTable
-from .rates import PerPairGains
-from .solver import SolverParams
+from relayalloc.channel import GainTable
+from relayalloc.solver import SolverParams
 
 __all__ = ["oracle_relay_gain", "oracle_split_optimality", "oracle_global_wsr"]
 
 
-def oracle_relay_gain(g: PerPairGains, power: float, grid: int = 10_000) -> float:
+def _gains(pair: tuple) -> tuple:
+    """(g_su, g_sr, g_ru) of a pair as a float and two 1-D float arrays."""
+    g_su, g_sr, g_ru = pair
+    return float(g_su), np.asarray(g_sr, dtype=float), np.asarray(g_ru, dtype=float)
+
+
+def oracle_relay_gain(pair: tuple, power: float, grid: int = 10_000) -> float:
     """Max-min received SNR of the relay aided slot pair by enumeration.
 
     Sweeps every nonempty relay subset and broadcast fraction
@@ -36,22 +43,22 @@ def oracle_relay_gain(g: PerPairGains, power: float, grid: int = 10_000) -> floa
         raise ValueError("power must be nonnegative")
     if power == 0.0:
         return 0.0
+    g_su, g_sr, g_ru = _gains(pair)
     psi = np.linspace(0.0, 1.0, grid + 1)
-    n = g.num_relays
     best = 0.0
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
+    for size in range(1, g_sr.size + 1):
+        for subset in combinations(range(g_sr.size), size):
             idx = list(subset)
-            decode = float(g.g_sr[idx].min()) * power
-            combine = g.g_su * power
-            miso = float(g.g_ru[idx].sum()) * power
+            decode = float(g_sr[idx].min()) * power
+            combine = g_su * power
+            miso = float(g_ru[idx].sum()) * power
             snr = np.minimum(psi * decode, psi * combine + (1.0 - psi) * miso)
             best = max(best, float(snr.max()))
     return best
 
 
 def oracle_split_optimality(
-    g: PerPairGains,
+    pair: tuple,
     power: float,
     relay_set: tuple,
     trials: int = 200,
@@ -68,7 +75,7 @@ def oracle_split_optimality(
     idx = list(relay_set)
     if len(idx) == 0:
         raise ValueError("relay_set must be nonempty")
-    gr = g.g_ru[idx]
+    gr = _gains(pair)[2][idx]
     closed_form = power * float(gr.sum())
     tol = 1e-9 * max(1.0, closed_form)
     rng = np.random.default_rng(seed)
@@ -86,10 +93,9 @@ def _oracle_envelope(params: SolverParams, gains: GainTable, powers: np.ndarray,
     env = np.zeros((kk, powers.size))
     for k in range(kk):
         for u in range(uu):
-            pair = PerPairGains.from_table(gains, k, u)
+            g_su = float(gains.g_su[k, u])
             w = float(params.weights[u])
-            g_su = float(pair.g_su)
-            snr_unit = oracle_relay_gain(pair, 1.0, psi_grid)
+            snr_unit = oracle_relay_gain((g_su, gains.g_sr[k], gains.g_ru[k, :, u]), 1.0, psi_grid)
             for j, p in enumerate(powers):
                 relay = w * math.log1p(snr_unit * p)
                 direct = 2.0 * w * math.log1p(g_su * p / 2.0)

@@ -29,6 +29,8 @@ def _topo(dest=((0.0, -20.0),), relays=((5.0, -5.0),)):
 def test_region_rejects_zero_area():
     with pytest.raises(ValueError):
         Region(x_min=0.0, x_max=0.0, y_min=0.0, y_max=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Region(x_min=-math.inf, x_max=0.0, y_min=0.0, y_max=1.0)
 
 
 def test_placement_inside_region_and_deterministic():
@@ -151,6 +153,10 @@ def test_gain_table_shape_validation():
         GainTable(g_su=np.ones((4, 2)), g_sr=np.ones((3, 1)), g_ru=np.ones((4, 1, 2)))
     with pytest.raises(ValueError):
         GainTable(g_su=-np.ones((2, 2)), g_sr=np.ones((2, 1)), g_ru=np.ones((2, 1, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        GainTable(g_su=np.ones((2, 2)), g_sr=np.full((2, 1), np.inf), g_ru=np.ones((2, 1, 2)))
+    with pytest.raises(ValueError, match="one relay"):
+        GainTable(g_su=np.ones((2, 2)), g_sr=np.ones((2, 0)), g_ru=np.ones((2, 0, 2)))
 
 
 _SMALL_ENDS = st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 40))
@@ -176,11 +182,23 @@ def test_batched_keys_equal_seed_sequence_keys(seeds, ends, data):
     np.testing.assert_array_equal(_philox_keys(entropy), np.array(want))
 
 
+def _seed_sequence_stream(seed, role, a, b):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, role, a, b])))
+
+
+def _placement_reference(region, count, seed):
+    """Reference placement: x then y uniforms from the placement role's stream."""
+    rng = _seed_sequence_stream(seed, 3, 0, 0)
+    x = rng.uniform(region.x_min, region.x_max, size=count)
+    y = rng.uniform(region.y_min, region.y_max, size=count)
+    return np.column_stack([x, y])
+
+
 def _link_by_link(topology, profile, num_subcarriers, seed):
     """Reference synthesis: one ``Philox(SeedSequence([seed, role, a, b]))``
     per link, drawing its shadowing, then the real and imaginary tap parts."""
     def draw(role, a, b, distance):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, role, a, b])))
+        rng = _seed_sequence_stream(seed, role, a, b)
         shadow = 10.0 ** (rng.normal(0.0, profile.shadowing_db_std) / 10.0)
         var = profile.link_variances(distance) * shadow
         scale = np.sqrt(var / 2.0)
@@ -240,6 +258,9 @@ def test_synthesis_equals_link_by_link_reference(inputs):
         # to_gains reads the spectra; keep the reference's C order too
         assert got.flags.c_contiguous, name
     assert (real.num_subcarriers, real.seed) == (k, seed)
+    # placement keys its one stream the same batched way
+    count = topology.num_destinations
+    assert np.array_equal(place_destinations(REGION, count, seed), _placement_reference(REGION, count, seed))
 
 
 def test_taps_are_pinned():

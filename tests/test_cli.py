@@ -226,10 +226,24 @@ geometry:
     # subnormal in watts: 1e-320 W would overflow the gains it divides
     ("noise_dbw", "noise_dbw: -3200"),
     ("ptot_dbw", "ptot_dbw: -3200"),
+    # coordinates and tap profiles that only fail inside a run unless checked at load
+    ("geometry.source_xy", "geometry: {source_xy: 5}"),
+    ("geometry.source_xy", "geometry: {source_xy: [1, 2, 3]}"),
+    ("geometry.relay_xy", "geometry: {relay_xy: [[-5.0, -5.0], [.nan, -5.0]]}"),
+    ("geometry.destination_xy", "geometry: {destination_xy: [[.inf, -20], [0, -20]]}"),
+    ("geometry.destination_region", "geometry: {destination_region: {x_min: -.inf, x_max: 10, y_min: -30, y_max: -10}}"),
+    ("decay", "taps: {decay: -1.0}"),
+    ("shadowing_db_std", "taps: {shadowing_db_std: -2.0}"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
-    key = line.split(":")[0] + ":"
-    text = "".join(row for row in GOOD_YAML.splitlines(keepends=True) if not row.startswith(key)) + line + "\n"
+    # replace the top level key of ``line``, with its indented block
+    key, kept, skipping = line.split(":")[0] + ":", [], False
+    for row in GOOD_YAML.splitlines(keepends=True):
+        if not row.startswith(" "):
+            skipping = row.startswith(key)
+        if not skipping:
+            kept.append(row)
+    text = "".join(kept) + line + "\n"
     assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -377,34 +391,14 @@ def test_parallel_run_logs_progress(tmp_path, caplog):
     assert done == ["realization 1/3 done", "realization 2/3 done", "realization 3/3 done"]
 
 
-def test_realization_reads_the_relay_closed_form_in_batches(tmp_path, monkeypatch):
-    # at 0 dBW most subcarriers go relay aided; neither protocol may rebuild
-    # the closed form one subcarrier at a time
-    calls = []
-    solution = cli.rates.relay_aided_solution
-    from_table = cli.rates.PerPairGains.from_table.__func__
-    monkeypatch.setattr(cli.rates, "relay_aided_solution",
-                        lambda *a, **kw: calls.append("relay_aided_solution") or solution(*a, **kw))
-    monkeypatch.setattr(cli.rates.PerPairGains, "from_table",
-                        classmethod(lambda cls, *a: calls.append("from_table") or from_table(cls, *a)))
-    # a single run, the only one that keeps assignment rows
-    text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0").replace("realizations: 3", "realizations: 1")
-    cfg = load_config(_write(tmp_path, text))
-    assert cfg.protocols == ("proposed", "reference")
-    out = cli._run_realization(cfg, 0)
-    for proto in cfg.protocols:
-        assert sum(a.mode == cli.rates.MODE_RELAY for a in out["assignments"][proto]) >= 4
-    assert calls == []
-
-
 def _count_row_builds(monkeypatch) -> list:
     """Record every call that assembles assignment rows or their relay split."""
     calls = []
-    assemble, closed_form = cli.solver._assemble, cli.rates.pair_closed_form
+    assemble, closed_form = cli.solver._assemble, cli.rates.relay_aided_solution
     monkeypatch.setattr(cli.solver, "_assemble",
                         lambda *a, **kw: calls.append("_assemble") or assemble(*a, **kw))
-    monkeypatch.setattr(cli.rates, "pair_closed_form",
-                        lambda *a: calls.append("pair_closed_form") or closed_form(*a))
+    monkeypatch.setattr(cli.rates, "relay_aided_solution",
+                        lambda *a: calls.append("relay_aided_solution") or closed_form(*a))
     return calls
 
 
@@ -421,10 +415,26 @@ def test_only_a_single_run_assembles_assignment_rows(tmp_path, monkeypatch):
 
     single = _write(tmp_path, text.replace("realizations: 3", "realizations: 1"), "single.yaml")
     assert main([str(single), "-o", str(tmp_path / "single")]) == 0
-    assert calls.count("_assemble") == 3
+    # each protocol's rows take their relay split from one batched closed form call
+    assert calls == ["_assemble", "relay_aided_solution"] * 3
     for proto in ("proposed", "reference", "highpower"):
         rows = (tmp_path / "single" / f"alloc_{proto}.csv").read_text().splitlines()
         assert len(rows) == 1 + 8
+
+
+def test_realization_reads_the_relay_closed_form_in_batches(tmp_path, monkeypatch):
+    # at 0 dBW most subcarriers go relay aided; neither protocol may rebuild
+    # the closed form one subcarrier at a time
+    calls = _count_row_builds(monkeypatch)
+    # a single run, the only one that keeps assignment rows
+    text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 0.0").replace("realizations: 3", "realizations: 1")
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.protocols == ("proposed", "reference")
+    out = cli._run_realization(cfg, 0)
+    for proto in cfg.protocols:
+        assert sum(a.mode == cli.rates.MODE_RELAY for a in out["assignments"][proto]) >= 4
+    # one batched closed form call per protocol's rows
+    assert calls == ["_assemble", "relay_aided_solution"] * 2
 
 
 DEAD_YAML = """\

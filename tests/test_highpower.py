@@ -64,10 +64,14 @@ def test_equal_weights_pick_best_direct_gain_per_subcarrier():
         assert math.isclose(a.sum_power, 1000.0, rel_tol=1e-12)
         assert math.isclose(a.broadcast_power, 500.0, rel_tol=1e-12)
         assert math.isclose(a.relaying_power, 500.0, rel_tol=1e-12)
-    want = 0.5 * rates.direct_rate(3.0, 1000.0) + 0.5 * rates.direct_rate(2.0, 1000.0)
+    want = 0.5 * 2.0 * math.log1p(3.0 * 500.0) + 0.5 * 2.0 * math.log1p(2.0 * 500.0)
     assert math.isclose(alloc.wsr, want, rel_tol=1e-12)
     assert alloc.status == "closed_form" and alloc.converged
     assert alloc.residual == 0.0
+    # the allocation reports the bracket its report was checked at
+    bracket = solver.price_bracket(params, gains, rates.classify(gains, params.ptot))
+    assert (alloc.mu_lower, alloc.mu_upper) == (report.mu_lower, report.mu_upper) == bracket
+    assert alloc.mu_star == report.mu_upper
 
 
 def test_unequal_weights_send_everything_to_the_heaviest_user():
@@ -120,14 +124,15 @@ def test_custom_factor_changes_the_verdict():
     assert math.isclose(strict.margin, lax.margin, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("mu_upper", [None, 0.0])
-def test_no_usable_link_fails_conditions(mu_upper):
+@pytest.mark.parametrize("bracket", [None, (0.0, 0.0)], ids=["None", "0.0"])
+def test_no_usable_link_fails_conditions(bracket):
     # an all-zero table has the bracket (0, 0); the check must not divide by it
     gains = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
     params = solver.SolverParams(ptot=5.0, weights=[0.5, 0.5])
-    report = check_conditions(params, gains, mu_upper=mu_upper)
+    report = check_conditions(params, gains, bracket=bracket)
     assert not report.conditions_met
     assert report.threshold == 0.0 and report.margin == 0.0
+    assert (report.mu_lower, report.mu_upper) == (0.0, 0.0)
 
 
 def test_wsr_is_bit_identical_to_the_recomputed_weighted_sum_rate():
@@ -162,9 +167,10 @@ def test_report_takes_its_maxima_from_the_mode_sets():
         mode_sets = rates.classify(gains, params.ptot)
         both = np.stack([mode_sets.g1, gains.g_su])
         want = (float(rates._inverse(both).max()), float(both.max()))
-        mu_upper = solver.price_bracket(params, gains, mode_sets)[1]
+        bracket = solver.price_bracket(params, gains, mode_sets)
         default = check_conditions(params, gains)
-        given = check_conditions(params, gains, mu_upper=mu_upper, mode_sets=mode_sets)
+        given = check_conditions(params, gains, mode_sets=mode_sets, bracket=bracket)
         for report in (default, given):
             assert (report.max_inverse_gain, report.max_gain) == want
+            assert (report.mu_lower, report.mu_upper) == bracket
         assert (default.threshold, default.margin) == (given.threshold, given.margin)

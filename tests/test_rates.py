@@ -16,27 +16,41 @@ from relayalloc.rates import (
     CASE_SOURCE_DOMINATES,
     MODE_DIRECT,
     MODE_RELAY,
-    PerPairGains,
     classify,
-    direct_rate,
     effective_gain_table,
     relay_aided_solution,
     relay_closed_form,
 )
+from relayalloc.solver import _rates
 
 
-def relay_rate(gains: PerPairGains, power: float) -> float:
-    """Two slot rate of the optimally configured relay aided pair."""
-    return float(np.log1p(relay_aided_solution(gains, 0.0).effective_gain * power))
+def pair_solution(g_su, g_sr, g_ru):
+    """The closed form of one (subcarrier, destination) pair: row 0 of
+    ``relay_aided_solution`` on its gain table, and its relay set and relay
+    power fractions."""
+    table = GainTable(g_su=[[g_su]], g_sr=[g_sr], g_ru=np.reshape(g_ru, (1, -1, 1)))
+    cf = relay_aided_solution(table, [0], [0])
+    [(relay_set, fractions)] = cf.relay_splits([1.0])
+    return cf, relay_set, fractions
+
+
+def effective_gain(g_su, g_sr, g_ru) -> float:
+    return float(pair_solution(g_su, g_sr, g_ru)[0].gain[0, 0])
+
+
+def direct_rate(g_su: float, power: float) -> float:
+    """The solver's two slot rate of a direct subcarrier."""
+    return float(_rates(np.array([g_su]), np.array([power]), np.array([False]))[0])
+
+
+def relay_rate(gain: float, power: float) -> float:
+    """The solver's two slot rate of a relay aided subcarrier of effective gain ``gain``."""
+    return float(_rates(np.array([gain]), np.array([power]), np.array([True]))[0])
 
 
 def random_pair(rng, n=None):
     n = int(rng.integers(1, 5)) if n is None else n
-    return PerPairGains(
-        g_su=float(rng.lognormal(0.0, 1.0)),
-        g_sr=rng.lognormal(0.0, 1.0, n),
-        g_ru=rng.lognormal(0.0, 1.0, n),
-    )
+    return float(rng.lognormal(0.0, 1.0)), rng.lognormal(0.0, 1.0, n), rng.lognormal(0.0, 1.0, n)
 
 
 # ---------------------------------------------------------------- direct mode
@@ -61,115 +75,93 @@ def test_direct_equal_split_is_best():
     assert best > math.log(2.0) + math.log(4.0)
 
 
-def test_direct_rate_rejects_negatives():
-    with pytest.raises(ValueError):
-        direct_rate(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        direct_rate(1.0, -1.0)
-
-
 # ----------------------------------------------------------- relay aided mode
 
 def test_source_dominates_case():
-    sol = relay_aided_solution(PerPairGains(10.0, [5.0], [1.0]), 2.0)
-    assert sol.case_id == CASE_SOURCE_DOMINATES
-    assert sol.effective_gain == 5.0
-    assert sol.relay_set == (0,)
-    assert sol.source_fraction == 1.0
+    cf, relay_set, _ = pair_solution(10.0, [5.0], [1.0])
+    assert CASES[cf.case[0, 0]] == CASE_SOURCE_DOMINATES
+    assert cf.gain[0, 0] == 5.0
+    assert relay_set == (0,)
+    assert cf.source_fraction[0, 0] == 1.0
 
 
 def test_beamform_case_single_relay():
     # zero direct link: the bottleneck balance gives half the gain
-    sol = relay_aided_solution(PerPairGains(0.0, [4.0], [4.0]), 1.0)
-    assert sol.case_id == CASE_BEAMFORM
-    assert math.isclose(sol.effective_gain, 2.0, rel_tol=1e-12)
-    assert math.isclose(sol.source_fraction, 0.5, rel_tol=1e-12)
-    assert sol.relay_set == (0,)
-    assert sol.x_idx == sol.y_idx == sol.z_idx == 0
-    np.testing.assert_allclose(sol.relay_fractions, [1.0])
+    cf, relay_set, fractions = pair_solution(0.0, [4.0], [4.0])
+    assert CASES[cf.case[0, 0]] == CASE_BEAMFORM
+    assert math.isclose(cf.gain[0, 0], 2.0, rel_tol=1e-12)
+    assert math.isclose(cf.source_fraction[0, 0], 0.5, rel_tol=1e-12)
+    assert relay_set == (0,)
+    assert cf.x[0, 0] == cf.y[0, 0] == cf.z[0, 0] == 0
+    np.testing.assert_allclose(fractions, [1.0])
 
 
 def test_relay_sum_weak_case():
     # decodable relays exist but their second hop sum is below the direct link
-    sol = relay_aided_solution(PerPairGains(1.0, [2.0, 3.0], [0.4, 0.5]), 1.0)
-    assert sol.case_id == CASE_RELAY_SUM_WEAK
-    assert sol.effective_gain == 1.0
-    assert sol.source_fraction == 1.0
-    assert len(sol.relay_set) == 1
+    cf, relay_set, _ = pair_solution(1.0, [2.0, 3.0], [0.4, 0.5])
+    assert CASES[cf.case[0, 0]] == CASE_RELAY_SUM_WEAK
+    assert cf.gain[0, 0] == 1.0
+    assert cf.source_fraction[0, 0] == 1.0
+    assert len(relay_set) == 1
 
 
 def test_effective_gain_independent_of_power():
+    # the gain table is the same at every budget, and the relay split of a
+    # pair only scales with the power it shares
     rng = np.random.default_rng(3)
     for _ in range(20):
-        g = random_pair(rng)
-        a = relay_aided_solution(g, 0.5)
-        b = relay_aided_solution(g, 50.0)
-        assert a.effective_gain == b.effective_gain
-        assert a.relay_set == b.relay_set
+        g_su, g_sr, g_ru = random_pair(rng)
+        t = _table([[g_su]], [g_sr], g_ru.reshape(1, -1, 1))
+        np.testing.assert_array_equal(classify(t, 0.5).g1, classify(t, 50.0).g1)
+        (set_a, powers_a), (set_b, powers_b) = relay_aided_solution(t, [0, 0], [0, 0]).relay_splits([0.5, 50.0])
+        assert set_a == set_b
+        np.testing.assert_allclose(powers_b, 100.0 * powers_a, rtol=1e-12)
 
 
 def test_beamform_invariants():
     rng = np.random.default_rng(4)
     hits = 0
     for _ in range(300):
-        g = random_pair(rng)
-        sol = relay_aided_solution(g, 1.0)
-        order = [int(i) for i in sol.sorted_order]
-        if sol.case_id != CASE_BEAMFORM:
+        g_su, g_sr, g_ru = random_pair(rng)
+        cf, relay_set, fractions = pair_solution(g_su, g_sr, g_ru)
+        order = cf.order[0].tolist()
+        if CASES[cf.case[0, 0]] != CASE_BEAMFORM:
             continue
         hits += 1
-        assert sol.effective_gain > g.g_su
-        assert sol.x_idx <= sol.z_idx <= sol.y_idx
+        x, y, z = int(cf.x[0, 0]), int(cf.y[0, 0]), int(cf.z[0, 0])
+        assert cf.gain[0, 0] > g_su
+        assert x <= z <= y
         # the chosen set is a suffix of the sorted order
-        assert list(sol.relay_set) == order[sol.z_idx:]
-        assert math.isclose(float(sol.relay_fractions.sum()), 1.0, rel_tol=1e-12)
+        assert list(relay_set) == order[z:]
+        assert math.isclose(float(fractions.sum()), 1.0, rel_tol=1e-12)
         np.testing.assert_allclose(
-            sol.relay_fractions * g.g_ru[list(sol.relay_set)].sum(),
-            g.g_ru[list(sol.relay_set)],
+            fractions * g_ru[list(relay_set)].sum(),
+            g_ru[list(relay_set)],
             rtol=1e-12,
         )
-        assert 0.0 < sol.source_fraction <= 1.0
+        assert 0.0 < cf.source_fraction[0, 0] <= 1.0
     assert hits > 20
 
 
 def test_multiple_relays_never_hurt():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        g = random_pair(rng)
-        full = relay_aided_solution(g, 1.0).effective_gain
-        singles = [
-            relay_aided_solution(
-                PerPairGains(g.g_su, g.g_sr[i : i + 1], g.g_ru[i : i + 1]), 1.0
-            ).effective_gain
-            for i in range(g.num_relays)
-        ]
+        g_su, g_sr, g_ru = random_pair(rng)
+        full = effective_gain(g_su, g_sr, g_ru)
+        singles = [effective_gain(g_su, g_sr[i : i + 1], g_ru[i : i + 1]) for i in range(g_sr.size)]
         assert full >= max(singles) - 1e-12
 
 
 def test_zero_gains_degenerate():
-    sol = relay_aided_solution(PerPairGains(0.0, [0.0, 0.0], [0.0, 0.0]), 1.0)
-    assert sol.effective_gain == 0.0
-    assert relay_rate(PerPairGains(0.0, [0.0], [0.0]), 3.0) == 0.0
+    assert effective_gain(0.0, [0.0, 0.0], [0.0, 0.0]) == 0.0
+    assert relay_rate(effective_gain(0.0, [0.0], [0.0]), 3.0) == 0.0
 
 
 def test_relay_rate_composition():
-    g = PerPairGains(0.0, [4.0], [4.0])
-    assert math.isclose(relay_rate(g, 1.0), math.log(3.0), rel_tol=1e-12)
-    assert relay_rate(g, 0.0) == 0.0
-    assert relay_rate(g, 2.0) > relay_rate(g, 1.0)
-
-
-def test_pair_validation():
-    with pytest.raises(ValueError):
-        PerPairGains(1.0, [], [])
-    with pytest.raises(ValueError):
-        PerPairGains(1.0, [1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        PerPairGains(-1.0, [1.0], [1.0])
-    with pytest.raises(ValueError):
-        PerPairGains(1.0, [np.inf], [1.0])
-    with pytest.raises(ValueError):
-        relay_aided_solution(PerPairGains(1.0, [1.0], [1.0]), -0.5)
+    g1 = effective_gain(0.0, [4.0], [4.0])
+    assert math.isclose(relay_rate(g1, 1.0), math.log(3.0), rel_tol=1e-12)
+    assert relay_rate(g1, 0.0) == 0.0
+    assert relay_rate(g1, 2.0) > relay_rate(g1, 1.0)
 
 
 # -------------------------------------------------------------- mode switching
@@ -198,8 +190,8 @@ def test_crossover_none_cases():
 def test_rates_tie_at_crossover():
     # ln(1 + 2*4) == 2 ln(1 + 4/2) exactly
     assert math.isclose(math.log(9.0), 2.0 * math.log(3.0), rel_tol=1e-15)
-    g = PerPairGains(0.0, [4.0], [4.0])  # effective gain 2
-    assert math.isclose(relay_rate(g, 4.0), direct_rate(1.0, 4.0), rel_tol=1e-12)
+    g1 = effective_gain(0.0, [4.0], [4.0])  # effective gain 2
+    assert math.isclose(relay_rate(g1, 4.0), direct_rate(1.0, 4.0), rel_tol=1e-12)
 
 
 def test_classify_direct_only():
@@ -249,10 +241,8 @@ def test_effective_gain_table_matches_per_pair():
         table = effective_gain_table(g_su, g_sr, g_ru)
         for kk in range(k):
             for uu in range(u):
-                sol = relay_aided_solution(
-                    PerPairGains(float(g_su[kk, uu]), g_sr[kk], g_ru[kk, :, uu]), 1.0
-                )
-                assert math.isclose(table[kk, uu], sol.effective_gain, rel_tol=1e-12)
+                want = effective_gain(float(g_su[kk, uu]), g_sr[kk], g_ru[kk, :, uu])
+                assert math.isclose(table[kk, uu], want, rel_tol=1e-12)
 
 
 def _scalar_closed_form(g_su, g_sr, g_ru):
@@ -303,34 +293,39 @@ def _one(g_su, g_sr, g_ru):
 @example(_one(1.0, [2.0, 3.0], [0.4, 0.5]))              # relay sum weak
 @example(_one(0.0, [4.0, 4.0, 1.0], [4.0, 0.0, 2.0]))    # beamform with ties and zeros
 @example((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3, 2))))
+@example(_one(1e-320, [1e-321, 2.0], [1e3, 5e-320]))  # subnormal suffix sum at z
+@pytest.mark.filterwarnings("error")
 def test_batched_closed_form_matches_per_pair(batch):
     g_su, g_sr, g_ru = batch
     m, n, u = g_ru.shape
     cf = relay_closed_form(g_su, g_sr, g_ru)
     splits = cf.relay_splits(np.ones(m * u))
     np.testing.assert_array_equal(effective_gain_table(g_su, g_sr, g_ru), cf.gain)
+    # the same pairs picked out of a gain table, one row each
+    k, d = np.divmod(np.arange(m * u), u)
+    picked = relay_aided_solution(_table(g_su, g_sr, g_ru), k, d)
+    picked_splits = picked.relay_splits(np.ones(m * u))
     for i in range(m):
         for j in range(u):
-            sol = relay_aided_solution(PerPairGains(float(g_su[i, j]), g_sr[i], g_ru[i, :, j]), 1.0)
+            row = i * u + j
             gain, case, xyz, relay_set, psi, fractions = _scalar_closed_form(g_su[i, j], g_sr[i], g_ru[i, :, j])
-            assert cf.gain[i, j] == sol.effective_gain == gain
-            assert CASES[cf.case[i, j]] == sol.case_id == case
-            got_xyz = (int(cf.x[i, j]), int(cf.y[i, j]), int(cf.z[i, j]))
-            assert got_xyz == (xyz or (-1, -1, -1))
-            assert (sol.x_idx, sol.y_idx, sol.z_idx) == (xyz or (None, None, None))
-            assert cf.source_fraction[i, j] == sol.source_fraction == psi
-            assert splits[i * u + j][0] == sol.relay_set == relay_set
-            np.testing.assert_array_equal(splits[i * u + j][1], fractions)
-            np.testing.assert_array_equal(sol.relay_fractions, fractions)
+            assert cf.gain[i, j] == picked.gain[row, 0] == gain
+            assert CASES[cf.case[i, j]] == CASES[picked.case[row, 0]] == case
+            for got in (cf.x[i, j], cf.y[i, j], cf.z[i, j]), (picked.x[row, 0], picked.y[row, 0], picked.z[row, 0]):
+                assert tuple(map(int, got)) == (xyz or (-1, -1, -1))
+            assert cf.source_fraction[i, j] == picked.source_fraction[row, 0] == psi
+            assert splits[row][0] == picked_splits[row][0] == relay_set
+            np.testing.assert_array_equal(splits[row][1], fractions)
+            np.testing.assert_array_equal(picked_splits[row][1], fractions)
 
 
 def test_rate_concavity_in_power():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        g = random_pair(rng)
+        g1 = effective_gain(*random_pair(rng))
         p1, p2 = rng.uniform(0.0, 20.0, 2)
         lam = float(rng.uniform(0.0, 1.0))
         mix = lam * p1 + (1.0 - lam) * p2
-        assert relay_rate(g, mix) >= lam * relay_rate(g, p1) + (1 - lam) * relay_rate(g, p2) - 1e-12
+        assert relay_rate(g1, mix) >= lam * relay_rate(g1, p1) + (1 - lam) * relay_rate(g1, p2) - 1e-12
         gd = float(rng.lognormal(0.0, 1.0))
         assert direct_rate(gd, mix) >= lam * direct_rate(gd, p1) + (1 - lam) * direct_rate(gd, p2) - 1e-12

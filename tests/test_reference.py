@@ -140,7 +140,7 @@ def test_reference_single_slot_direct_rate():
     t = _table([[3.0]], [[0.01]], [[[0.01]]])
     ref = solve_reference(t, 2.0)
     assert math.isclose(ref.wsr, math.log1p(3.0 * 2.0), rel_tol=1e-9)
-    assert ref.wsr < rates.direct_rate(3.0, 2.0)
+    assert ref.wsr < 2.0 * math.log1p(3.0 * 2.0 / 2.0)  # the two slot direct rate
 
 
 def test_reference_weight_scaling():

@@ -589,16 +589,17 @@ def test_allocation_arrays_match_the_assignment_rows(instance):
 
 def test_solve_assembles_rows_only_when_they_are_read(monkeypatch):
     calls = []
-    assemble, closed_form = solver._assemble, rates.pair_closed_form
+    assemble, closed_form = solver._assemble, rates.relay_aided_solution
     monkeypatch.setattr(solver, "_assemble", lambda *a, **kw: calls.append("_assemble") or assemble(*a, **kw))
-    monkeypatch.setattr(rates, "pair_closed_form", lambda *a: calls.append("pair_closed_form") or closed_form(*a))
+    monkeypatch.setattr(rates, "relay_aided_solution",
+                        lambda *a: calls.append("relay_aided_solution") or closed_form(*a))
     gains = _synthesized(64, 8, 0)  # at 0 dBW most subcarriers go relay aided
     alloc = solve(SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains)
     assert len(alloc.assignments) == 64
     assert calls == []
     relayed = [a for a in alloc.assignments if a.mode == rates.MODE_RELAY]
     assert len(relayed) > 32 and alloc.assignments[-1].k == 63
-    assert calls == ["_assemble", "pair_closed_form"]  # once, then cached
+    assert calls == ["_assemble", "relay_aided_solution"]  # once, then cached
 
 
 def _synthesized(num_subcarriers, num_destinations, index):
@@ -647,16 +648,17 @@ def test_wsr_of_empty_and_single():
 
 def test_assignments_carry_the_per_pair_relay_split():
     # the batched closed form behind the assignment list gives exactly the
-    # relay set and powers of relay_aided_solution on each subcarrier
+    # relay set and powers of the closed form of each pair on its own
     gains = _synthesized(64, 8, 0)
     alloc = solve(SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains)
     relayed = [a for a in alloc.assignments if a.mode == rates.MODE_RELAY]
     assert len(relayed) > 32
     for a in relayed:
-        sol = rates.relay_aided_solution(rates.PerPairGains.from_table(gains, a.k, a.u), a.sum_power)
-        assert a.relay_indices == sol.relay_set
-        assert a.broadcast_power == sol.source_fraction * a.sum_power
-        np.testing.assert_array_equal(a.relay_powers, (a.sum_power - a.broadcast_power) * sol.relay_fractions)
+        cf = rates.relay_aided_solution(gains, [a.k], [a.u])
+        [(relay_set, fractions)] = cf.relay_splits([1.0])
+        assert a.relay_indices == relay_set
+        assert a.broadcast_power == cf.source_fraction[0, 0] * a.sum_power
+        np.testing.assert_array_equal(a.relay_powers, (a.sum_power - a.broadcast_power) * fractions)
     # rates added one subcarrier at a time with math.log1p, as the loops
     # the vectorized bookkeeping replaced did
     g1 = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
