@@ -48,7 +48,11 @@ PROTO_REFERENCE = "reference"
 PROTO_HIGHPOWER = "highpower"
 _PROTOCOLS = (PROTO_PROPOSED, PROTO_REFERENCE, PROTO_HIGHPOWER)
 
-_SOLVER_KEYS = ("epsilon", "highpower_factor")
+_KEYS = ("num_subcarriers", "num_destinations", "ptot_dbw", "noise_dbw", "weights", "seed", "realizations",
+         "protocols", "geometry", "taps", "workers", "output_dir")
+_GEOMETRY_KEYS = ("source_xy", "relay_xy", "destination_xy", "destination_region")
+_REGION_KEYS = ("x_min", "x_max", "y_min", "y_max")
+_TAP_KEYS = ("num_taps", "decay", "shadowing_db_std")
 
 _DEFAULT_RELAYS = ((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0))
 _DEFAULT_REGION = {"x_min": -10.0, "x_max": 10.0, "y_min": -30.0, "y_max": -10.0}
@@ -85,8 +89,6 @@ class ExperimentConfig:
     num_taps: int = 6
     tap_decay: float = 3.0
     shadowing_db_std: float = 0.0
-    epsilon: float = 1e-6
-    highpower_factor: float = 100.0
     workers: int = 1
     output_dir: str = "relayalloc_out"
 
@@ -99,12 +101,7 @@ class ExperimentConfig:
         return _db_to_watts(self.noise_dbw)
 
     def solver_params(self) -> solver.SolverParams:
-        return solver.SolverParams(
-            ptot=self.ptot_watts,
-            weights=self.weights,
-            epsilon=self.epsilon,
-            highpower_factor=self.highpower_factor,
-        )
+        return solver.SolverParams(ptot=self.ptot_watts, weights=self.weights)
 
     def tap_profile(self) -> channel.TapProfile:
         return channel.TapProfile.exponential(
@@ -180,6 +177,11 @@ def _as_int(raw: dict, key: str, errors: list, default=None, required=False, min
     return value
 
 
+def _check_keys(raw: dict, valid: tuple, prefix: str, errors: list) -> None:
+    for key in sorted(set(raw) - set(valid), key=str):
+        errors.append(f"{prefix}{key}: unknown key; valid: {list(valid)}")
+
+
 def _as_points(value, key: str, errors: list, count: Optional[int] = None) -> Optional[tuple]:
     """``value`` as a tuple of finite (x, y) pairs, ``count`` of them if given.
 
@@ -203,8 +205,9 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Parse and validate a YAML or JSON config file.
 
     ``overrides`` replace top level keys of the file before validation, so
-    command line overrides pass the same checks. All validation failures
-    are collected and reported together, listed by field name.
+    command line overrides pass the same checks. All validation failures,
+    unknown keys included, are collected and reported together, listed by
+    field name.
     """
     text = Path(path).read_text()
     try:
@@ -216,6 +219,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     raw = {**raw, **(overrides or {})}
 
     errors: list = []
+    _check_keys(raw, _KEYS, "", errors)
     kk = _as_int(raw, "num_subcarriers", errors, required=True, minimum=1)
     uu = _as_int(raw, "num_destinations", errors, required=True, minimum=1)
     ptot_dbw = _as_float(raw, "ptot_dbw", errors, required=True)
@@ -265,6 +269,7 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     if not isinstance(geometry, dict):
         errors.append("geometry: expected a mapping")
         geometry = {}
+    _check_keys(geometry, _GEOMETRY_KEYS, "geometry.", errors)
     source = _as_points([geometry.get("source_xy", (0.0, 0.0))], "geometry.source_xy", errors, count=1)
     relay_xy = _as_points(geometry.get("relay_xy", _DEFAULT_RELAYS), "geometry.relay_xy", errors)
 
@@ -273,8 +278,10 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         dest_xy = _as_points(geometry["destination_xy"], "geometry.destination_xy", errors, count=uu)
     else:
         region_raw = geometry.get("destination_region", _DEFAULT_REGION)
+        if isinstance(region_raw, dict):
+            _check_keys(region_raw, _REGION_KEYS, "geometry.destination_region.", errors)
         try:
-            region = channel.Region(**{k: float(region_raw[k]) for k in ("x_min", "x_max", "y_min", "y_max")})
+            region = channel.Region(**{k: float(region_raw[k]) for k in _REGION_KEYS})
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"geometry.destination_region: {exc}")
 
@@ -282,20 +289,12 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     if not isinstance(taps, dict):
         errors.append("taps: expected a mapping")
         taps = {}
+    _check_keys(taps, _TAP_KEYS, "taps.", errors)
     num_taps = _as_int(taps, "num_taps", errors, default=6, minimum=1)
     tap_decay = _as_float(taps, "decay", errors, default=3.0)
     shadow_std = _as_float(taps, "shadowing_db_std", errors, default=0.0)
     if kk is not None and num_taps is not None and kk < num_taps:
         errors.append("num_subcarriers: must be at least taps.num_taps")
-
-    sol = raw.get("solver", {})
-    if not isinstance(sol, dict):
-        errors.append("solver: expected a mapping")
-        sol = {}
-    for key in sorted(set(sol) - set(_SOLVER_KEYS), key=str):
-        errors.append(f"solver.{key}: unknown key; valid: {list(_SOLVER_KEYS)}")
-    epsilon = _as_float(sol, "epsilon", errors, default=1e-6)
-    hp_factor = _as_float(sol, "highpower_factor", errors, default=100.0)
 
     output_dir = raw.get("output_dir", "relayalloc_out")
     if not isinstance(output_dir, str):
@@ -321,19 +320,13 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         num_taps=num_taps,
         tap_decay=tap_decay,
         shadowing_db_std=shadow_std,
-        epsilon=epsilon,
-        highpower_factor=hp_factor,
         workers=workers,
         output_dir=output_dir,
     )
-    # the ranges the solver and the tap profile check themselves
-    for key, build in (("solver", config.solver_params), ("taps", config.tap_profile)):
-        try:
-            build()
-        except ValueError as exc:
-            errors.append(f"{key}: {exc}")
-    if errors:
-        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    try:  # the tap profile checks its own ranges
+        config.tap_profile()
+    except ValueError as exc:
+        raise ConfigError(f"invalid config:\n  taps: {exc}") from exc
     return config
 
 

@@ -4,8 +4,8 @@ When the water level implied by the upper price bound dwarfs every inverse
 gain (and every gain, so that the log arguments are large), the dual search
 can be skipped: equal power per subcarrier with the best direct gain
 destination per subcarrier is optimum up to vanishing terms. The conditions
-are checked with the margin ``SolverParams.highpower_factor`` and reported,
-so callers can fall back to the full search when they do not hold.
+are checked with the margin ``FACTOR`` and reported, so callers can fall
+back to the full search when they do not hold.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from . import rates, solver
 from .channel import GainTable
 from .solver import Allocation, SolverParams
 
-__all__ = ["HighPowerReport", "check_conditions", "solve_high_power"]
+__all__ = ["FACTOR", "HighPowerReport", "check_conditions", "solve_high_power"]
+
+# The water level must dominate every inverse gain and every gain by this
+# factor for the closed form to apply.
+FACTOR = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,9 +33,9 @@ class HighPowerReport:
     ``threshold`` is ``min_u w_u / mu_upper``, the smallest water level any
     destination can see at the upper price bound. ``margin`` is the ratio of
     the threshold to the larger of the two quantities it must dominate; the
-    conditions hold when ``margin >= factor``, the ``highpower_factor`` of
-    the solver parameters. ``mu_lower`` and ``mu_upper`` are the
-    ``solver.price_bracket`` the conditions were checked at.
+    conditions hold when ``margin >= factor``, the module's ``FACTOR``.
+    ``mu_lower`` and ``mu_upper`` are the ``solver.price_bracket`` the
+    conditions were checked at.
     """
 
     conditions_met: bool
@@ -52,14 +56,13 @@ def check_conditions(
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
-    The threshold must exceed ``params.highpower_factor`` times both the
-    largest admissible inverse gain max(1/g1, 1/g_su) and the largest gain
-    max(g1, g_su) over all subcarrier destination pairs. ``mode_sets``
+    The threshold must exceed ``FACTOR`` times both the largest admissible
+    inverse gain max(1/g1, 1/g_su) and the largest gain max(g1, g_su) over
+    all subcarrier destination pairs. ``mode_sets``
     (``rates.classify`` at ``params.ptot``) and ``bracket``
     (``solver.price_bracket``'s (mu_lower, mu_upper)) are computed when not
     supplied.
     """
-    factor = params.highpower_factor
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
     if bracket is None:
@@ -73,12 +76,12 @@ def check_conditions(
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf
     return HighPowerReport(
-        conditions_met=bool(threshold >= factor * worst),
+        conditions_met=bool(threshold >= FACTOR * worst),
         threshold=threshold,
         max_inverse_gain=max_inv,
         max_gain=max_gain,
         margin=margin,
-        factor=factor,
+        factor=FACTOR,
         mu_lower=mu_lower,
         mu_upper=mu_upper,
     )

@@ -3,35 +3,33 @@
 For a price mu on total power, every subcarrier independently picks the
 destination and mode maximizing its contribution to the Lagrangian, with a
 closed form optimum power. The assigned power P(mu) does not increase with
-the price, so the price is driven to the complementary slackness window
-``0 <= Ptot - P(mu) < eps`` inside two analytic price bounds: each
-evaluation shrinks the bracket ``(lo, hi)`` with ``P(lo) >= Ptot >= P(hi)``.
-The window ``eps`` defaults to ``1e-6 * Ptot``.
+the price, so the search keeps a bracket ``(lo, hi)`` with
+``P(lo) >= Ptot >= P(hi)`` inside two analytic price bounds, and each
+evaluation shrinks it.
 
-For a fixed assignment, P is linear in 1/mu on its active subcarriers, so
-the next price is the one at which the last state's assignment spends
-``Ptot - eps/2``, the middle of the window: a safeguarded Newton step in
-1/mu (Yu and Lui, IEEE Trans. Commun. 54(7), 2006). Aiming at ``Ptot``
-itself would land a rounding error over the budget. Where that price is
-not strictly inside the bracket (whose edges include the last price, so a
-repeat is excluded too), the search bisects in log price,
-``sqrt(lo * hi)``, instead. The inverse gains and admissibility masks do
-not depend on the price: every evaluation reads them from the ``ModeSets``
-of ``rates.classify``.
-
-The price bounds and every fixed assignment refill solve a water-filling
+For a fixed (destination, mode) assignment the power is a water-filling
 ``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
-by one sort of the thresholds ``v_k / a_k`` and two cumulative sums.
+by one sort of the thresholds ``v_k / a_k`` and two cumulative sums. The
+price bounds, the collapse repair and every step of the search call it: the
+next price is the one at which the last state's assignment spends exactly
+``Ptot``. The search stops when the maximizer at that price is the same
+assignment on every subcarrier that carries power: that assignment then
+maximizes the Lagrangian at a price where it spends the whole budget, which
+is the KKT certificate. Where the price is not strictly inside the bracket
+(whose edges include the last price, so a repeat is excluded too), the
+search bisects in log price, ``sqrt(lo * hi)``, instead. The inverse gains
+and admissibility masks do not depend on the price: every evaluation reads
+them from the ``ModeSets`` of ``rates.classify``.
 
-P(mu) is step discontinuous, so the window may not be reachable. If the
-bracket collapses without reaching it, the total budget sits inside a power
-jump: no single assignment matches it exactly. Only the subcarriers whose
-choice differs between the two edge states of the bracket are then in
-question (Yu and Lui, IEEE Trans. Commun. 54(7), 2006). Taking the first j
-of them from the lower edge and the rest from the upper one, for every j,
-gives one candidate per count of switched subcarriers; these and the
-greedy max weighted gain choice are refilled to the exact budget, and the
-best is returned with ``status="bracket_collapse"``.
+P(mu) is step discontinuous, so no price may certify an assignment. If the
+bracket collapses, the total budget sits inside a power jump: no single
+assignment matches it exactly. Only the subcarriers whose choice differs
+between the two edge states of the bracket are then in question (Yu and
+Lui, IEEE Trans. Commun. 54(7), 2006). Taking the first j of them from the
+lower edge and the rest from the upper one, for every j, gives one
+candidate per count of switched subcarriers; these and the greedy max
+weighted gain choice are refilled to the exact budget, and the best is
+returned with ``status="bracket_collapse"``.
 
 The result is per subcarrier arrays: destination, mode, total power and
 unweighted rate, with the WSR their weighted sum. The relay set and the
@@ -53,7 +51,7 @@ import numpy as np
 
 from . import rates
 from .channel import GainTable
-from .rates import MODE_DIRECT, MODE_RELAY, ModeSets, _inverse
+from .rates import MODE_DIRECT, MODE_RELAY, ModeSets
 
 __all__ = [
     "ConvergenceError",
@@ -83,20 +81,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolverParams:
-    """Budget, priorities and knobs of the dual search.
+    """Total power budget and per destination priorities.
 
     ``weights`` are the per destination priorities; by convention they sum
     to one, but any positive values are accepted (the optimum assignments
-    are invariant to a common positive scaling). ``epsilon`` is the width of
-    the stopping window relative to ``ptot``: a window of W watts is
-    ``epsilon = W / ptot``. ``highpower_factor`` is the margin demanded by
-    the high power closed form checks. Every number must be finite.
+    are invariant to a common positive scaling). Every number must be finite.
     """
 
     ptot: float
     weights: np.ndarray
-    epsilon: float = 1e-6
-    highpower_factor: float = 100.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -107,18 +100,10 @@ class SolverParams:
             raise ValueError("weights must be positive and finite")
         if not (self.ptot > 0.0 and np.isfinite(self.ptot)):
             raise ValueError("ptot must be positive and finite")
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
-        if not (self.highpower_factor >= 1.0 and np.isfinite(self.highpower_factor)):
-            raise ValueError("highpower_factor must be finite and at least 1")
 
     @property
     def num_destinations(self) -> int:
         return self.weights.size
-
-    @property
-    def epsilon_watts(self) -> float:
-        return self.epsilon * self.ptot
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,40 +308,44 @@ def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
     return float(np.cumsum(weights * rate)[-1]) if rate.size else 0.0
 
 
-def _chosen_gain(dest, mode, gains: GainTable, g1: np.ndarray):
-    """(gain, relay) per subcarrier of a (destination, mode) choice."""
+def _chosen(dest, mode, relay_table: np.ndarray, direct_table: np.ndarray):
+    """(entry, relay) per subcarrier of a (destination, mode) choice.
+
+    The entry is read from ``relay_table`` in relay aided mode and from
+    ``direct_table`` in direct mode: gains or inverse gains.
+    """
     rows = np.arange(len(dest))
     relay = mode == MODE_RELAY
-    return np.where(relay, g1[rows, dest], gains.g_su[rows, dest]), relay
+    return np.where(relay, relay_table[rows, dest], direct_table[rows, dest]), relay
 
 
 def _state_wsr(dest, mode, power, params: SolverParams, gains: GainTable, g1: np.ndarray) -> tuple:
     """(wsr, rate) of a (destination, mode, power) choice."""
-    gain, relay = _chosen_gain(dest, mode, gains, g1)
+    gain, relay = _chosen(dest, mode, g1, gains.g_su)
     rate = _rates(gain, power, relay)
     return _weighted_total(params.weights[dest], rate), rate
 
 
-def _refill(dest, mode, params: SolverParams, gains: GainTable, g1: np.ndarray):
+def _refill(dest, mode, params: SolverParams, mode_sets: ModeSets):
     """Exact budget water-filling for a fixed (destination, mode) choice.
 
     Power on subcarrier k is ``c_k [w_k/lam - 1/g_k]+`` with c_k = 1 in
     relay aided mode and 2 in direct mode; lam is ``water_level``'s exact
     root, and a final rescale puts the rounding of the powers on the budget.
-    Returns (wsr, rate, power) or None if no subcarrier can carry power.
+    Returns (lam, power), or None if no subcarrier can carry power.
     """
     w = params.weights[dest]
-    g, relay = _chosen_gain(dest, mode, gains, g1)
+    inv_g, relay = _chosen(dest, mode, mode_sets.inv_g1, mode_sets.inv_g_su)
     c = np.where(relay, 1.0, 2.0)
-    inv_g = _inverse(g)
     level = water_level(w, inv_g, params.ptot, c)
     if level is None:
         return None
-    power = c * np.maximum(w / (level[0] / level[1]) - inv_g, 0.0)
+    lam = level[0] / level[1]
+    power = c * np.maximum(w / lam - inv_g, 0.0)
     if not power.sum() > 0.0:  # a budget below the rounding of every 1/g
         return None
     power *= params.ptot / power.sum()
-    return (*_state_wsr(dest, mode, power, params, gains, g1), power)
+    return lam, power
 
 
 def max_gain_choice(g1: np.ndarray, g_su: np.ndarray, weights: Optional[np.ndarray] = None):
@@ -427,26 +416,11 @@ class _LazyAssignments(Sequence):
         return iter(self._built())
 
 
-def _newton_price(state: DualState, params: SolverParams, mode_sets: ModeSets, target: float) -> float:
-    """Price at which the assignment of ``state`` spends ``target`` watts.
-
-    On the active subcarriers of a fixed assignment the power is
-    ``sum c_k (w_k / mu - 1/g_k)`` with c_k = 1 relay aided and 2 direct,
-    linear in 1/mu, so one division gives ``sum c w / (target + sum c/g)``.
-    Returns 0 when no subcarrier is active.
-    """
-    k = np.nonzero(state.power > 0.0)[0]
-    dest = state.dest[k]
-    relay = state.mode[k] == MODE_RELAY
-    c = np.where(relay, 1.0, 2.0)
-    inv_g = np.where(relay, mode_sets.inv_g1[k, dest], mode_sets.inv_g_su[k, dest])
-    return float((c * params.weights[dest]).sum()) / (target + float((c * inv_g).sum()))
-
-
 # Every price lies strictly inside the bracket, so each evaluation shrinks
-# it until the window or the 1e-14 collapse width is reached. The most
-# measured is 59 evaluations, on a collapse (benchmark workloads, seeds
-# 1..10); a search that runs past this cap is broken.
+# it until an assignment is certified or the 1e-14 collapse width is
+# reached. The most measured is 59 evaluations, on a collapse, and 16 on a
+# certified search (benchmark workloads, seeds 1..10); a search that runs
+# past this cap is broken.
 _MAX_EVALS = 100
 
 
@@ -458,11 +432,12 @@ def solve(
 ) -> Allocation:
     """Full dual search returning the optimum allocation.
 
-    Takes safeguarded Newton steps in 1/mu inside the analytic bounds,
-    falling back to bisection in log price, and repairs a collapsed bracket
-    from its two edge states, as described in the module docstring.
-    ``trace``, when given, is called with (iteration, mu, total_power,
-    lagrangian) after every price evaluation. Raises
+    Steps to the exact price of the last state's assignment inside the
+    analytic bounds, falling back to bisection in log price, stops once the
+    maximizer at that price is the assignment itself, and repairs a
+    collapsed bracket from its two edge states, as described in the module
+    docstring. ``trace``, when given, is called with (iteration, mu,
+    total_power, lagrangian) after every price evaluation. Raises
     ``ConvergenceError`` if the search runs past ``_MAX_EVALS`` evaluations.
     """
     if params.num_destinations != gains.num_destinations:
@@ -474,10 +449,21 @@ def solve(
 
     iterations = 0
 
-    def finish(dest, mode, power, wsr: float, rate, mu: float, residual: float, status: str) -> Allocation:
+    def finish(dest, mode, power, mu: float, status: str, scored=None) -> Allocation:
+        wsr, rate = scored or _state_wsr(dest, mode, power, params, gains, mode_sets.g1)
         return Allocation(assignments=_LazyAssignments(dest, mode, power, gains), wsr=wsr, mu_star=mu,
-                          residual=residual, iterations=iterations, status=status, mu_lower=mu_lower,
-                          mu_upper=mu_upper, dest=dest, mode=mode, power=power, rate=rate)
+                          residual=max(params.ptot - float(power.sum()), 0.0), iterations=iterations,
+                          status=status, mu_lower=mu_lower, mu_upper=mu_upper, dest=dest, mode=mode,
+                          power=power, rate=rate)
+
+    fills = {}
+
+    def refill(dest, mode):
+        """``_refill`` once per assignment: a collapsing bracket meets a few of them dozens of times."""
+        key = (dest.tobytes(), mode.tobytes())
+        if key not in fills:
+            fills[key] = _refill(dest, mode, params, mode_sets)
+        return fills[key]
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     if mu_upper == 0.0:
@@ -487,39 +473,35 @@ def solve(
         # evenly reports the rates it does carry.
         kk = gains.num_subcarriers
         dest, mode, _ = max_gain_choice(mode_sets.g1, gains.g_su, params.weights)
-        power = np.full(kk, params.ptot / kk)
-        wsr, rate = _state_wsr(dest, mode, power, params, gains, mode_sets.g1)
-        return finish(dest, mode, power, wsr, rate, 0.0, 0.0, STATUS_KKT)
+        return finish(dest, mode, np.full(kk, params.ptot / kk), 0.0, STATUS_KKT)
 
-    eps = params.epsilon_watts
     mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
+    priced = None  # (dest, mode, power) of the assignment that spends ptot at mu
     for iterations in range(1, _MAX_EVALS + 1):
         state = solve_at_price(mu, params, gains, mode_sets)
         if trace is not None:
             trace(iterations, state.mu, state.total_power, state.lagrangian)
-        slack = params.ptot - state.total_power
-        if 0.0 <= slack < eps:
-            # primal completion: the window may leave up to eps watts
-            # unspent, so rebalance the assignment's powers to the exact
-            # budget (never a worse WSR). residual keeps the dual stopping
-            # slack Ptot - Px(mu) that the window certified.
-            power = state.power
-            wsr, rate = _state_wsr(state.dest, state.mode, power, params, gains, mode_sets.g1)
-            fill = _refill(state.dest, state.mode, params, gains, mode_sets.g1)
-            if fill is not None and fill[0] >= wsr:
-                wsr, rate, power = fill
-            return finish(state.dest, state.mode, power, wsr, rate, state.mu, slack, STATUS_KKT)
-        if slack < 0.0:
+        if priced is not None:
+            # compared only where power flows: an unpowered subcarrier may
+            # switch between candidates of zero value
+            dest, mode, power = priced
+            on = (state.power > 0.0) | (power > 0.0)
+            if np.array_equal(state.dest[on], dest[on]) and np.array_equal(state.mode[on], mode[on]):
+                return finish(state.dest, state.mode, power, mu, STATUS_KKT)
+        if state.total_power > params.ptot:
             lo = max(lo, mu)
         else:
             hi = min(hi, mu)
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
             break
-        # the last price is now an edge of the bracket, so a Newton price
-        # strictly inside it never repeats one
-        newton = _newton_price(state, params, mode_sets, params.ptot - 0.5 * eps)
-        mu = newton if lo < newton < hi else initial_price(lo, hi)
+        # the last price is now an edge of the bracket, so a price strictly
+        # inside it never repeats one
+        fill = refill(state.dest, state.mode)
+        if fill is not None and lo < fill[0] < hi:
+            mu, priced = fill[0], (state.dest, state.mode, fill[1])
+        else:
+            mu, priced = initial_price(lo, hi), None
     else:
         raise ConvergenceError(f"price search did not end within {_MAX_EVALS} evaluations")
 
@@ -536,14 +518,12 @@ def solve(
         dest[tied[:j]], mode[tied[:j]] = a.dest[tied[:j]], a.mode[tied[:j]]
         candidates.append((dest, mode))
     candidates.append(max_gain_choice(mode_sets.g1, gains.g_su, params.weights)[:2])
-    fills = [(fill, dest, mode) for dest, mode in candidates
-             if (fill := _refill(dest, mode, params, gains, mode_sets.g1)) is not None]
-    if not fills:  # no mix can carry power: the upper edge state stands
-        wsr, rate = _state_wsr(b.dest, b.mode, b.power, params, gains, mode_sets.g1)
-        return finish(b.dest, b.mode, b.power, wsr, rate, b.mu, params.ptot - b.total_power, STATUS_GAP)
-    (wsr, rate, power), dest, mode = max(fills, key=lambda f: f[0][0])  # first of equal maxima
-    residual = max(params.ptot - float(power.sum()), 0.0)
-    return finish(dest, mode, power, wsr, rate, 0.5 * (lo + hi), residual, STATUS_GAP)
+    scored = [(_state_wsr(dest, mode, fill[1], params, gains, mode_sets.g1), dest, mode, fill[1])
+              for dest, mode in candidates if (fill := refill(dest, mode)) is not None]
+    if not scored:  # no mix can carry power: the upper edge state stands
+        return finish(b.dest, b.mode, b.power, b.mu, STATUS_GAP)
+    best, dest, mode, power = max(scored, key=lambda s: s[0][0])  # first of equal maxima
+    return finish(dest, mode, power, 0.5 * (lo + hi), STATUS_GAP, best)
 
 
 def _assignment_rates(assignments, gains: GainTable):

@@ -211,12 +211,18 @@ geometry:
     assert (tmp_path / "cli_out" / "summary.json").exists()
 
 
+def _with_line(line):
+    """GOOD_YAML with the top level key of ``line`` (and its indented block) replaced by it."""
+    key, kept, skipping = line.split(":")[0] + ":", [], False
+    for row in GOOD_YAML.splitlines(keepends=True):
+        if not row.startswith(" "):
+            skipping = row.startswith(key)
+        if not skipping:
+            kept.append(row)
+    return "".join(kept) + line + "\n"
+
+
 @pytest.mark.parametrize("field, line", [
-    ("solver.epsilon_is_relative", "solver: {epsilon_is_relative: false}"),
-    ("epsilon", "solver: {epsilon: .nan}"),
-    ("epsilon", "solver: {epsilon: .inf}"),
-    ("epsilon", "solver: {epsilon: -1.0e-6}"),
-    ("highpower_factor", "solver: {highpower_factor: .nan}"),
     ("ptot_dbw", "ptot_dbw: .inf"),
     ("noise_dbw", "noise_dbw: .nan"),
     # finite in dB, but overflowing or underflowing in watts
@@ -236,16 +242,25 @@ geometry:
     ("shadowing_db_std", "taps: {shadowing_db_std: -2.0}"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
-    # replace the top level key of ``line``, with its indented block
-    key, kept, skipping = line.split(":")[0] + ":", [], False
-    for row in GOOD_YAML.splitlines(keepends=True):
-        if not row.startswith(" "):
-            skipping = row.startswith(key)
-        if not skipping:
-            kept.append(row)
-    text = "".join(kept) + line + "\n"
-    assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 2
+    assert main([str(_write(tmp_path, _with_line(line))), "-o", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, line", [
+    # misspelled keys once fell back to their defaults: one realization of proposed
+    ("realisations", "realisations: 50"),
+    ("protcols", "protcols: [reference]"),
+    # the price search takes no settings, so an older config's mapping is unknown
+    ("solver", "solver: {epsilon: 1.0e-6, highpower_factor: 100.0}"),
+    ("geometry.relays_xy", "geometry: {relays_xy: [[-5.0, -5.0], [5.0, -5.0]]}"),
+    ("geometry.destination_region.y_mx",
+     "geometry: {destination_region: {x_min: -10, x_max: 10, y_min: -30, y_max: -10, y_mx: 0}}"),
+    ("taps.num_tap", "taps: {num_tap: 1}"),
+], ids=["realisations", "protcols", "solver", "geometry", "destination_region", "taps"])
+def test_main_rejects_unknown_keys(tmp_path, capsys, field, line):
+    assert main([str(_write(tmp_path, _with_line(line))), "-o", str(tmp_path / "out")]) == 2
+    assert f"{field}: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -299,8 +314,9 @@ def test_main_rejects_bad_protocols_and_overrides(tmp_path, capsys, text, argv, 
 
 @pytest.mark.parametrize("key", ["n_grid", "delta_factor", "max_iters", "epsilon_is_relative"])
 def test_load_config_rejects_removed_search_knobs(tmp_path, key):
-    text = GOOD_YAML + f"solver:\n  {key}: 10\n  epsilon: 1.0e-6\n"
-    with pytest.raises(ConfigError, match=f"solver.{key}"):
+    # the whole solver mapping is gone, with every knob it ever held
+    text = GOOD_YAML + f"solver:\n  {key}: 10\n  epsilon: 1.0e-6\n  highpower_factor: 100.0\n"
+    with pytest.raises(ConfigError, match="solver: unknown key"):
         load_config(_write(tmp_path, text))
 
 

@@ -1,12 +1,11 @@
 """Closed-form allocation for the regime where the budget dwarfs every gain."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relayalloc import rates, solver
+from relayalloc import highpower, rates, solver
 from relayalloc.channel import GainTable
 from relayalloc.highpower import check_conditions, solve_high_power
 
@@ -114,14 +113,31 @@ def test_matches_dual_solver_when_conditions_hold():
         assert abs(b.sum_power - a.sum_power) <= 0.05 * a.sum_power
 
 
-def test_custom_factor_changes_the_verdict():
+def test_custom_factor_changes_the_verdict(monkeypatch):
+    # at 500 W the margin lies between 10 and 1000, so the factor decides
     gains = _table([[1.0, 2.0], [2.0, 1.0]])
     params = solver.SolverParams(ptot=500.0, weights=[0.5, 0.5])
-    strict = check_conditions(replace(params, highpower_factor=1000.0), gains)
-    lax = check_conditions(replace(params, highpower_factor=10.0), gains)
+    margin = check_conditions(params, gains).margin
+    assert 10.0 < margin < 1000.0
+    monkeypatch.setattr(highpower, "FACTOR", 1000.0)
+    strict = check_conditions(params, gains)
+    monkeypatch.setattr(highpower, "FACTOR", 10.0)
+    lax = check_conditions(params, gains)
     assert not strict.conditions_met and lax.conditions_met
     assert (strict.factor, lax.factor) == (1000.0, 10.0)
-    assert math.isclose(strict.margin, lax.margin, rel_tol=1e-12)
+    assert strict.margin == lax.margin == margin
+
+
+def test_conditions_hold_from_a_margin_of_100():
+    # the margin grows with the budget; the verdict flips where it reaches
+    # the fixed factor of 100, on a sweep that sees both sides
+    gains = _table([[1.0, 3.0], [2.0, 1.0]])
+    reports = [check_conditions(solver.SolverParams(ptot=10.0 ** e, weights=[0.5, 0.5]), gains)
+               for e in np.arange(0.0, 6.0, 0.25)]
+    assert highpower.FACTOR == 100.0
+    assert all(r.factor == 100.0 and r.conditions_met == (r.margin >= 100.0) for r in reports)
+    verdicts = [r.conditions_met for r in reports]
+    assert verdicts == sorted(verdicts) and verdicts[0] is False and verdicts[-1] is True
 
 
 @pytest.mark.parametrize("bracket", [None, (0.0, 0.0)], ids=["None", "0.0"])
