@@ -75,19 +75,22 @@ class Topology:
             raise ValueError("relay_xy and dest_xy must be (n, 2) coordinate arrays")
         if self.num_relays < 1 or self.num_destinations < 1:
             raise ValueError("topology needs at least one relay and one destination")
-        # every link must have a strictly positive length
-        for a, b, what in self._links():
-            if float(np.hypot(*(a - b))) <= 0.0:
-                raise ValueError(f"coincident node positions on link {what}")
+        # every link must have a strictly positive length; the first
+        # coincident one is named: source->relay links, then source->dest,
+        # then relay->dest in row major order
+        names = ("source->relay{}", "source->dest{}", "relay{}->dest{}")
+        for d, name in zip(self.link_distances(), names):
+            short = np.argwhere(d <= 0.0)
+            if short.size:
+                raise ValueError(f"coincident node positions on link {name.format(*short[0])}")
 
-    def _links(self):
-        for i, r in enumerate(self.relay_xy):
-            yield self.source_xy, r, f"source->relay{i}"
-        for u, d in enumerate(self.dest_xy):
-            yield self.source_xy, d, f"source->dest{u}"
-        for i, r in enumerate(self.relay_xy):
-            for u, d in enumerate(self.dest_xy):
-                yield r, d, f"relay{i}->dest{u}"
+    def link_distances(self) -> tuple:
+        """Link lengths: source->relay (N,), source->dest (U,) and relay->dest (N, U)."""
+        return (
+            np.hypot(*(self.relay_xy - self.source_xy).T),
+            np.hypot(*(self.dest_xy - self.source_xy).T),
+            np.hypot(*np.moveaxis(self.dest_xy - self.relay_xy[:, None], -1, 0)),
+        )
 
     @property
     def num_relays(self) -> int:
@@ -343,13 +346,11 @@ def synthesize_realization(
     length = profile.num_taps
 
     # (role, a, b, distance) of every link, in the column order of the taps
-    d_su = np.hypot(*(topology.dest_xy - topology.source_xy).T)
-    d_sr = np.hypot(*(topology.relay_xy - topology.source_xy).T)
+    d_sr, d_su, d_ru = topology.link_distances()
     links = [
         *((_ROLE_SOURCE_DEST, j, 0, d_su[j]) for j in range(u)),
         *((_ROLE_SOURCE_RELAY, i, 0, d_sr[i]) for i in range(n)),
-        *((_ROLE_RELAY_DEST, i, j, float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i]))))
-          for i in range(n) for j in range(u)),
+        *((_ROLE_RELAY_DEST, i, j, d_ru[i, j]) for i in range(n) for j in range(u)),
     ]
     z = np.empty((len(links), 1 + 2 * length))
     for rng, row in zip(_link_streams(seed, [link[:3] for link in links]), z):

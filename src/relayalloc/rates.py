@@ -12,9 +12,11 @@ gain, consider suffix sets, and pick the suffix whose beamforming ratio is
 largest. The result is a single effective gain so the two slot rate becomes
 ``ln(1 + gain * P)`` for the total subcarrier power P; the relay set and the
 power split scale with P, so only fractions are kept. ``relay_closed_form``
-evaluates it for a whole batch of pairs at once: ``classify`` on the (K, U)
-grid, and ``relay_aided_solution`` on chosen (subcarrier, destination) pairs
-of a gain table, for the solver's assignment rows and rate recomputations.
+evaluates it for a whole batch of pairs at once, in one loop over the sorted
+relay positions that works on (M, U) slices of the batch: ``classify`` on the
+(K, U) grid, and ``relay_aided_solution`` on chosen (subcarrier, destination)
+pairs of a gain table, for the solver's assignment rows and rate
+recomputations.
 
 All rates are in nats per two slot frame.
 """
@@ -55,15 +57,17 @@ CASES = (CASE_SOURCE_DOMINATES, CASE_RELAY_SUM_WEAK, CASE_BEAMFORM)
 class RelayClosedForm:
     """The relay aided closed form of a batch of (subcarrier, destination) pairs.
 
-    Row m holds one subcarrier's N relays and U destinations: per pair
-    arrays are (M, U), per relay ones (M, N, U) in sorted position.
-    ``order`` lists relay indices by increasing source link gain (ties by
-    relay index). ``x``, ``y`` and ``z`` are 0-based positions in that order,
-    -1 outside the beamform case: x is the first relay whose source link
-    beats the direct link, y the last suffix whose second hop sum still
-    beats the direct link, z the maximizing suffix start. ``source_fraction``
-    is the share of the subcarrier power the source spends in the
-    broadcasting slot; ``case`` indexes ``CASES``.
+    Row m holds one subcarrier's N relays and U destinations; every per pair
+    array is (M, U). ``order`` lists relay indices by increasing source link
+    gain (ties by relay index). ``x``, ``y`` and ``z`` are 0-based positions
+    in that order, -1 outside the beamform case: x is the first relay whose
+    source link beats the direct link, y the last suffix whose second hop
+    sum still beats the direct link, z the maximizing suffix start.
+    ``source_fraction`` is the share of the subcarrier power the source
+    spends in the broadcasting slot; ``case`` indexes ``CASES``. ``g_ru`` is
+    the input (M, N, U) second hop table, kept by reference: ``relay_splits``
+    rebuilds the sorted second hop gains and their suffix sums from it, for
+    the beamform pairs only.
     """
 
     gain: np.ndarray             # (M, U) effective gain
@@ -74,8 +78,7 @@ class RelayClosedForm:
     y: np.ndarray                # (M, U)
     z: np.ndarray                # (M, U)
     source_fraction: np.ndarray  # (M, U)
-    g_ru_sorted: np.ndarray      # (M, N, U) second hop gains in sorted order
-    suffix_sum: np.ndarray       # (M, N, U) their suffix sums
+    g_ru: np.ndarray             # (M, N, U) second hop gains, unsorted
 
     def relay_splits(self, shared) -> list:
         """(relay_set, relay_powers) of every pair in row major order.
@@ -87,62 +90,87 @@ class RelayClosedForm:
         """
         shared = np.asarray(shared, dtype=float)
         u = self.z.shape[1]
-        z_safe = np.maximum(self.z, 0)[:, None, :]
-        # only the entries from z on are read; the others may be 0/0 or
-        # overflow where the suffix sum at z is subnormal
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            frac = self.g_ru_sorted / np.take_along_axis(self.suffix_sum, z_safe, axis=1)
-            powers = shared[:, None] * frac.transpose(0, 2, 1).reshape(shared.size, frac.shape[1])
-        order = np.repeat(self.order, u, axis=0).tolist()
-        best = np.repeat(self.best, u).tolist()
+        z = self.z.reshape(-1)
+        beam = np.nonzero(z >= 0)[0]
+        row, dest = np.divmod(beam, u)
+        order = self.order[row]
+        gr = self.g_ru[row[:, None], order, dest[:, None]]  # (beamform pairs, N), sorted
+        t = np.cumsum(gr[:, ::-1], axis=1)[:, ::-1]          # suffix sums, as relay_closed_form adds them
+        t_z = t[np.arange(beam.size), z[beam]]
+        # only the entries from z on are read; the others may overflow where
+        # the suffix sum at z is subnormal
+        with np.errstate(invalid="ignore", over="ignore"):
+            powers = shared[beam, None] * (gr / t_z[:, None])
+        beamform = iter(zip(order.tolist(), powers))
         out = []
-        for z, o, b, s, row in zip(self.z.reshape(-1).tolist(), order, best, shared.tolist(), powers):
-            out.append(((b,), np.array([s])) if z < 0 else (tuple(o[z:]), row[z:]))
+        for zi, b, s in zip(z.tolist(), np.repeat(self.best, u).tolist(), shared.tolist()):
+            if zi < 0:
+                out.append(((b,), np.array([s])))
+            else:
+                o, p = next(beamform)
+                out.append((tuple(o[zi:]), p[zi:]))
         return out
 
 
 def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> RelayClosedForm:
-    """Relay aided closed form of every pair in one numpy pass.
+    """Relay aided closed form of every pair, one loop step per relay position.
 
     ``g_su`` is (M, U), ``g_sr`` (M, N) and ``g_ru`` (M, N, U); a batch of
     single pairs has U = 1. Relays are sorted by source link gain once per
-    row and the suffix sets of every destination are scored together.
+    row. The loop walks the sorted positions from the last one on (M, U)
+    slices: it extends every destination's suffix sum by one relay, counts
+    x and y, and scores that suffix start against the best one so far.
     """
     g_su = np.asarray(g_su, dtype=float)
-    n = g_sr.shape[1]
+    g_ru = np.asarray(g_ru, dtype=float)
+    m, n = g_sr.shape
     order = np.argsort(g_sr, axis=1, kind="stable")
-    gs = np.take_along_axis(g_sr, order, axis=1)                  # (M, N)
-    gr = np.take_along_axis(g_ru, order[:, :, None], axis=1)      # (M, N, U)
-    t = np.flip(np.cumsum(np.flip(gr, axis=1), axis=1), axis=1)   # suffix sums
+    gs = np.take_along_axis(g_sr, order, axis=1)  # (M, N), ascending
+    rows = np.arange(m)
+    shape = g_su.shape
+    y = np.full(shape, -1, np.intp)       # last suffix start with t > g_su
+    decoders = np.zeros(shape, np.intp)   # positions with gs > g_su
+    top = np.full(shape, -np.inf)         # best score so far
+    z = np.zeros(shape, np.intp)          # its position
+    t_z = np.zeros(shape)                 # and its suffix sum
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n - 1, -1, -1):
+            gr = g_ru[rows, order[:, j]]                # (M, U)
+            # suffix sum from the last position, in cumsum's order of addition
+            t = gr if j == n - 1 else np.add(t, gr, out=t)
+            gs_j = gs[:, j, None]
+            live = t > g_su        # a prefix of positions: t does not increase
+            decodes = gs_j > g_su  # the suffix from x on: gs ascends
+            y += live
+            decoders += decodes
+            ratio = gs_j * t / (t + gs_j - g_su)
+            # replacing on ties keeps the first maximizer, the larger relay set
+            take = live & decodes & (ratio >= top)
+            np.copyto(top, ratio, where=take)
+            np.copyto(z, j, where=take)
+            np.copyto(t_z, t, where=take)
+        psi = t_z / (t_z + gs[rows[:, None], z] - g_su)  # gs[z] from the (M, N) table
+    x = n - decoders                   # first index with gs > g_su
 
     gs_max = gs[:, -1:]
-    gs3, g_su3 = gs[:, :, None], g_su[:, None, :]
-    live = t > g_su3  # a prefix of sorted positions: t does not increase
-    y = np.count_nonzero(live, axis=1) - 1         # last suffix start with t > g_su
-    x = np.count_nonzero(gs3 <= g_su3, axis=1)     # first index with gs > g_su
     case1 = g_su >= gs_max
-    case2 = ~case1 & (x > y)                       # t[x] <= g_su
-    beam = ~(case1 | case2)
-    valid = (np.arange(n)[None, :, None] >= x[:, None, :]) & live
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(valid, gs3 * t / (t + gs3 - g_su3), -np.inf)
-        z = ratio.argmax(axis=1)  # first maximizer, i.e. the larger relay set
-        g_beam = np.take_along_axis(ratio, z[:, None, :], axis=1)[:, 0, :]
-        del ratio, valid  # keeps the peak memory of the (K, U) grid call down
-        t_z = np.take_along_axis(t, z[:, None, :], axis=1)[:, 0, :]
-        psi = t_z / (t_z + np.take_along_axis(gs, z, axis=1) - g_su)
-
+    case2 = ~case1 & (x > y)           # t[x] <= g_su
+    other = case1 | case2              # outside the beamform case
+    for arr, fill in (x, -1), (y, -1), (z, -1), (psi, 1.0):
+        np.copyto(arr, fill, where=other)
+    gain = top                         # the beamform gain, overwritten in the other cases
+    np.copyto(gain, g_su, where=case2)
+    np.copyto(gain, gs_max, where=case1)
     return RelayClosedForm(
-        gain=np.where(case1, gs_max, np.where(case2, g_su, g_beam)),
+        gain=gain,
         case=np.where(case1, 0, np.where(case2, 1, 2)),
         order=order,
         best=np.argmax(g_sr, axis=1),
-        x=np.where(beam, x, -1),
-        y=np.where(beam, y, -1),
-        z=np.where(beam, z, -1),
-        source_fraction=np.where(beam, psi, 1.0),
-        g_ru_sorted=gr,
-        suffix_sum=t,
+        x=x,
+        y=y,
+        z=z,
+        source_fraction=psi,
+        g_ru=g_ru,
     )
 
 

@@ -54,6 +54,13 @@ def test_topology_rejects_coincident_nodes():
         Topology(source_xy=(0.0, 0.0), relay_xy=((0.0, 0.0),), dest_xy=((1.0, 1.0),))
     with pytest.raises(ValueError):
         Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0),), dest_xy=((1.0, 0.0),))
+    with pytest.raises(ValueError, match=r"on link relay1->dest2$"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0), (2.0, 0.0)),
+                 dest_xy=((5.0, 5.0), (6.0, 6.0), (2.0, 0.0)))
+    # source->relay links come first, then source->dest, then relay->dest
+    # row major: relay0->dest0 coincides too
+    with pytest.raises(ValueError, match=r"on link source->dest1$"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0),), dest_xy=((1.0, 0.0), (0.0, 0.0)))
 
 
 def test_profile_validation():

@@ -294,6 +294,7 @@ def _one(g_su, g_sr, g_ru):
 @example(_one(0.0, [4.0, 4.0, 1.0], [4.0, 0.0, 2.0]))    # beamform with ties and zeros
 @example((np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3, 2))))
 @example(_one(1e-320, [1e-321, 2.0], [1e3, 5e-320]))  # subnormal suffix sum at z
+@example(_one(0.0, [2.0, 2.0], [0.0, 2.0]))           # both suffix starts score 1.0: z = 0
 @pytest.mark.filterwarnings("error")
 def test_batched_closed_form_matches_per_pair(batch):
     g_su, g_sr, g_ru = batch
@@ -317,6 +318,34 @@ def test_batched_closed_form_matches_per_pair(batch):
             assert splits[row][0] == picked_splits[row][0] == relay_set
             np.testing.assert_array_equal(splits[row][1], fractions)
             np.testing.assert_array_equal(picked_splits[row][1], fractions)
+
+
+@pytest.mark.parametrize("draw", ["lognormal", "tie_rich"])
+@pytest.mark.filterwarnings("error")
+def test_closed_form_matches_per_pair_with_eight_relays(draw):
+    # _batches draws at most four relays; eight take the loop over sorted
+    # positions past that, on (K=64, U=8) slices
+    rng = np.random.default_rng(16)
+    shapes = (64, 8), (64, 8), (64, 8, 8)
+    if draw == "lognormal":
+        g_su, g_sr, g_ru = (rng.lognormal(0.0, 1.5, s) for s in shapes)
+    else:
+        g_su, g_sr, g_ru = (rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], s) for s in shapes)
+    cf = relay_closed_form(g_su, g_sr, g_ru)
+    splits = cf.relay_splits(np.ones(cf.gain.size))
+    assert set(cf.case.ravel().tolist()) == {0, 1, 2}
+    assert cf.z.max() >= 4
+    np.testing.assert_array_equal(cf.order, np.argsort(g_sr, axis=1, kind="stable"))
+    np.testing.assert_array_equal(cf.best, np.argmax(g_sr, axis=1))
+    for i in range(64):
+        for j in range(8):
+            gain, case, xyz, relay_set, psi, fractions = _scalar_closed_form(g_su[i, j], g_sr[i], g_ru[i, :, j])
+            assert cf.gain[i, j] == gain
+            assert CASES[cf.case[i, j]] == case
+            assert (int(cf.x[i, j]), int(cf.y[i, j]), int(cf.z[i, j])) == (xyz or (-1, -1, -1))
+            assert cf.source_fraction[i, j] == psi
+            assert splits[i * 8 + j][0] == relay_set
+            np.testing.assert_array_equal(splits[i * 8 + j][1], fractions)
 
 
 def test_rate_concavity_in_power():
