@@ -3,19 +3,20 @@
 Every link (source to destination, source to relay, relay to destination) is
 an independent Rayleigh tapped delay line. Tap powers decay exponentially and
 are normalized so that the total mean received power follows a distance power
-law, optionally multiplied by a log-normal shadowing term drawn in dB.
+law (exponent 3, 30 dB attenuation at 10 m), optionally multiplied by a
+log-normal shadowing term drawn in dB.
 Frequency responses are plain forward DFTs of the zero padded taps, and gains
 are squared magnitudes divided by the receiver noise variance.
 
 Each link draws from its own Philox stream, keyed by
 ``SeedSequence([seed, role, a, b]).generate_state(2, np.uint64)`` for a role
 tag and the link's endpoint indices, so no draw depends on the order in which
-links are synthesized; destination placement draws from the stream of the
-placement role. A Philox stream is fixed by its key, so ``_link_streams``
-computes the keys of all streams at once with a vectorized port of
-SeedSequence's hash (``_philox_keys``) and re-keys one generator per stream
-through its ``state``, which gives the same streams as one keyed generator
-per link.
+links are synthesized. A Philox stream is fixed by its key, so
+``_link_streams`` computes the keys of all links at once with a vectorized
+port of SeedSequence's hash (``_philox_keys``) and re-keys one generator per
+link through its ``state``, which gives the same streams as one keyed
+generator per link. Destination placement keys its own generator directly
+with the stream of the placement role.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ _ROLE_SOURCE_DEST = 0
 _ROLE_SOURCE_RELAY = 1
 _ROLE_RELAY_DEST = 2
 _ROLE_PLACEMENT = 3
+
+# Distance power law of the mean received power.
+_PATHLOSS_EXPONENT = 3.0
+_REFERENCE_DISTANCE_M = 10.0
+_REFERENCE_ATTENUATION_DB = 30.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class Topology:
 
 @dataclass(frozen=True, eq=False)
 class TapProfile:
-    """Multipath power profile plus large scale propagation parameters.
+    """Multipath power profile plus the standard deviation of the shadowing in dB.
 
     ``variances`` holds the relative tap powers. At synthesis time they are
     rescaled so their sum equals the mean received power dictated by the
@@ -111,10 +117,7 @@ class TapProfile:
     """
 
     variances: np.ndarray
-    pathloss_exponent: float = 3.0
     shadowing_db_std: float = 0.0
-    reference_distance_m: float = 10.0
-    reference_attenuation_db: float = 30.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
@@ -125,19 +128,17 @@ class TapProfile:
             raise ValueError("tap variances must be strictly positive")
         if np.any(np.diff(v) >= 0.0):
             raise ValueError("tap variances must be strictly decreasing")
-        if self.pathloss_exponent <= 0.0 or self.reference_distance_m <= 0.0:
-            raise ValueError("pathloss_exponent and reference_distance_m must be positive")
         if self.shadowing_db_std < 0.0:
             raise ValueError("shadowing_db_std must be nonnegative")
 
     @classmethod
-    def exponential(cls, num_taps: int = 6, decay: float = 3.0, **kwargs) -> "TapProfile":
+    def exponential(cls, num_taps: int = 6, decay: float = 3.0, shadowing_db_std: float = 0.0) -> "TapProfile":
         """Profile with tap i carrying relative power exp(-decay * i)."""
         if num_taps < 1:
             raise ValueError("num_taps must be at least 1")
         if decay <= 0.0:
             raise ValueError("decay must be positive")
-        return cls(variances=np.exp(-decay * np.arange(num_taps)), **kwargs)
+        return cls(variances=np.exp(-decay * np.arange(num_taps)), shadowing_db_std=shadowing_db_std)
 
     @property
     def num_taps(self) -> int:
@@ -147,8 +148,8 @@ class TapProfile:
         """Mean received power (unit transmit power) at the given distance."""
         if distance <= 0.0:
             raise ValueError("distance must be positive")
-        att = 10.0 ** (-self.reference_attenuation_db / 10.0)
-        return att * (distance / self.reference_distance_m) ** (-self.pathloss_exponent)
+        att = 10.0 ** (-_REFERENCE_ATTENUATION_DB / 10.0)
+        return att * (distance / _REFERENCE_DISTANCE_M) ** (-_PATHLOSS_EXPONENT)
 
     def link_variances(self, distance: float) -> np.ndarray:
         """Absolute per tap variances for one link, summing to mean_power."""
@@ -189,7 +190,6 @@ class GainTable:
     g_su: np.ndarray  # (K, U)
     g_sr: np.ndarray  # (K, N)
     g_ru: np.ndarray  # (K, N, U)
-    noise_variance: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("g_su", "g_sr", "g_ru"):
@@ -202,8 +202,6 @@ class GainTable:
             raise ValueError("gain array shapes are inconsistent")
         if self.g_sr.shape[1] < 1:
             raise ValueError("gain table needs at least one relay")
-        if self.noise_variance <= 0.0:
-            raise ValueError("noise_variance must be positive")
 
     @property
     def num_subcarriers(self) -> int:
@@ -233,7 +231,8 @@ def place_destinations(region: Region, num_destinations: int, rng_seed: int) -> 
     """
     if num_destinations < 1:
         raise ValueError("num_destinations must be at least 1")
-    rng = next(_link_streams(_check_seed(rng_seed), [(_ROLE_PLACEMENT, 0, 0)]))
+    key = np.random.SeedSequence([_check_seed(rng_seed), _ROLE_PLACEMENT, 0, 0])
+    rng = np.random.Generator(np.random.Philox(key))
     x = rng.uniform(region.x_min, region.x_max, size=num_destinations)
     y = rng.uniform(region.y_min, region.y_max, size=num_destinations)
     return np.column_stack([x, y])
@@ -388,6 +387,5 @@ def to_gains(realization: ChannelRealization, noise_variance: float) -> GainTabl
         g_su=np.abs(realization.freq_su) ** 2 / noise_variance,
         g_sr=np.abs(realization.freq_sr) ** 2 / noise_variance,
         g_ru=np.abs(realization.freq_ru) ** 2 / noise_variance,
-        noise_variance=noise_variance,
     )
 

@@ -9,7 +9,9 @@ the minimum of the worst source-relay link and the combined second hop.
 
 The relay aided problem has a closed form: sort relays by their source link
 gain, consider suffix sets, and pick the suffix whose beamforming ratio is
-largest. The result is a single effective gain so the two slot rate becomes
+largest; its start z lies between x, the first relay whose source link beats
+the direct link, and y, the last suffix whose second hop sum still does. The
+result is a single effective gain so the two slot rate becomes
 ``ln(1 + gain * P)`` for the total subcarrier power P; the relay set and the
 power split scale with P, so only fractions are kept. ``relay_closed_form``
 evaluates it for a whole batch of pairs at once, in one loop over the sorted
@@ -32,9 +34,6 @@ from .channel import GainTable
 __all__ = [
     "MODE_DIRECT",
     "MODE_RELAY",
-    "CASE_SOURCE_DOMINATES",
-    "CASE_RELAY_SUM_WEAK",
-    "CASE_BEAMFORM",
     "RelayClosedForm",
     "ModeSets",
     "relay_closed_form",
@@ -46,11 +45,10 @@ __all__ = [
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
 
-# Which branch of the closed form produced the effective gain.
-CASE_SOURCE_DOMINATES = "source_dominates"  # direct link beats every relay's source link
-CASE_RELAY_SUM_WEAK = "relay_sum_weak"      # decodable relays too weak on the second hop
-CASE_BEAMFORM = "beamform"                  # a suffix of relays beamforms with the source
-CASES = (CASE_SOURCE_DOMINATES, CASE_RELAY_SUM_WEAK, CASE_BEAMFORM)
+# Below 2**_PEAK_EXP, a gain times a sum of up to 2**23 gains stays finite; a
+# batch with a larger gain is solved on gains scaled by a power of two that
+# brings the largest below it.
+_PEAK_EXP = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,23 +57,23 @@ class RelayClosedForm:
 
     Row m holds one subcarrier's N relays and U destinations; every per pair
     array is (M, U). ``order`` lists relay indices by increasing source link
-    gain (ties by relay index). ``x``, ``y`` and ``z`` are 0-based positions
-    in that order, -1 outside the beamform case: x is the first relay whose
-    source link beats the direct link, y the last suffix whose second hop
-    sum still beats the direct link, z the maximizing suffix start.
+    gain (ties by relay index). ``z`` is the 0-based position in that order
+    where the chosen suffix of relays starts, -1 when no suffix beamforms:
+    either the direct link beats every relay's source link (the gain is the
+    best source link gain) or the relays that decode are too weak on the
+    second hop (the gain is the direct link's). The derivation bounds z by x,
+    the first relay whose source link beats the direct link, and y, the last
+    suffix whose second hop sum still beats it; neither is kept.
     ``source_fraction`` is the share of the subcarrier power the source
-    spends in the broadcasting slot; ``case`` indexes ``CASES``. ``g_ru`` is
-    the input (M, N, U) second hop table, kept by reference: ``relay_splits``
-    rebuilds the sorted second hop gains and their suffix sums from it, for
-    the beamform pairs only.
+    spends in the broadcasting slot. ``g_ru`` is the (M, N, U) second hop
+    table the gains were computed from, the input itself unless it was
+    scaled: ``relay_splits`` rebuilds the sorted second hop gains and their
+    suffix sums from it, for the beamform pairs only.
     """
 
     gain: np.ndarray             # (M, U) effective gain
-    case: np.ndarray             # (M, U)
     order: np.ndarray            # (M, N)
     best: np.ndarray             # (M,) relay with the largest source link gain
-    x: np.ndarray                # (M, U)
-    y: np.ndarray                # (M, U)
     z: np.ndarray                # (M, U)
     source_fraction: np.ndarray  # (M, U)
     g_ru: np.ndarray             # (M, N, U) second hop gains, unsorted
@@ -85,7 +83,7 @@ class RelayClosedForm:
 
         The relays of pair i share ``shared[i]`` watts in proportion to
         their second hop gains. A beamform pair uses the suffix of the
-        sorted order from z; the other cases hand the best source link relay
+        sorted order from z; the other pairs hand the best source link relay
         all of it (zero, as their source fraction is one).
         """
         shared = np.asarray(shared, dtype=float)
@@ -118,20 +116,26 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
     ``g_su`` is (M, U), ``g_sr`` (M, N) and ``g_ru`` (M, N, U); a batch of
     single pairs has U = 1. Relays are sorted by source link gain once per
     row. The loop walks the sorted positions from the last one on (M, U)
-    slices: it extends every destination's suffix sum by one relay, counts
-    x and y, and scores that suffix start against the best one so far.
+    slices: it extends every destination's suffix sum by one relay and, where
+    that suffix decodes and beats the direct link, scores it against the best
+    suffix start so far. A batch whose largest gain is 2**500 or more is
+    solved on gains scaled by a power of two, which scales the gain exactly
+    and leaves the rest unchanged (up to the last bits of gains that the
+    scaling makes subnormal).
     """
     g_su = np.asarray(g_su, dtype=float)
     g_ru = np.asarray(g_ru, dtype=float)
     m, n = g_sr.shape
     order = np.argsort(g_sr, axis=1, kind="stable")
     gs = np.take_along_axis(g_sr, order, axis=1)  # (M, N), ascending
+    peak = max(g_su.max(initial=0.0), gs.max(initial=0.0), g_ru.max(initial=0.0))
+    shift = min(_PEAK_EXP - int(np.frexp(peak)[1]), 0)
+    if shift:
+        g_su, gs, g_ru = (np.ldexp(a, shift) for a in (g_su, gs, g_ru))
     rows = np.arange(m)
     shape = g_su.shape
-    y = np.full(shape, -1, np.intp)       # last suffix start with t > g_su
-    decoders = np.zeros(shape, np.intp)   # positions with gs > g_su
     top = np.full(shape, -np.inf)         # best score so far
-    z = np.zeros(shape, np.intp)          # its position
+    z = np.full(shape, -1, np.intp)       # its position
     t_z = np.zeros(shape)                 # and its suffix sum
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(n - 1, -1, -1):
@@ -139,35 +143,28 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
             # suffix sum from the last position, in cumsum's order of addition
             t = gr if j == n - 1 else np.add(t, gr, out=t)
             gs_j = gs[:, j, None]
-            live = t > g_su        # a prefix of positions: t does not increase
-            decodes = gs_j > g_su  # the suffix from x on: gs ascends
-            y += live
-            decoders += decodes
             ratio = gs_j * t / (t + gs_j - g_su)
-            # replacing on ties keeps the first maximizer, the larger relay set
-            take = live & decodes & (ratio >= top)
+            # a suffix start counts where its second hop sum and its relay's
+            # source link both beat the direct link; replacing on ties keeps
+            # the first maximizer, the larger relay set
+            take = (t > g_su) & (gs_j > g_su) & (ratio >= top)
             np.copyto(top, ratio, where=take)
             np.copyto(z, j, where=take)
             np.copyto(t_z, t, where=take)
         psi = t_z / (t_z + gs[rows[:, None], z] - g_su)  # gs[z] from the (M, N) table
-    x = n - decoders                   # first index with gs > g_su
 
     gs_max = gs[:, -1:]
-    case1 = g_su >= gs_max
-    case2 = ~case1 & (x > y)           # t[x] <= g_su
-    other = case1 | case2              # outside the beamform case
-    for arr, fill in (x, -1), (y, -1), (z, -1), (psi, 1.0):
-        np.copyto(arr, fill, where=other)
+    other = top == -np.inf             # no suffix start counted: no beamforming
+    np.copyto(psi, 1.0, where=other)
     gain = top                         # the beamform gain, overwritten in the other cases
-    np.copyto(gain, g_su, where=case2)
-    np.copyto(gain, gs_max, where=case1)
+    np.copyto(gain, g_su, where=other)             # decoders too weak on the second hop
+    np.copyto(gain, gs_max, where=g_su >= gs_max)  # direct link beats every source link
+    if shift:
+        gain = np.ldexp(gain, -shift)
     return RelayClosedForm(
         gain=gain,
-        case=np.where(case1, 0, np.where(case2, 1, 2)),
         order=order,
         best=np.argmax(g_sr, axis=1),
-        x=x,
-        y=y,
         z=z,
         source_fraction=psi,
         g_ru=g_ru,
@@ -186,8 +183,8 @@ def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -
 
 def _inverse(arr: np.ndarray) -> np.ndarray:
     """``1 / arr``, infinite where arr is zero or too small to invert."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(arr > 0.0, 1.0 / np.where(arr > 0.0, arr, 1.0), np.inf)
+    with np.errstate(over="ignore"):
+        return np.divide(1.0, arr, out=np.full(arr.shape, np.inf), where=arr > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +214,8 @@ def classify(gains: GainTable, ptot: float) -> ModeSets:
         raise ValueError("ptot must be positive")
     g1 = effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     g_su = gains.g_su
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a g_su**2 that overflows puts the crossover far below any budget
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         crossover = np.where(
             g1 > g_su,
             np.where(g_su > 0.0, 4.0 * (g1 - g_su) / g_su**2, np.inf),

@@ -150,7 +150,6 @@ def test_to_gains_normalizes_by_noise():
     real = synthesize_realization(_topo(), TapProfile.exponential(), 16, 13)
     g = to_gains(real, 1e-3)
     np.testing.assert_allclose(g.g_su, np.abs(real.freq_su) ** 2 / 1e-3, rtol=1e-12)
-    assert g.noise_variance == 1e-3
     with pytest.raises(ValueError):
         to_gains(real, 0.0)
 
@@ -265,7 +264,7 @@ def test_synthesis_equals_link_by_link_reference(inputs):
         # to_gains reads the spectra; keep the reference's C order too
         assert got.flags.c_contiguous, name
     assert (real.num_subcarriers, real.seed) == (k, seed)
-    # placement keys its one stream the same batched way
+    # placement keys its own generator with the placement role's stream
     count = topology.num_destinations
     assert np.array_equal(place_destinations(REGION, count, seed), _placement_reference(REGION, count, seed))
 
@@ -285,3 +284,7 @@ def test_taps_are_pinned():
     ]
     for tap, re, im in pins:
         assert (float(tap.real).hex(), float(tap.imag).hex()) == (re, im)
+    # and the placement of three destinations with the same seed
+    placed = place_destinations(REGION, 3, 2**63 + 12345)
+    assert [float(v).hex() for v in placed[0]] == ["-0x1.087a966af3a8ap+2", "-0x1.4af8c6f578da0p+4"]
+    assert [float(v).hex() for v in placed[2]] == ["-0x1.b6d2a66f05019p+2", "-0x1.c71f270fb63c8p+3"]

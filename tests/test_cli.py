@@ -288,6 +288,31 @@ def test_main_exit_code_contract(tmp_path, capsys):
     assert summary["average_wsr"]["proposed"] >= summary["average_wsr"]["reference"] > 0.0
 
 
+HUGE_GAINS_YAML = """\
+num_subcarriers: 16
+num_destinations: 4
+ptot_dbw: 35.0
+noise_dbw: -3070.0
+seed: 1
+realizations: 1
+protocols: [proposed, reference, highpower]
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_gains_stay_finite(tmp_path):
+    # gains up to about 1e305: unless the relay closed form scales them
+    # first, a product of two overflows, the effective gains are infinite,
+    # and the reference's water-filling rejects them
+    assert main([str(_write(tmp_path, HUGE_GAINS_YAML)), "-o", str(tmp_path / "out")]) == 0
+    table = np.loadtxt(tmp_path / "out" / "gains_step1.csv", delimiter=",", skiprows=1)
+    assert table.shape == (64, 4) and np.all(np.isfinite(table))
+    assert table[:, 2:].max() > 1e300
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert math.isfinite(summary["average_wsr"]["proposed"])
+    assert summary["status_counts"]["proposed"] == {"kkt": 1}
+
+
 def test_main_protocol_override(tmp_path, capsys):
     good = _write(tmp_path, GOOD_YAML)
     assert main([str(good), "-o", str(tmp_path / "o1"), "-p", "proposed"]) == 0

@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 from relayalloc import rates
 from relayalloc.channel import GainTable
 from relayalloc.rates import (
-    CASES,
-    CASE_BEAMFORM,
-    CASE_RELAY_SUM_WEAK,
-    CASE_SOURCE_DOMINATES,
     MODE_DIRECT,
     MODE_RELAY,
     classify,
@@ -79,7 +75,8 @@ def test_direct_equal_split_is_best():
 
 def test_source_dominates_case():
     cf, relay_set, _ = pair_solution(10.0, [5.0], [1.0])
-    assert CASES[cf.case[0, 0]] == CASE_SOURCE_DOMINATES
+    assert _scalar_closed_form(10.0, np.array([5.0]), np.array([1.0]))[1] == SOURCE_DOMINATES
+    assert cf.z[0, 0] == -1
     assert cf.gain[0, 0] == 5.0
     assert relay_set == (0,)
     assert cf.source_fraction[0, 0] == 1.0
@@ -88,18 +85,19 @@ def test_source_dominates_case():
 def test_beamform_case_single_relay():
     # zero direct link: the bottleneck balance gives half the gain
     cf, relay_set, fractions = pair_solution(0.0, [4.0], [4.0])
-    assert CASES[cf.case[0, 0]] == CASE_BEAMFORM
+    assert _scalar_closed_form(0.0, np.array([4.0]), np.array([4.0]))[1] == BEAMFORM
     assert math.isclose(cf.gain[0, 0], 2.0, rel_tol=1e-12)
     assert math.isclose(cf.source_fraction[0, 0], 0.5, rel_tol=1e-12)
     assert relay_set == (0,)
-    assert cf.x[0, 0] == cf.y[0, 0] == cf.z[0, 0] == 0
+    assert cf.z[0, 0] == 0
     np.testing.assert_allclose(fractions, [1.0])
 
 
 def test_relay_sum_weak_case():
     # decodable relays exist but their second hop sum is below the direct link
     cf, relay_set, _ = pair_solution(1.0, [2.0, 3.0], [0.4, 0.5])
-    assert CASES[cf.case[0, 0]] == CASE_RELAY_SUM_WEAK
+    assert _scalar_closed_form(1.0, np.array([2.0, 3.0]), np.array([0.4, 0.5]))[1] == RELAY_SUM_WEAK
+    assert cf.z[0, 0] == -1
     assert cf.gain[0, 0] == 1.0
     assert cf.source_fraction[0, 0] == 1.0
     assert len(relay_set) == 1
@@ -125,10 +123,13 @@ def test_beamform_invariants():
         g_su, g_sr, g_ru = random_pair(rng)
         cf, relay_set, fractions = pair_solution(g_su, g_sr, g_ru)
         order = cf.order[0].tolist()
-        if CASES[cf.case[0, 0]] != CASE_BEAMFORM:
+        _, case, xyz, *_ = _scalar_closed_form(g_su, g_sr, g_ru)
+        z = int(cf.z[0, 0])
+        assert (z >= 0) == (case == BEAMFORM)
+        if case != BEAMFORM:
             continue
         hits += 1
-        x, y, z = int(cf.x[0, 0]), int(cf.y[0, 0]), int(cf.z[0, 0])
+        x, y, _ = xyz
         assert cf.gain[0, 0] > g_su
         assert x <= z <= y
         # the chosen set is a suffix of the sorted order
@@ -245,26 +246,46 @@ def test_effective_gain_table_matches_per_pair():
                 assert math.isclose(table[kk, uu], want, rel_tol=1e-12)
 
 
+# which branch of the closed form gives a pair's effective gain
+SOURCE_DOMINATES = "source_dominates"  # direct link beats every relay's source link
+RELAY_SUM_WEAK = "relay_sum_weak"      # decodable relays too weak on the second hop
+BEAMFORM = "beamform"                  # a suffix of relays beamforms with the source
+
+
 def _scalar_closed_form(g_su, g_sr, g_ru):
     """The relay aided closed form of one pair, written out case by case.
 
     Returns (gain, case, (x, y, z) or None, relay_set, source_fraction,
-    relay_fractions).
+    relay_fractions): x is the first sorted relay whose source link beats the
+    direct link, y the last suffix whose second hop sum still beats it, and z
+    the maximizing suffix start between them.
     """
     order = np.argsort(g_sr, kind="stable")
     gs, gr = g_sr[order], g_ru[order]
     t = np.cumsum(gr[::-1])[::-1]
     best = (int(np.argmax(g_sr)),)
     if g_su >= gs[-1]:
-        return float(gs[-1]), CASE_SOURCE_DOMINATES, None, best, 1.0, np.array([1.0])
+        return float(gs[-1]), SOURCE_DOMINATES, None, best, 1.0, np.array([1.0])
     x = int(np.searchsorted(gs, g_su, side="right"))
     if t[x] <= g_su:
-        return g_su, CASE_RELAY_SUM_WEAK, None, best, 1.0, np.array([1.0])
+        return g_su, RELAY_SUM_WEAK, None, best, 1.0, np.array([1.0])
     y = int(np.max(np.nonzero(t > g_su)[0]))
     cand = gs[x:y + 1] * t[x:y + 1] / (t[x:y + 1] + gs[x:y + 1] - g_su)
     z = x + int(np.argmax(cand))
     psi = float(t[z] / (t[z] + gs[z] - g_su))
-    return float(cand[z - x]), CASE_BEAMFORM, (x, y, z), tuple(int(i) for i in order[z:]), psi, gr[z:] / t[z]
+    return float(cand[z - x]), BEAMFORM, (x, y, z), tuple(int(i) for i in order[z:]), psi, gr[z:] / t[z]
+
+
+def _assert_case(case, xyz, gain, z, g_su, g_sr):
+    """The oracle's case, read from the batched fields: z >= 0 exactly in the
+    beamform case, between the oracle's own x and y; otherwise the gain is
+    the best source link gain or the direct link's."""
+    if case == BEAMFORM:
+        x, y, want = xyz
+        assert x <= z == want <= y
+    else:
+        assert z == -1
+        assert gain == (np.max(g_sr) if case == SOURCE_DOMINATES else g_su)
 
 
 # small values tie and hit zero often; wide ones reach every case
@@ -311,9 +332,8 @@ def test_batched_closed_form_matches_per_pair(batch):
             row = i * u + j
             gain, case, xyz, relay_set, psi, fractions = _scalar_closed_form(g_su[i, j], g_sr[i], g_ru[i, :, j])
             assert cf.gain[i, j] == picked.gain[row, 0] == gain
-            assert CASES[cf.case[i, j]] == CASES[picked.case[row, 0]] == case
-            for got in (cf.x[i, j], cf.y[i, j], cf.z[i, j]), (picked.x[row, 0], picked.y[row, 0], picked.z[row, 0]):
-                assert tuple(map(int, got)) == (xyz or (-1, -1, -1))
+            for got, z in (cf.gain[i, j], cf.z[i, j]), (picked.gain[row, 0], picked.z[row, 0]):
+                _assert_case(case, xyz, got, int(z), g_su[i, j], g_sr[i])
             assert cf.source_fraction[i, j] == picked.source_fraction[row, 0] == psi
             assert splits[row][0] == picked_splits[row][0] == relay_set
             np.testing.assert_array_equal(splits[row][1], fractions)
@@ -333,7 +353,7 @@ def test_closed_form_matches_per_pair_with_eight_relays(draw):
         g_su, g_sr, g_ru = (rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], s) for s in shapes)
     cf = relay_closed_form(g_su, g_sr, g_ru)
     splits = cf.relay_splits(np.ones(cf.gain.size))
-    assert set(cf.case.ravel().tolist()) == {0, 1, 2}
+    cases = set()
     assert cf.z.max() >= 4
     np.testing.assert_array_equal(cf.order, np.argsort(g_sr, axis=1, kind="stable"))
     np.testing.assert_array_equal(cf.best, np.argmax(g_sr, axis=1))
@@ -341,11 +361,12 @@ def test_closed_form_matches_per_pair_with_eight_relays(draw):
         for j in range(8):
             gain, case, xyz, relay_set, psi, fractions = _scalar_closed_form(g_su[i, j], g_sr[i], g_ru[i, :, j])
             assert cf.gain[i, j] == gain
-            assert CASES[cf.case[i, j]] == case
-            assert (int(cf.x[i, j]), int(cf.y[i, j]), int(cf.z[i, j])) == (xyz or (-1, -1, -1))
+            _assert_case(case, xyz, cf.gain[i, j], int(cf.z[i, j]), g_su[i, j], g_sr[i])
+            cases.add(case)
             assert cf.source_fraction[i, j] == psi
             assert splits[i * 8 + j][0] == relay_set
             np.testing.assert_array_equal(splits[i * 8 + j][1], fractions)
+    assert cases == {SOURCE_DOMINATES, RELAY_SUM_WEAK, BEAMFORM}
 
 
 def test_rate_concavity_in_power():
@@ -358,3 +379,21 @@ def test_rate_concavity_in_power():
         assert relay_rate(g1, mix) >= lam * relay_rate(g1, p1) + (1 - lam) * relay_rate(g1, p2) - 1e-12
         gd = float(rng.lognormal(0.0, 1.0))
         assert direct_rate(gd, mix) >= lam * direct_rate(gd, p1) + (1 - lam) * direct_rate(gd, p2) - 1e-12
+
+
+@pytest.mark.parametrize("k", [-200, 0, 200, 600, 1000])
+@pytest.mark.filterwarnings("error")
+def test_closed_form_scales_exactly(k):
+    # scaling every gain by 2**k scales the effective gain by exactly 2**k
+    # and leaves the relay choice and the power split as they are, also past
+    # 2**500, where a product of two gains could overflow
+    rng = np.random.default_rng(17)
+    g_su, g_sr, g_ru = (rng.lognormal(0.0, 1.0, s) for s in ((64, 8), (64, 4), (64, 4, 8)))
+    base = relay_closed_form(g_su, g_sr, g_ru)
+    scaled = relay_closed_form(*(np.ldexp(a, k) for a in (g_su, g_sr, g_ru)))
+    np.testing.assert_array_equal(scaled.gain, np.ldexp(base.gain, k))
+    for name in ("z", "source_fraction", "order", "best"):
+        np.testing.assert_array_equal(getattr(scaled, name), getattr(base, name))
+    for (set_a, powers_a), (set_b, powers_b) in zip(base.relay_splits(np.ones(512)), scaled.relay_splits(np.ones(512))):
+        assert set_a == set_b
+        np.testing.assert_array_equal(powers_a, powers_b)
