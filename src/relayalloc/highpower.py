@@ -118,20 +118,7 @@ def solve_high_power(
         # the weighted log dominates every gain difference in this regime
         dest = np.full(kk, int(np.argmax(w)))
 
-    mode = np.full(kk, rates.MODE_DIRECT)
     power = np.full(kk, params.ptot / kk)
-    rate = solver._rates(gains.g_su[np.arange(kk), dest], power, np.zeros(kk, dtype=bool))
-    return Allocation(
-        assignments=solver._LazyAssignments(dest, mode, power, gains),
-        wsr=solver._weighted_total(w[dest], rate),
-        mu_star=report.mu_upper,
-        residual=0.0,
-        iterations=0,
-        status=solver.STATUS_CLOSED_FORM,
-        mu_lower=report.mu_lower,
-        mu_upper=report.mu_upper,
-        dest=dest,
-        mode=mode,
-        power=power,
-        rate=rate,
-    )
+    return Allocation.from_choice(dest, np.full(kk, rates.MODE_DIRECT), power, gains.g_su[np.arange(kk), dest],
+                                  params, gains, solver.STATUS_CLOSED_FORM, report.mu_upper,
+                                  (report.mu_lower, report.mu_upper))

@@ -2,11 +2,12 @@
 
 Each subcarrier is handed to the destination with the best of its two gains
 (relay aided effective gain or direct gain), the better mode is kept fixed,
-and plain water-filling, at the exact level of ``solver.water_level``,
-spreads the budget over the resulting single gain per subcarrier. In
-direct mode the source only transmits in the broadcasting slot here, so
-the direct rate is ``ln(1 + g_su p)`` rather than the two slot form, which
-is what makes this baseline lose to the joint optimisation.
+and plain water-filling, the solver's own exact fill, spreads the budget
+over the resulting single gain per subcarrier. In direct mode the source
+only transmits in the broadcasting slot here, so the direct rate is
+``ln(1 + g_su p)`` rather than the two slot form, which is what makes this
+baseline lose to the joint optimisation. The result is built by
+``solver.Allocation.from_choice`` like every other protocol's.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ __all__ = ["waterfill", "solve_reference"]
 def waterfill(gain: np.ndarray, ptot: float) -> tuple:
     """Classic water-filling ``p_k = [level - 1/g_k]+`` meeting the budget.
 
-    Returns (power, level), with the exact level of ``solver.water_level``
-    and the powers rescaled onto the budget. Gains of zero get no power.
-    Raises ValueError if every gain is zero.
+    Returns (power, level), with the exact level and powers of the solver's
+    fill, which spends the budget however small it is. Gains of zero get no
+    power. Raises ValueError if every gain is zero.
     """
     g = np.asarray(gain, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -36,16 +37,11 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
         raise ValueError("gains must be nonnegative and finite")
     if not (ptot > 0.0 and np.isfinite(ptot)):
         raise ValueError("ptot must be positive and finite")
-    inv = rates._inverse(g)
-    fill = solver.water_level(1.0, inv, ptot)
+    fill = solver._fill(1.0, rates._inverse(g), 1.0, ptot)
     if fill is None:
         raise ValueError("water-filling needs at least one positive gain")
-    level = fill[1] / fill[0]
-    power = np.maximum(level - inv, 0.0)
-    scale = power.sum()
-    if scale > 0.0:
-        power *= ptot / scale
-    return power, float(level)
+    lam, power = fill
+    return power, 1.0 / lam
 
 
 def solve_reference(
@@ -66,6 +62,8 @@ def solve_reference(
     a finite inverse) no split carries any rate: the budget is spread
     evenly, as ``solver.solve`` does, and the price is 0. The assignment
     rows spend a direct subcarrier's power in the broadcasting slot only.
+    Raises ValueError for a common weight or budget that is not positive
+    and finite.
     """
     w0 = 1.0
     if weights is not None:
@@ -73,6 +71,7 @@ def solve_reference(
         if not np.all(w == w.flat[0]):
             raise ValueError("the baseline protocol is defined for equal weights only")
         w0 = float(w.flat[0])
+    params = solver.SolverParams(ptot=ptot, weights=np.full(gains.num_destinations, w0))
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     dest, mode, gain = solver.max_gain_choice(g1_table, gains.g_su)
@@ -80,19 +79,6 @@ def solve_reference(
         power, level = waterfill(gain, ptot)
     else:
         power, level = np.full(gain.size, ptot / gain.size), math.inf
-    rate = np.log1p(gain * power)
     mu = w0 / level
-    return solver.Allocation(
-        assignments=solver._LazyAssignments(dest, mode, power, gains, direct_both_slots=False),
-        wsr=w0 * float(rate.sum()),
-        mu_star=mu,
-        residual=0.0,
-        iterations=0,
-        status=solver.STATUS_WATERFILL,
-        mu_lower=mu,
-        mu_upper=mu,
-        dest=dest,
-        mode=mode,
-        power=power,
-        rate=rate,
-    )
+    return solver.Allocation.from_choice(dest, mode, power, gain, params, gains, solver.STATUS_WATERFILL, mu,
+                                         (mu, mu), single_slot=True)

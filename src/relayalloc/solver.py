@@ -31,12 +31,13 @@ candidate per count of switched subcarriers; these and the greedy max
 weighted gain choice are refilled to the exact budget, and the best is
 returned with ``status="bracket_collapse"``.
 
-The result is per subcarrier arrays: destination, mode, total power and
-unweighted rate, with the WSR their weighted sum. The relay set and the
-source and relay power split of each relay aided subcarrier serve only
-reports, so ``Allocation.assignments`` assembles them as
-``SubcarrierAssignment`` rows on first access, through one more batched
-closed form call.
+Every protocol ends with a (destination, mode, power) choice, and
+``Allocation.from_choice`` turns it into the result: per subcarrier
+arrays of destination, mode, total power and unweighted rate, the WSR as
+their weighted sum, and the unspent budget. The relay set and the source
+and relay power split of each relay aided subcarrier serve only reports,
+so ``Allocation.assignments`` assembles them as ``SubcarrierAssignment``
+rows on first access, through one more batched closed form call.
 """
 
 from __future__ import annotations
@@ -143,11 +144,11 @@ class Allocation:
 
     ``dest``, ``mode``, ``power`` and ``rate`` are the per subcarrier
     destination, mode, total power and unweighted rate; ``wsr`` is the
-    weighted sum of ``rate``, added left to right, except for the reference
-    protocol (status ``waterfill``), which reports its common weight times
-    numpy's pairwise sum. ``assignments`` holds the same choice as
+    weighted sum of ``rate``, added left to right, and ``residual`` is
+    ``max(ptot - sum(power), 0)``. ``assignments`` holds the same choice as
     ``SubcarrierAssignment`` rows with the source and relay power split, as
-    a view that assembles them on first access.
+    a view that assembles them on first access. Every protocol builds its
+    result with ``from_choice``.
     """
 
     assignments: Sequence
@@ -166,6 +167,24 @@ class Allocation:
     @property
     def converged(self) -> bool:
         return self.status in (STATUS_KKT, STATUS_CLOSED_FORM, STATUS_WATERFILL)
+
+    @staticmethod
+    def from_choice(dest, mode, power, gain, params: SolverParams, gains: GainTable, status: str, mu: float,
+                    bracket: tuple, iterations: int = 0, single_slot: bool = False) -> "Allocation":
+        """The allocation of a (destination, mode, power) choice.
+
+        ``gain`` is each subcarrier's gain in its chosen mode: the effective
+        gain relay aided, the direct gain otherwise. ``single_slot`` spends
+        direct power in the broadcasting slot only (the reference protocol),
+        so the direct rate is ``ln(1 + g p)``. ``bracket`` is
+        (mu_lower, mu_upper).
+        """
+        rate = _rates(gain, power, mode == MODE_RELAY, single_slot)
+        return Allocation(assignments=_LazyAssignments(dest, mode, power, gains, single_slot),
+                          wsr=_weighted_total(params.weights[dest], rate), mu_star=mu,
+                          residual=max(params.ptot - float(power.sum()), 0.0), iterations=iterations,
+                          status=status, mu_lower=bracket[0], mu_upper=bracket[1], dest=dest, mode=mode,
+                          power=power, rate=rate)
 
 
 def water_level(a, v, budget: float, c=1.0):
@@ -294,13 +313,20 @@ def initial_price(mu_lower: float, mu_upper: float) -> float:
     return math.sqrt(product) if product >= sys.float_info.min else math.sqrt(mu_lower) * math.sqrt(mu_upper)
 
 
-def _rates(gain: np.ndarray, power: np.ndarray, relay: np.ndarray) -> np.ndarray:
-    """Per subcarrier rate: ``ln(1 + g p)`` relay aided, ``2 ln(1 + g p / 2)`` direct.
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of every entry, as numpy's SIMD ``log1p`` can differ in the last bit."""
+    return np.fromiter(map(math.log1p, x.tolist()), float, x.size)
 
-    Uses ``math.log1p``, as numpy's SIMD ``log1p`` can differ in the last bit.
+
+def _rates(gain: np.ndarray, power: np.ndarray, relay: np.ndarray, single_slot: bool = False) -> np.ndarray:
+    """Per subcarrier rate: ``ln(1 + g p)`` relay aided, ``2 ln(1 + g (p / 2))`` direct.
+
+    With ``single_slot`` direct mode uses the broadcasting slot only, and
+    its rate is ``ln(1 + g p)`` too.
     """
-    arg = np.where(relay, gain * power, gain * power / 2.0)
-    return np.where(relay, 1.0, 2.0) * np.fromiter(map(math.log1p, arg.tolist()), float, arg.size)
+    if single_slot:
+        return _log1p(gain * power)
+    return np.where(relay, 1.0, 2.0) * _log1p(gain * np.where(relay, power, power / 2.0))
 
 
 def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
@@ -308,43 +334,35 @@ def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
     return float(np.cumsum(weights * rate)[-1]) if rate.size else 0.0
 
 
-def _chosen(dest, mode, relay_table: np.ndarray, direct_table: np.ndarray):
-    """(entry, relay) per subcarrier of a (destination, mode) choice.
+def _chosen(dest, mode, relay_table: np.ndarray, direct_table: np.ndarray) -> np.ndarray:
+    """Per subcarrier entry of a (destination, mode) choice.
 
     The entry is read from ``relay_table`` in relay aided mode and from
     ``direct_table`` in direct mode: gains or inverse gains.
     """
     rows = np.arange(len(dest))
-    relay = mode == MODE_RELAY
-    return np.where(relay, relay_table[rows, dest], direct_table[rows, dest]), relay
+    return np.where(mode == MODE_RELAY, relay_table[rows, dest], direct_table[rows, dest])
 
 
-def _state_wsr(dest, mode, power, params: SolverParams, gains: GainTable, g1: np.ndarray) -> tuple:
-    """(wsr, rate) of a (destination, mode, power) choice."""
-    gain, relay = _chosen(dest, mode, g1, gains.g_su)
-    rate = _rates(gain, power, relay)
-    return _weighted_total(params.weights[dest], rate), rate
+def _fill(w, inv_g, c, budget: float):
+    """Exact water-filling powers ``c_k [w_k / lam - inv_g_k]+`` spending ``budget``.
 
-
-def _refill(dest, mode, params: SolverParams, mode_sets: ModeSets):
-    """Exact budget water-filling for a fixed (destination, mode) choice.
-
-    Power on subcarrier k is ``c_k [w_k/lam - 1/g_k]+`` with c_k = 1 in
-    relay aided mode and 2 in direct mode; lam is ``water_level``'s exact
-    root, and a final rescale puts the rounding of the powers on the budget.
-    Returns (lam, power), or None if no subcarrier can carry power.
+    lam is ``water_level``'s exact root, and a final rescale puts the
+    rounding of the powers on the budget. Below the rounding of every
+    ``inv_g_k``, ``w_k / lam - inv_g_k`` cancels to zero on every term; the
+    budget then goes to the terms of least threshold ``inv_g_k / w_k`` in
+    proportion to ``c_k w_k``, the exact small budget limit. Returns
+    (lam, power), or None if no term can carry power.
     """
-    w = params.weights[dest]
-    inv_g, relay = _chosen(dest, mode, mode_sets.inv_g1, mode_sets.inv_g_su)
-    c = np.where(relay, 1.0, 2.0)
-    level = water_level(w, inv_g, params.ptot, c)
+    level = water_level(w, inv_g, budget, c)
     if level is None:
         return None
     lam = level[0] / level[1]
     power = c * np.maximum(w / lam - inv_g, 0.0)
-    if not power.sum() > 0.0:  # a budget below the rounding of every 1/g
-        return None
-    power *= params.ptot / power.sum()
+    if not power.sum() > 0.0:
+        thr = inv_g / w
+        power = np.where(thr == thr.min(), c * w, 0.0)
+    power *= budget / power.sum()
     return lam, power
 
 
@@ -366,12 +384,12 @@ def max_gain_choice(g1: np.ndarray, g_su: np.ndarray, weights: Optional[np.ndarr
     return dest, np.where(relay, MODE_RELAY, MODE_DIRECT), np.where(relay, g1_k, g_su_k)
 
 
-def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> list:
+def _assemble(dest, mode, power, gains: GainTable, single_slot: bool = False) -> list:
     """Assignment list of a (destination, mode, power) choice.
 
     Direct mode splits the power equally over both slots, or spends it all
-    in the broadcasting slot when ``direct_both_slots`` is unset (the
-    reference protocol). One closed form call splits every relay aided one.
+    in the broadcasting slot with ``single_slot`` (the reference protocol).
+    One closed form call splits every relay aided one.
     """
     relay_k = np.nonzero(mode == MODE_RELAY)[0]
     cf = rates.relay_aided_solution(gains, relay_k, dest[relay_k])
@@ -381,7 +399,7 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
     rows = []
     for k, (u, m, p) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist())):
         if m == MODE_DIRECT:
-            b, r = (p / 2.0, p / 2.0) if direct_both_slots else (p, 0.0)
+            b, r = (p, 0.0) if single_slot else (p / 2.0, p / 2.0)
             rows.append(SubcarrierAssignment(
                 k=k, u=u, mode=MODE_DIRECT, sum_power=p, broadcast_power=b, relaying_power=r,
             ))
@@ -397,8 +415,8 @@ def _assemble(dest, mode, power, gains: GainTable, direct_both_slots: bool = Tru
 class _LazyAssignments(Sequence):
     """Read-only ``_assemble`` rows of a choice, assembled once on first access."""
 
-    def __init__(self, dest, mode, power, gains: GainTable, direct_both_slots: bool = True) -> None:
-        self._choice = (dest, mode, power, gains, direct_both_slots)
+    def __init__(self, dest, mode, power, gains: GainTable, single_slot: bool = False) -> None:
+        self._choice = (dest, mode, power, gains, single_slot)
         self._rows = None
 
     def _built(self) -> list:
@@ -449,20 +467,21 @@ def solve(
 
     iterations = 0
 
-    def finish(dest, mode, power, mu: float, status: str, scored=None) -> Allocation:
-        wsr, rate = scored or _state_wsr(dest, mode, power, params, gains, mode_sets.g1)
-        return Allocation(assignments=_LazyAssignments(dest, mode, power, gains), wsr=wsr, mu_star=mu,
-                          residual=max(params.ptot - float(power.sum()), 0.0), iterations=iterations,
-                          status=status, mu_lower=mu_lower, mu_upper=mu_upper, dest=dest, mode=mode,
-                          power=power, rate=rate)
+    def finish(dest, mode, power, mu: float, status: str) -> Allocation:
+        return Allocation.from_choice(dest, mode, power, _chosen(dest, mode, mode_sets.g1, gains.g_su), params,
+                                      gains, status, mu, (mu_lower, mu_upper), iterations)
 
     fills = {}
 
     def refill(dest, mode):
-        """``_refill`` once per assignment: a collapsing bracket meets a few of them dozens of times."""
+        """``_fill`` of an assignment at the budget, with c_k = 1 relay aided and 2 direct.
+
+        Memoized: a collapsing bracket meets a few assignments dozens of times.
+        """
         key = (dest.tobytes(), mode.tobytes())
         if key not in fills:
-            fills[key] = _refill(dest, mode, params, mode_sets)
+            inv_g = _chosen(dest, mode, mode_sets.inv_g1, mode_sets.inv_g_su)
+            fills[key] = _fill(params.weights[dest], inv_g, np.where(mode == MODE_RELAY, 1.0, 2.0), params.ptot)
         return fills[key]
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
@@ -518,23 +537,28 @@ def solve(
         dest[tied[:j]], mode[tied[:j]] = a.dest[tied[:j]], a.mode[tied[:j]]
         candidates.append((dest, mode))
     candidates.append(max_gain_choice(mode_sets.g1, gains.g_su, params.weights)[:2])
-    scored = [(_state_wsr(dest, mode, fill[1], params, gains, mode_sets.g1), dest, mode, fill[1])
+    scored = [finish(dest, mode, fill[1], 0.5 * (lo + hi), STATUS_GAP)
               for dest, mode in candidates if (fill := refill(dest, mode)) is not None]
     if not scored:  # no mix can carry power: the upper edge state stands
         return finish(b.dest, b.mode, b.power, b.mu, STATUS_GAP)
-    best, dest, mode, power = max(scored, key=lambda s: s[0][0])  # first of equal maxima
-    return finish(dest, mode, power, 0.5 * (lo + hi), STATUS_GAP, best)
+    return max(scored, key=lambda alloc: alloc.wsr)  # first of equal maxima
 
 
 def _assignment_rates(assignments, gains: GainTable):
-    """(destination, rate) arrays of an assignment list, recomputed from gains."""
+    """(destination, rate) arrays of an assignment list, recomputed from gains.
+
+    A relay aided row's rate is ``ln(1 + g1 P)`` on its sum power, and a
+    direct row's is ``ln(1 + g b) + ln(1 + g r)`` on its broadcasting and
+    relaying slot powers, so rows of every protocol score as it does.
+    """
     k = np.array([a.k for a in assignments], dtype=int)
     u = np.array([a.u for a in assignments], dtype=int)
-    power = np.array([a.sum_power for a in assignments], dtype=float)
     relay = np.array([a.mode == MODE_RELAY for a in assignments], dtype=bool)
+    first = np.array([a.sum_power if a.mode == MODE_RELAY else a.broadcast_power for a in assignments], dtype=float)
+    second = np.array([a.relaying_power for a in assignments], dtype=float)  # zero relay aided
     gain = gains.g_su[k, u]
     gain[relay] = rates.relay_aided_solution(gains, k[relay], u[relay]).gain[:, 0]
-    return u, _rates(gain, power, relay)
+    return u, _log1p(gain * first) + _log1p(gain * second)
 
 
 def weighted_sum_rate(assignments, params: SolverParams, gains: GainTable) -> float:

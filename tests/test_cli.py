@@ -313,6 +313,30 @@ def test_huge_gains_stay_finite(tmp_path):
     assert summary["status_counts"]["proposed"] == {"kkt": 1}
 
 
+TINY_BUDGET_YAML = """\
+num_subcarriers: 16
+num_destinations: 4
+ptot_dbw: -3000.0
+noise_dbw: -30.0
+seed: 1
+realizations: 3
+protocols: [proposed, reference, highpower]
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_budget_is_spent(tmp_path):
+    # 1e-300 W is below the rounding of every inverse gain, so the water
+    # level cancels to zero on every subcarrier; the budget still goes out,
+    # to the strongest subcarriers
+    assert main([str(_write(tmp_path, TINY_BUDGET_YAML)), "-o", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    ptot = summary["config"]["ptot_watts"]
+    assert ptot == 1e-300 and summary["max_budget_slack"] <= 1e-9 * ptot
+    wsr = summary["average_wsr"]
+    assert wsr["proposed"] >= wsr["reference"] > 0.0
+
+
 def test_main_protocol_override(tmp_path, capsys):
     good = _write(tmp_path, GOOD_YAML)
     assert main([str(good), "-o", str(tmp_path / "o1"), "-p", "proposed"]) == 0

@@ -1,6 +1,7 @@
 """Baseline protocol: per-subcarrier gain selection plus water-filling."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ def test_waterfill_zero_gain_gets_nothing():
     power, _ = waterfill(np.array([0.0, 2.0, 1.0]), 3.0)
     assert power[0] == 0.0
     assert math.isclose(power.sum(), 3.0, rel_tol=1e-12)
+
+
+def test_waterfill_spends_a_budget_below_the_rounding_of_every_inverse_gain():
+    # level - 1/g cancels to zero on every channel; the budget goes to the
+    # strongest ones in equal parts, the exact small budget limit
+    power, level = waterfill(np.array([1.0, 4.0, 0.0, 4.0]), 1e-300)
+    np.testing.assert_array_equal(power, [0.0, 5e-301, 0.0, 5e-301])
+    assert level == 0.25
+
+
+def test_reference_spends_a_budget_below_the_rounding_of_every_inverse_gain():
+    rng = np.random.default_rng(43)
+    gains = _random_table(rng, k=8, u=3, n=2)
+    w = np.full(3, 1.0 / 3.0)
+    ref = solve_reference(gains, 1e-300, weights=w)
+    assert math.isclose(float(ref.power.sum()), 1e-300, rel_tol=1e-12)
+    assert ref.residual <= 1e-9 * 1e-300
+    assert ref.wsr > 0.0
+    # the joint optimum spends it too, and no worse
+    assert solver.solve(solver.SolverParams(ptot=1e-300, weights=w), gains).wsr >= ref.wsr
 
 
 def test_waterfill_input_validation():
@@ -179,7 +200,8 @@ def test_reference_returns_an_allocation_record(seed):
         ref = solve_reference(gains, ptot, weights=w, g1_table=g1)
         assert isinstance(ref, solver.Allocation)
         assert ref.status == "waterfill" and ref.converged
-        assert (ref.residual, ref.iterations) == (0.0, 0)
+        assert ref.iterations == 0
+        assert ref.residual == max(ptot - float(ref.power.sum()), 0.0) <= 1e-9 * ptot
         # the price is the protocol's own: the common weight over its water level
         dest, mode, gain = solver.max_gain_choice(g1, gains.g_su)
         if np.any(gain > 0.0):
@@ -191,8 +213,9 @@ def test_reference_returns_an_allocation_record(seed):
         np.testing.assert_array_equal(ref.dest, dest)
         np.testing.assert_array_equal(ref.mode, mode)
         np.testing.assert_array_equal(ref.power, power)
-        np.testing.assert_array_equal(ref.rate, np.log1p(gain * power))
-        assert ref.wsr == w[0] * float(ref.rate.sum())
+        # the solver's own scoring: math.log1p per subcarrier, added left to right
+        np.testing.assert_array_equal(ref.rate, [math.log1p(x) for x in (gain * power).tolist()])
+        assert ref.wsr == list(accumulate(w[0] * ref.rate))[-1]
         # the rows repeat the arrays, and a direct row spends all its power
         # in the broadcasting slot
         assert len(ref.assignments) == kk

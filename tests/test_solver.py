@@ -293,6 +293,21 @@ def test_solve_spends_a_huge_budget():
         assert math.isfinite(alloc.wsr) and alloc.wsr == weighted_sum_rate(alloc.assignments, params, gains)
 
 
+def test_solve_spends_a_budget_below_the_rounding_of_every_inverse_gain():
+    # at 1e-300 W, w / lam - 1/g cancels to zero on every subcarrier; the
+    # budget goes to the least thresholds, where the WSR is about g * ptot
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        gains = _random_table(rng, k=6, u=3, n=2)
+        params = SolverParams(ptot=1e-300, weights=np.full(3, 1.0 / 3.0))
+        alloc = solve(params, gains)
+        assert math.isclose(float(alloc.power.sum()), params.ptot, rel_tol=1e-12)
+        assert alloc.residual <= 1e-9 * params.ptot
+        ref = reference.solve_reference(gains, params.ptot, weights=params.weights)
+        assert alloc.wsr >= ref.wsr > 0.0
+        assert alloc.wsr == weighted_sum_rate(alloc.assignments, params, gains)
+
+
 # six identical subcarriers: at 10 W and equal weights the bracket collapses
 # with all six tied
 SIX_TIED = _table(np.tile([1.0, 0.5], (6, 1)), np.tile([1.0, 2.0], (6, 1)),
@@ -670,6 +685,54 @@ def test_low_power_wsr_never_below_reference():
 
 
 # --------------------------------------------------------- rate bookkeeping
+
+def _solve_protocol(protocol, params, gains):
+    if protocol == "proposed":
+        return solve(params, gains)
+    if protocol == "reference":
+        return reference.solve_reference(gains, params.ptot, weights=params.weights)
+    report = highpower.check_conditions(params, gains)
+    if params.ptot < 1e10:
+        # the closed form's bookkeeping does not depend on its regime
+        report = dataclasses.replace(report, conditions_met=True)
+    assert report.conditions_met
+    return highpower.solve_high_power(params, gains, report=report)
+
+
+@pytest.mark.parametrize("protocol", ["proposed", "reference", "highpower"])
+def test_every_protocol_scores_its_choice_one_way(protocol):
+    # synthesized tables at 0, 35 and 100 dBW (where the high power
+    # conditions hold), a lognormal one with dead links and a dead one;
+    # every protocol's Allocation comes from the same constructor
+    rng = np.random.default_rng(30)
+    tables = [(_synthesized(64, 8, i), 10.0 ** (dbw / 10.0)) for i, dbw in enumerate((0.0, 35.0, 100.0))]
+    g = _random_table(rng, k=12, u=3, n=3)
+    tables.append((_table(g.g_su * (rng.random((12, 3)) >= 0.2), g.g_sr, g.g_ru), 1.0))
+    tables.append((_table(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((4, 1, 2))), 1.0))
+    for gains, ptot in tables:
+        kk, uu = gains.g_su.shape
+        params = SolverParams(ptot=ptot, weights=np.full(uu, 1.0 / uu))
+        alloc = _solve_protocol(protocol, params, gains)
+        # wsr: the weighted rates added left to right
+        total = 0.0
+        for u, r in zip(alloc.dest.tolist(), alloc.rate.tolist()):
+            total += params.weights[u] * r
+        assert alloc.wsr == total
+        # rate: the mode's slot formula on the choice's gains
+        g1 = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
+        for k, (u, m, p, r) in enumerate(zip(alloc.dest, alloc.mode, alloc.power, alloc.rate)):
+            if m == rates.MODE_RELAY:
+                assert r == math.log1p(g1[k, u] * p)
+            elif protocol == "reference":
+                assert r == math.log1p(gains.g_su[k, u] * p)
+            else:
+                assert r == 2.0 * math.log1p(gains.g_su[k, u] * (p / 2.0))
+        assert alloc.residual == max(ptot - float(alloc.power.sum()), 0.0) <= 1e-9 * ptot
+        # the rows score as the arrays do, bit for bit
+        assert weighted_sum_rate(alloc.assignments, params, gains) == alloc.wsr
+        np.testing.assert_array_equal(user_rates(alloc.assignments, gains),
+                                      np.bincount(alloc.dest, alloc.rate, minlength=uu))
+
 
 def test_wsr_of_empty_and_single():
     params = SolverParams(ptot=2.0, weights=[1.0])
