@@ -56,9 +56,9 @@ def check_conditions(
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
-    The threshold must exceed ``FACTOR`` times both the largest admissible
-    inverse gain max(1/g1, 1/g_su) and the largest gain max(g1, g_su) over
-    all subcarrier destination pairs. ``mode_sets``
+    The threshold must exceed ``FACTOR`` times both the largest inverse
+    gain max(1/g1, 1/g_su) and the largest gain max(g1, g_su) over the whole
+    (2, K, U) candidate table of ``mode_sets``. ``mode_sets``
     (``rates.classify`` at ``params.ptot``) and ``bracket``
     (``solver.price_bracket``'s (mu_lower, mu_upper)) are computed when not
     supplied.
@@ -71,8 +71,8 @@ def check_conditions(
 
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
-    max_inv = max(float(mode_sets.inv_g1.max()), float(mode_sets.inv_g_su.max()))
-    max_gain = max(float(mode_sets.g1.max()), float(gains.g_su.max()))
+    max_inv = float(mode_sets.inv_gain.max())
+    max_gain = float(mode_sets.gain.max())
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf
     return HighPowerReport(
@@ -119,6 +119,6 @@ def solve_high_power(
         dest = np.full(kk, int(np.argmax(w)))
 
     power = np.full(kk, params.ptot / kk)
-    return Allocation.from_choice(dest, np.full(kk, rates.MODE_DIRECT), power, gains.g_su[np.arange(kk), dest],
-                                  params, gains, solver.STATUS_CLOSED_FORM, report.mu_upper,
-                                  (report.mu_lower, report.mu_upper))
+    # direct candidates 2u + 1, over both slots
+    return Allocation.from_choice(2 * dest + 1, power, gains.g_su[np.arange(kk), dest], 2.0, params, gains,
+                                  solver.STATUS_CLOSED_FORM, report.mu_upper, (report.mu_lower, report.mu_upper))

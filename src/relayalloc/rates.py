@@ -20,6 +20,10 @@ relay positions that works on (M, U) slices of the batch: ``classify`` on the
 pairs of a gain table, for the solver's assignment rows and rate
 recomputations.
 
+``classify`` turns every pair into two candidates, stacked mode-major into
+one (2, K, U) ``ModeSets`` table: relay aided (m = 0) with the effective
+gain and one slot, and direct (m = 1) with the direct gain and two slots.
+
 All rates are in nats per two slot frame.
 """
 
@@ -189,40 +193,43 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeSets:
-    """Price independent terms of every (subcarrier, destination) pair at a budget.
+    """Price independent terms of every (subcarrier, destination) candidate at a budget.
 
-    ``inv_g1`` and ``inv_g_su`` are ``_inverse`` of ``g1`` and ``g_su``.
-    ``in_direct_set`` marks pairs where relay aided mode can never win, so
-    only direct mode is admissible; ``in_relay_set`` marks pairs where relay
-    aided mode wins for every feasible power, so only it is admissible.
-    Pairs in neither set stay admissible in both modes. The crossover is in
-    watts, NaN where it does not exist and +inf where relay mode always wins.
+    The candidates form a mode-major (2, K, U) table: entry (m, k, u) is
+    destination u on subcarrier k, relay aided for m = 0 (gain ``g1``, one
+    slot of power) and direct for m = 1 (gain ``g_su``, power split over
+    both slots). ``inv_gain`` is ``_inverse(gain)``. ``admissible`` is False
+    where a mode can never win: relay aided mode where ``g1 <= g_su``, and
+    direct mode where relay aided mode wins for every feasible power (the
+    budget is at most the crossover). The crossover is in watts, NaN where it
+    does not exist and +inf where relay mode always wins.
     """
 
     ptot: float
-    g1: np.ndarray              # (K, U) relay aided effective gains
-    inv_g1: np.ndarray          # (K, U) ``1 / g1``
-    inv_g_su: np.ndarray        # (K, U) ``1 / g_su``
-    crossover: np.ndarray       # (K, U)
-    in_direct_set: np.ndarray   # (K, U) bool
-    in_relay_set: np.ndarray    # (K, U) bool
+    gain: np.ndarray         # (2, K, U) relay aided effective gains g1, then direct gains g_su
+    inv_gain: np.ndarray     # (2, K, U) ``1 / gain``
+    admissible: np.ndarray   # (2, K, U) bool
+    crossover: np.ndarray    # (K, U)
+
+    @property
+    def g1(self) -> np.ndarray:
+        """(K, U) relay aided effective gains, a view of ``gain[0]``."""
+        return self.gain[0]
 
 
 def classify(gains: GainTable, ptot: float) -> ModeSets:
-    """Split (k, u) pairs by which transmission mode can be optimal."""
+    """Candidate table of every (k, u) pair, with the modes that can be optimal."""
     if ptot <= 0:
         raise ValueError("ptot must be positive")
     g1 = effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     g_su = gains.g_su
-    # a g_su**2 that overflows puts the crossover far below any budget
+    relay = g1 > g_su
+    # a g_su whose square is zero gives +inf (relay mode always wins), and a
+    # g_su**2 that overflows puts the crossover far below any budget
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        crossover = np.where(
-            g1 > g_su,
-            np.where(g_su > 0.0, 4.0 * (g1 - g_su) / g_su**2, np.inf),
-            np.nan,
-        )
-    in_direct = g1 <= g_su
+        crossover = np.where(relay, 4.0 * (g1 - g_su) / g_su**2, np.nan)
+    gain = np.stack((g1, g_su))
     # boundary equality keeps relay mode strictly winning at the budget
-    in_relay = (g1 > g_su) & (ptot <= crossover)
-    return ModeSets(ptot=float(ptot), g1=g1, inv_g1=_inverse(g1), inv_g_su=_inverse(g_su),
-                    crossover=crossover, in_direct_set=in_direct, in_relay_set=in_relay)
+    admissible = np.stack((relay, ~(relay & (ptot <= crossover))))
+    return ModeSets(ptot=float(ptot), gain=gain, inv_gain=_inverse(gain), admissible=admissible,
+                    crossover=crossover)

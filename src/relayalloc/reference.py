@@ -4,10 +4,11 @@ Each subcarrier is handed to the destination with the best of its two gains
 (relay aided effective gain or direct gain), the better mode is kept fixed,
 and plain water-filling, the solver's own exact fill, spreads the budget
 over the resulting single gain per subcarrier. In direct mode the source
-only transmits in the broadcasting slot here, so the direct rate is
-``ln(1 + g_su p)`` rather than the two slot form, which is what makes this
-baseline lose to the joint optimisation. The result is built by
-``solver.Allocation.from_choice`` like every other protocol's.
+only transmits in the broadcasting slot here (slot count c = 1 in either
+mode), so the direct rate is ``ln(1 + g_su p)`` rather than the two slot
+form, which is what makes this baseline lose to the joint optimisation. The
+result is built by ``solver.Allocation.from_choice`` like every other
+protocol's.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ def solve_reference(
     params = solver.SolverParams(ptot=ptot, weights=np.full(gains.num_destinations, w0))
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
-    dest, mode, gain = solver.max_gain_choice(g1_table, gains.g_su)
+    pick, gain = solver.max_gain_choice(np.stack((g1_table, gains.g_su)))
     if np.isfinite(rates._inverse(gain)).any():
         power, level = waterfill(gain, ptot)
     else:
         power, level = np.full(gain.size, ptot / gain.size), math.inf
     mu = w0 / level
-    return solver.Allocation.from_choice(dest, mode, power, gain, params, gains, solver.STATUS_WATERFILL, mu,
-                                         (mu, mu), single_slot=True)
+    # one slot in either mode
+    return solver.Allocation.from_choice(pick, power, gain, 1.0, params, gains, solver.STATUS_WATERFILL, mu, (mu, mu))

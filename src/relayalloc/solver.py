@@ -1,13 +1,16 @@
 """Dual decomposition stage: price search and per subcarrier assignments.
 
 For a price mu on total power, every subcarrier independently picks the
-destination and mode maximizing its contribution to the Lagrangian, with a
-closed form optimum power. The assigned power P(mu) does not increase with
-the price, so the search keeps a bracket ``(lo, hi)`` with
-``P(lo) >= Ptot >= P(hi)`` inside two analytic price bounds, and each
-evaluation shrinks it.
+candidate maximizing its contribution to the Lagrangian, with a closed form
+optimum power. Candidate ``pick = 2u + m`` is destination u relay aided
+(m = 0) or direct (m = 1), entry (m, k, u) of the ``ModeSets`` tables; its
+slot count c is 1 or 2, it asks for ``c [w / mu - 1 / g]+`` and carries
+``c ln(1 + g p / c)``. Ties go to the first candidate in that order. The
+assigned power P(mu) does not increase with the price, so the search keeps
+a bracket ``(lo, hi)`` with ``P(lo) >= Ptot >= P(hi)`` inside two analytic
+price bounds, and each evaluation shrinks it.
 
-For a fixed (destination, mode) assignment the power is a water-filling
+For a fixed assignment (one pick per subcarrier) the power is a water-filling
 ``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
 by one sort of the thresholds ``v_k / a_k`` and two cumulative sums. The
 price bounds, the collapse repair and every step of the search call it: the
@@ -17,8 +20,8 @@ assignment on every subcarrier that carries power: that assignment then
 maximizes the Lagrangian at a price where it spends the whole budget, which
 is the KKT certificate. Where the price is not strictly inside the bracket
 (whose edges include the last price, so a repeat is excluded too), the
-search bisects in log price, ``sqrt(lo * hi)``, instead. The inverse gains
-and admissibility masks do not depend on the price: every evaluation reads
+search bisects in log price, ``sqrt(lo * hi)``, instead. The gains, inverse
+gains and admissibility do not depend on the price: every evaluation reads
 them from the ``ModeSets`` of ``rates.classify``.
 
 P(mu) is step discontinuous, so no price may certify an assignment. If the
@@ -26,13 +29,13 @@ bracket collapses, the total budget sits inside a power jump: no single
 assignment matches it exactly. Only the subcarriers whose choice differs
 between the two edge states of the bracket are then in question (Yu and
 Lui, IEEE Trans. Commun. 54(7), 2006). Taking the first j of them from the
-lower edge and the rest from the upper one, for every j, gives one
-candidate per count of switched subcarriers; these and the greedy max
+lower edge and the rest from the upper one, for every j, gives one mix
+per count of switched subcarriers; these and the greedy max
 weighted gain choice are refilled to the exact budget, and the best is
 returned with ``status="bracket_collapse"``.
 
-Every protocol ends with a (destination, mode, power) choice, and
-``Allocation.from_choice`` turns it into the result: per subcarrier
+Every protocol ends with a (candidate, power) choice and its slot counts,
+and ``Allocation.from_choice`` turns it into the result: per subcarrier
 arrays of destination, mode, total power and unweighted rate, the WSR as
 their weighted sum, and the unspent budget. The relay set and the source
 and relay power split of each relay aided subcarrier serve only reports,
@@ -107,13 +110,19 @@ class SolverParams:
         return self.weights.size
 
 
+# Slots a candidate's power spreads over: one relay aided (m = 0), both
+# direct (m = 1). A choice is one candidate index ``pick = 2u + m`` per
+# subcarrier.
+_SLOTS = np.array([1.0, 2.0])
+_MODES = np.array([MODE_RELAY, MODE_DIRECT])
+
+
 @dataclass(frozen=True, eq=False)
 class DualState:
     """Per subcarrier maximizers and totals at one price."""
 
     mu: float
-    dest: np.ndarray      # (K,) chosen destination
-    mode: np.ndarray      # (K,) MODE_DIRECT or MODE_RELAY
+    pick: np.ndarray      # (K,) chosen candidate 2u + m
     power: np.ndarray     # (K,) total subcarrier power
     total_power: float
     lagrangian: float
@@ -169,22 +178,24 @@ class Allocation:
         return self.status in (STATUS_KKT, STATUS_CLOSED_FORM, STATUS_WATERFILL)
 
     @staticmethod
-    def from_choice(dest, mode, power, gain, params: SolverParams, gains: GainTable, status: str, mu: float,
-                    bracket: tuple, iterations: int = 0, single_slot: bool = False) -> "Allocation":
-        """The allocation of a (destination, mode, power) choice.
+    def from_choice(pick, power, gain, c, params: SolverParams, gains: GainTable, status: str, mu: float,
+                    bracket: tuple, iterations: int = 0) -> "Allocation":
+        """The allocation of a (candidate, power) choice.
 
-        ``gain`` is each subcarrier's gain in its chosen mode: the effective
-        gain relay aided, the direct gain otherwise. ``single_slot`` spends
-        direct power in the broadcasting slot only (the reference protocol),
-        so the direct rate is ``ln(1 + g p)``. ``bracket`` is
+        ``pick`` is each subcarrier's candidate ``2u + m``, ``gain`` its gain
+        (the effective gain relay aided, the direct gain otherwise) and ``c``
+        its slot count, an array or one number for all: 1 relay aided, 2
+        direct, and 1 for the reference protocol's direct mode, which spends
+        its power in the broadcasting slot only. ``bracket`` is
         (mu_lower, mu_upper).
         """
-        rate = _rates(gain, power, mode == MODE_RELAY, single_slot)
-        return Allocation(assignments=_LazyAssignments(dest, mode, power, gains, single_slot),
+        dest = pick // 2
+        rate = _rates(gain, power, c)
+        return Allocation(assignments=_LazyAssignments(pick, power, c, gains),
                           wsr=_weighted_total(params.weights[dest], rate), mu_star=mu,
                           residual=max(params.ptot - float(power.sum()), 0.0), iterations=iterations,
-                          status=status, mu_lower=bracket[0], mu_upper=bracket[1], dest=dest, mode=mode,
-                          power=power, rate=rate)
+                          status=status, mu_lower=bracket[0], mu_upper=bracket[1], dest=dest,
+                          mode=_MODES[pick % 2], power=power, rate=rate)
 
 
 def water_level(a, v, budget: float, c=1.0):
@@ -213,68 +224,55 @@ def water_level(a, v, budget: float, c=1.0):
     return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
-def _candidate_tables(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets):
-    """Metric and power of every admissible (u, mode) candidate at price mu.
+def _candidate_tables(mu: float, params: SolverParams, mode_sets: ModeSets):
+    """Metric and power of every candidate at price mu.
 
-    Returns (value, power) arrays of shape (K, 2U) where candidate 2u is
-    destination u in relay mode and 2u+1 is destination u in direct mode.
-    Inadmissible candidates carry value -inf. The layout makes a plain
-    argmax break ties toward the lowest destination and relay aided mode.
+    Returns (value, power) tables of the (2, K, U) shape of ``mode_sets``:
+    a candidate of slot count c and gain g spends ``c q`` with the per slot
+    power ``q = [w / mu - 1 / g]+`` and is worth ``c (w ln(1 + g q) - mu q)``.
+    Inadmissible candidates carry value -inf.
     """
-    w = params.weights[None, :]
-    p_relay = np.maximum(w / mu - mode_sets.inv_g1, 0.0)
-    val_relay = w * np.log1p(mode_sets.g1 * p_relay) - mu * p_relay
-    q = np.maximum(w / mu - mode_sets.inv_g_su, 0.0)
-    val_direct = 2.0 * w * np.log1p(gains.g_su * q) - 2.0 * mu * q
-
-    k, u = gains.g_su.shape
-    value = np.full((k, 2 * u), -np.inf)
-    power = np.zeros((k, 2 * u))
-    value[:, 0::2] = np.where(mode_sets.in_direct_set, -np.inf, val_relay)
-    power[:, 0::2] = p_relay
-    value[:, 1::2] = np.where(mode_sets.in_relay_set, -np.inf, val_direct)
-    power[:, 1::2] = 2.0 * q
-    return value, power
+    c = _SLOTS[:, None, None]
+    w = params.weights
+    q = np.maximum(w / mu - mode_sets.inv_gain, 0.0)
+    value = np.where(mode_sets.admissible, c * w * np.log1p(mode_sets.gain * q) - c * mu * q, -np.inf)
+    return value, c * q
 
 
 def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
-    """Per subcarrier maximization of the Lagrangian at a fixed price."""
+    """Per subcarrier maximization of the Lagrangian at a fixed price.
+
+    The maximizer is the first maximum in candidate order: the lowest
+    destination, and relay aided before direct mode.
+    """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    value, power = _candidate_tables(mu, params, gains, mode_sets)
-    pick = np.argmax(value, axis=1)  # first maximum: lowest u, relay before direct
-    rows = np.arange(value.shape[0])
-    p = power[rows, pick]
+    value, power = _candidate_tables(mu, params, mode_sets)
+    dest = np.argmax(np.maximum(value[0], value[1]), axis=1)
+    rows = np.arange(dest.size)
+    mode = (value[1, rows, dest] > value[0, rows, dest]).astype(np.intp)
+    p = power[mode, rows, dest]
     return DualState(
         mu=float(mu),
-        dest=pick // 2,
-        mode=np.where(pick % 2 == 0, MODE_RELAY, MODE_DIRECT),
+        pick=2 * dest + mode,
         power=p,
         total_power=float(p.sum()),
-        lagrangian=float(value[rows, pick].sum() + mu * params.ptot),
+        lagrangian=float(value[mode, rows, dest].sum() + mu * params.ptot),
     )
 
 
-def _envelope_terms(gains: GainTable, mode_sets: ModeSets):
-    """Per subcarrier extreme inverse gain terms over admissible candidates.
+def _envelope_terms(mode_sets: ModeSets):
+    """Per subcarrier extreme inverse gain terms ``c / g`` over admissible candidates.
 
     The largest term is taken over live (nonzero gain) candidates only: a
     dead candidate never carries power, and a subcarrier without a live one
     gets ``inf`` so it adds nothing to the lower power bound.
     """
-    # relay aided mode is inadmissible on the direct set, direct mode on the relay set
-    relay_off, direct_off = mode_sets.in_direct_set, mode_sets.in_relay_set
-    inv_direct = 2.0 * mode_sets.inv_g_su
-    hi = np.maximum(
-        np.where(relay_off | (mode_sets.g1 <= 0.0), -np.inf, mode_sets.inv_g1).max(axis=1),
-        np.where(direct_off | (gains.g_su <= 0.0), -np.inf, inv_direct).max(axis=1),
-    )
+    inv = _SLOTS[:, None, None] * mode_sets.inv_gain
+    ok = mode_sets.admissible
+    hi = np.where(ok & (mode_sets.gain > 0.0), inv, -np.inf).max(axis=(0, 2))
     hi[np.isneginf(hi)] = np.inf
-    lo = np.minimum(
-        np.where(relay_off, np.inf, mode_sets.inv_g1).min(axis=1),
-        np.where(direct_off, np.inf, inv_direct).min(axis=1),
-    )
-    return lo, hi
+    return np.where(ok, inv, np.inf).min(axis=(0, 2)), hi
 
 
 # The search prices only the open bracket, and where the upper envelope is
@@ -294,7 +292,7 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     (``water_level``); mu_upper is raised by a relative ``1e-10``. Returns
     (0, 0) when no subcarrier has a usable link.
     """
-    v_lo, v_hi = _envelope_terms(gains, mode_sets)
+    v_lo, v_hi = _envelope_terms(mode_sets)
     upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
     if upper is None:
         return 0.0, 0.0
@@ -318,15 +316,9 @@ def _log1p(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log1p, x.tolist()), float, x.size)
 
 
-def _rates(gain: np.ndarray, power: np.ndarray, relay: np.ndarray, single_slot: bool = False) -> np.ndarray:
-    """Per subcarrier rate: ``ln(1 + g p)`` relay aided, ``2 ln(1 + g (p / 2))`` direct.
-
-    With ``single_slot`` direct mode uses the broadcasting slot only, and
-    its rate is ``ln(1 + g p)`` too.
-    """
-    if single_slot:
-        return _log1p(gain * power)
-    return np.where(relay, 1.0, 2.0) * _log1p(gain * np.where(relay, power, power / 2.0))
+def _rates(gain: np.ndarray, power: np.ndarray, c) -> np.ndarray:
+    """Per subcarrier rate ``c ln(1 + g (p / c))`` of power p spread over c slots."""
+    return c * _log1p(gain * (power / c))
 
 
 def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
@@ -334,14 +326,9 @@ def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
     return float(np.cumsum(weights * rate)[-1]) if rate.size else 0.0
 
 
-def _chosen(dest, mode, relay_table: np.ndarray, direct_table: np.ndarray) -> np.ndarray:
-    """Per subcarrier entry of a (destination, mode) choice.
-
-    The entry is read from ``relay_table`` in relay aided mode and from
-    ``direct_table`` in direct mode: gains or inverse gains.
-    """
-    rows = np.arange(len(dest))
-    return np.where(mode == MODE_RELAY, relay_table[rows, dest], direct_table[rows, dest])
+def _chosen(pick, table: np.ndarray) -> np.ndarray:
+    """Per subcarrier entry of a choice in a (2, K, U) candidate table: gains or inverse gains."""
+    return table[pick % 2, np.arange(pick.size), pick // 2]
 
 
 def _fill(w, inv_g, c, budget: float):
@@ -366,42 +353,43 @@ def _fill(w, inv_g, c, budget: float):
     return lam, power
 
 
-def max_gain_choice(g1: np.ndarray, g_su: np.ndarray, weights: Optional[np.ndarray] = None):
-    """Per subcarrier destination of the largest (weighted) gain, and its mode.
+def max_gain_choice(gain: np.ndarray, weights: Optional[np.ndarray] = None):
+    """Per subcarrier candidate of the largest (weighted) gain in a (2, K, U) table.
 
     Picks the destination maximizing ``w_u * max(g1, g_su)``, or
     ``max(g1, g_su)`` without weights (lowest index on ties); relay aided
-    mode needs a strict gain advantage. Returns (dest, mode, gain). The
-    reference protocol selects with it, and the collapse repair refills its
-    weighted choice: with direct mode on both slots, that reaches at least
-    the reference protocol's rates.
+    mode needs a strict gain advantage. Returns (pick, gain). The reference
+    protocol selects with it, and the collapse repair refills its weighted
+    choice: with direct mode on both slots, that reaches at least the
+    reference protocol's rates.
     """
-    best = np.maximum(g1, g_su)
-    dest = np.argmax(best if weights is None else weights[None, :] * best, axis=1)
+    best = np.maximum(gain[0], gain[1])
+    dest = np.argmax(best if weights is None else weights * best, axis=1)
     rows = np.arange(dest.size)
-    g1_k, g_su_k = g1[rows, dest], g_su[rows, dest]
-    relay = g1_k > g_su_k
-    return dest, np.where(relay, MODE_RELAY, MODE_DIRECT), np.where(relay, g1_k, g_su_k)
+    mode = (gain[0, rows, dest] <= gain[1, rows, dest]).astype(np.intp)
+    return 2 * dest + mode, gain[mode, rows, dest]
 
 
-def _assemble(dest, mode, power, gains: GainTable, single_slot: bool = False) -> list:
-    """Assignment list of a (destination, mode, power) choice.
+def _assemble(pick, power, c, gains: GainTable) -> list:
+    """Assignment list of a (candidate, power) choice with slot counts c.
 
-    Direct mode splits the power equally over both slots, or spends it all
-    in the broadcasting slot with ``single_slot`` (the reference protocol).
+    A direct subcarrier spends ``p / c`` in each of its c slots: both with
+    c = 2, the broadcasting slot only with c = 1 (the reference protocol).
     One closed form call splits every relay aided one.
     """
-    relay_k = np.nonzero(mode == MODE_RELAY)[0]
+    dest, mode = pick // 2, pick % 2
+    relay_k = np.nonzero(mode == 0)[0]
     cf = rates.relay_aided_solution(gains, relay_k, dest[relay_k])
     p_relay = power[relay_k]
     p_src = cf.source_fraction[:, 0] * p_relay
     splits = iter(zip(p_src.tolist(), cf.relay_splits(p_relay - p_src)))
+    c = np.broadcast_to(c, power.shape)
     rows = []
-    for k, (u, m, p) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist())):
-        if m == MODE_DIRECT:
-            b, r = (p, 0.0) if single_slot else (p / 2.0, p / 2.0)
+    for k, (u, m, p, ck) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist(), c.tolist())):
+        if m:
+            b = p / ck
             rows.append(SubcarrierAssignment(
-                k=k, u=u, mode=MODE_DIRECT, sum_power=p, broadcast_power=b, relaying_power=r,
+                k=k, u=u, mode=MODE_DIRECT, sum_power=p, broadcast_power=b, relaying_power=(ck - 1.0) * b,
             ))
         else:
             b, (relay_set, relay_powers) = next(splits)
@@ -415,8 +403,8 @@ def _assemble(dest, mode, power, gains: GainTable, single_slot: bool = False) ->
 class _LazyAssignments(Sequence):
     """Read-only ``_assemble`` rows of a choice, assembled once on first access."""
 
-    def __init__(self, dest, mode, power, gains: GainTable, single_slot: bool = False) -> None:
-        self._choice = (dest, mode, power, gains, single_slot)
+    def __init__(self, pick, power, c, gains: GainTable) -> None:
+        self._choice = (pick, power, c, gains)
         self._rows = None
 
     def _built(self) -> list:
@@ -462,26 +450,26 @@ def solve(
         raise ValueError("weights length must match the number of destinations")
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
-    elif abs(mode_sets.ptot - params.ptot) > 1e-12 * max(params.ptot, 1.0):
+    elif abs(mode_sets.ptot - params.ptot) > 1e-12 * params.ptot:
         raise ValueError("mode_sets was classified at a different total power")
 
     iterations = 0
 
-    def finish(dest, mode, power, mu: float, status: str) -> Allocation:
-        return Allocation.from_choice(dest, mode, power, _chosen(dest, mode, mode_sets.g1, gains.g_su), params,
+    def finish(pick, power, mu: float, status: str) -> Allocation:
+        return Allocation.from_choice(pick, power, _chosen(pick, mode_sets.gain), _SLOTS[pick % 2], params,
                                       gains, status, mu, (mu_lower, mu_upper), iterations)
 
     fills = {}
 
-    def refill(dest, mode):
-        """``_fill`` of an assignment at the budget, with c_k = 1 relay aided and 2 direct.
+    def refill(pick):
+        """``_fill`` of an assignment at the budget, with its candidates' slot counts.
 
         Memoized: a collapsing bracket meets a few assignments dozens of times.
         """
-        key = (dest.tobytes(), mode.tobytes())
+        key = pick.tobytes()
         if key not in fills:
-            inv_g = _chosen(dest, mode, mode_sets.inv_g1, mode_sets.inv_g_su)
-            fills[key] = _fill(params.weights[dest], inv_g, np.where(mode == MODE_RELAY, 1.0, 2.0), params.ptot)
+            fills[key] = _fill(params.weights[pick // 2], _chosen(pick, mode_sets.inv_gain), _SLOTS[pick % 2],
+                               params.ptot)
         return fills[key]
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
@@ -491,12 +479,12 @@ def solve(
         # KKT conditions hold at price zero. The greedy choice spread
         # evenly reports the rates it does carry.
         kk = gains.num_subcarriers
-        dest, mode, _ = max_gain_choice(mode_sets.g1, gains.g_su, params.weights)
-        return finish(dest, mode, np.full(kk, params.ptot / kk), 0.0, STATUS_KKT)
+        pick, _ = max_gain_choice(mode_sets.gain, params.weights)
+        return finish(pick, np.full(kk, params.ptot / kk), 0.0, STATUS_KKT)
 
     mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
-    priced = None  # (dest, mode, power) of the assignment that spends ptot at mu
+    priced = None  # (pick, power) of the assignment that spends ptot at mu
     for iterations in range(1, _MAX_EVALS + 1):
         state = solve_at_price(mu, params, gains, mode_sets)
         if trace is not None:
@@ -504,10 +492,10 @@ def solve(
         if priced is not None:
             # compared only where power flows: an unpowered subcarrier may
             # switch between candidates of zero value
-            dest, mode, power = priced
+            pick, power = priced
             on = (state.power > 0.0) | (power > 0.0)
-            if np.array_equal(state.dest[on], dest[on]) and np.array_equal(state.mode[on], mode[on]):
-                return finish(state.dest, state.mode, power, mu, STATUS_KKT)
+            if np.array_equal(state.pick[on], pick[on]):
+                return finish(state.pick, power, mu, STATUS_KKT)
         if state.total_power > params.ptot:
             lo = max(lo, mu)
         else:
@@ -516,9 +504,9 @@ def solve(
             break
         # the last price is now an edge of the bracket, so a price strictly
         # inside it never repeats one
-        fill = refill(state.dest, state.mode)
+        fill = refill(state.pick)
         if fill is not None and lo < fill[0] < hi:
-            mu, priced = fill[0], (state.dest, state.mode, fill[1])
+            mu, priced = fill[0], (state.pick, fill[1])
         else:
             mu, priced = initial_price(lo, hi), None
     else:
@@ -530,17 +518,17 @@ def solve(
     # the exact budget, and the first strict maximum is kept.
     a = solve_at_price(lo, params, gains, mode_sets)
     b = solve_at_price(hi, params, gains, mode_sets)
-    tied = np.nonzero((a.dest != b.dest) | (a.mode != b.mode))[0]
-    candidates = []
+    tied = np.nonzero(a.pick != b.pick)[0]
+    mixes = []
     for j in range(tied.size + 1):
-        dest, mode = b.dest.copy(), b.mode.copy()
-        dest[tied[:j]], mode[tied[:j]] = a.dest[tied[:j]], a.mode[tied[:j]]
-        candidates.append((dest, mode))
-    candidates.append(max_gain_choice(mode_sets.g1, gains.g_su, params.weights)[:2])
-    scored = [finish(dest, mode, fill[1], 0.5 * (lo + hi), STATUS_GAP)
-              for dest, mode in candidates if (fill := refill(dest, mode)) is not None]
+        pick = b.pick.copy()
+        pick[tied[:j]] = a.pick[tied[:j]]
+        mixes.append(pick)
+    mixes.append(max_gain_choice(mode_sets.gain, params.weights)[0])
+    scored = [finish(pick, fill[1], 0.5 * (lo + hi), STATUS_GAP)
+              for pick in mixes if (fill := refill(pick)) is not None]
     if not scored:  # no mix can carry power: the upper edge state stands
-        return finish(b.dest, b.mode, b.power, b.mu, STATUS_GAP)
+        return finish(b.pick, b.power, b.mu, STATUS_GAP)
     return max(scored, key=lambda alloc: alloc.wsr)  # first of equal maxima
 
 

@@ -213,8 +213,8 @@ def test_criterion_05_kkt_residual_window(desk_instances, bench_population):
                 assert alloc.mu_lower - 1e-12 <= alloc.mu_star <= alloc.mu_upper + 1e-12
                 state = solve_at_price(alloc.mu_star, params, gains, rates.classify(gains, params.ptot))
                 on = (state.power > 0.0) | (alloc.power > 0.0)
-                assert np.array_equal(state.dest[on], alloc.dest[on])
-                assert np.array_equal(state.mode[on], alloc.mode[on])
+                assert np.array_equal(state.pick[on] // 2, alloc.dest[on])
+                assert np.array_equal(state.pick[on] % 2 == 1, alloc.mode[on] == rates.MODE_DIRECT)
                 assert abs(params.ptot - state.total_power) <= 1e-12 * params.ptot
         assert checked >= 100
 

@@ -35,13 +35,23 @@ def effective_gain(g_su, g_sr, g_ru) -> float:
 
 
 def direct_rate(g_su: float, power: float) -> float:
-    """The solver's two slot rate of a direct subcarrier."""
-    return float(_rates(np.array([g_su]), np.array([power]), np.array([False]))[0])
+    """The solver's two slot rate of a direct subcarrier: its power spread over c = 2 slots."""
+    return float(_rates(np.array([g_su]), np.array([power]), 2.0)[0])
 
 
 def relay_rate(gain: float, power: float) -> float:
-    """The solver's two slot rate of a relay aided subcarrier of effective gain ``gain``."""
-    return float(_rates(np.array([gain]), np.array([power]), np.array([True]))[0])
+    """The solver's two slot rate of a relay aided subcarrier of effective gain ``gain`` (c = 1)."""
+    return float(_rates(np.array([gain]), np.array([power]), 1.0)[0])
+
+
+def in_direct_set(ms):
+    """Pairs where only direct mode is admissible: relay aided mode can never win."""
+    return ~ms.admissible[0]
+
+
+def in_relay_set(ms):
+    """Pairs where only relay aided mode is admissible: it wins for every feasible power."""
+    return ~ms.admissible[1]
 
 
 def random_pair(rng, n=None):
@@ -199,8 +209,8 @@ def test_classify_direct_only():
     # relay links hopeless everywhere: every pair is direct-only
     t = _table([[1.0, 2.0]], [[0.01]], [[[0.01, 0.01]]])
     ms = classify(t, 5.0)
-    assert ms.in_direct_set[0].tolist() == [True, True]
-    assert not ms.in_relay_set.any()
+    assert in_direct_set(ms)[0].tolist() == [True, True]
+    assert not in_relay_set(ms).any()
     assert np.all(np.isnan(ms.crossover))
 
 
@@ -209,12 +219,12 @@ def test_classify_threshold_sides():
     t = _table([[1.0]], [[4.0]], [[[3.0]]])
     low = classify(t, 3.0)
     assert math.isclose(low.g1[0, 0], 2.0, rel_tol=1e-12)
-    assert low.in_relay_set[0, 0]
+    assert in_relay_set(low)[0, 0]
     at = classify(t, 4.0)  # boundary equality stays relay
-    assert at.in_relay_set[0, 0]
+    assert in_relay_set(at)[0, 0]
     high = classify(t, 5.0)
-    assert not high.in_relay_set[0, 0]
-    assert not high.in_direct_set[0, 0]
+    assert not in_relay_set(high)[0, 0]
+    assert not in_direct_set(high)[0, 0]
 
 
 def test_classify_sets_disjoint():
@@ -227,7 +237,7 @@ def test_classify_sets_disjoint():
             rng.lognormal(0.0, 1.0, (k, n, u)),
         )
         ms = classify(t, float(rng.uniform(0.5, 20.0)))
-        assert not np.any(ms.in_direct_set & ms.in_relay_set)
+        assert not np.any(in_direct_set(ms) & in_relay_set(ms))
     with pytest.raises(ValueError):
         classify(t, 0.0)
 

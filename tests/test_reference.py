@@ -203,7 +203,8 @@ def test_reference_returns_an_allocation_record(seed):
         assert ref.iterations == 0
         assert ref.residual == max(ptot - float(ref.power.sum()), 0.0) <= 1e-9 * ptot
         # the price is the protocol's own: the common weight over its water level
-        dest, mode, gain = solver.max_gain_choice(g1, gains.g_su)
+        pick, gain = solver.max_gain_choice(np.stack((g1, gains.g_su)))
+        dest, mode = pick // 2, np.where(pick % 2 == 0, rates.MODE_RELAY, rates.MODE_DIRECT)
         if np.any(gain > 0.0):
             power, level = waterfill(gain, ptot)
             assert ref.mu_star == ref.mu_lower == ref.mu_upper == w[0] / level > 0.0

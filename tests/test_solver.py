@@ -69,8 +69,13 @@ def test_params_validation():
 
 def _metric(u, mode, k, mu, params, gains):
     """Candidate (u, mode)'s entry of the Lagrangian table of subcarrier k at price mu."""
-    value, _ = solver._candidate_tables(mu, params, gains, rates.classify(gains, params.ptot))
-    return float(value[k, 2 * u + (mode == rates.MODE_DIRECT)])
+    value, _ = solver._candidate_tables(mu, params, rates.classify(gains, params.ptot))
+    return float(value[int(mode == rates.MODE_DIRECT), k, u])
+
+
+def _mode(state):
+    """MODE_RELAY or MODE_DIRECT per subcarrier of a price state's candidate choice."""
+    return np.where(state.pick % 2 == 0, rates.MODE_RELAY, rates.MODE_DIRECT)
 
 
 def test_relay_metric_frozen_value():
@@ -99,11 +104,11 @@ def test_metric_rejects_inadmissible_mode():
     # an inadmissible candidate carries -inf, so no price picks it
     params = SolverParams(ptot=3.0, weights=[1.0])
     assert _metric(0, rates.MODE_DIRECT, 0, 0.1, params, RELAY1) == -math.inf
-    assert solve_at_price(0.1, params, RELAY1, rates.classify(RELAY1, params.ptot)).mode[0] == rates.MODE_RELAY
+    assert _mode(solve_at_price(0.1, params, RELAY1, rates.classify(RELAY1, params.ptot)))[0] == rates.MODE_RELAY
     params2 = SolverParams(ptot=40.0, weights=[0.25])
     ms2 = rates.classify(DIRECT2, params2.ptot)
     assert _metric(0, rates.MODE_RELAY, 0, 0.1, params2, DIRECT2) == -math.inf
-    assert solve_at_price(0.1, params2, DIRECT2, ms2).mode[0] == rates.MODE_DIRECT
+    assert _mode(solve_at_price(0.1, params2, DIRECT2, ms2))[0] == rates.MODE_DIRECT
     with pytest.raises(ValueError):
         solve_at_price(0.0, params2, DIRECT2, ms2)
 
@@ -113,7 +118,7 @@ def test_price_solve_prefers_direct_on_ambivalent_pair():
     params = SolverParams(ptot=40.0, weights=[1.0])
     ms = rates.classify(AMBI, params.ptot)
     state = solve_at_price(0.1, params, AMBI, ms)
-    assert state.mode[0] == rates.MODE_DIRECT
+    assert _mode(state)[0] == rates.MODE_DIRECT
     assert math.isclose(state.power[0], 2.0 * (10.0 - 1.0 / 1.5), rel_tol=1e-12)
     assert math.isclose(state.total_power, 56.0 / 3.0, rel_tol=1e-12)
 
@@ -131,7 +136,7 @@ def test_price_solve_tie_breaks_to_lowest_destination():
     params = SolverParams(ptot=10.0, weights=[0.5, 0.5])
     ms = rates.classify(t, params.ptot)
     state = solve_at_price(0.05, params, t, ms)
-    assert state.dest[0] == 0
+    assert state.pick[0] // 2 == 0
 
 
 def test_per_price_state_matches_power_grid_search():
@@ -149,13 +154,13 @@ def test_per_price_state_matches_power_grid_search():
         for k in range(gains.num_subcarriers):
             best_grid = 0.0
             for u in range(gains.num_destinations):
-                if not ms.in_direct_set[k, u]:
+                if ms.admissible[0, k, u]:  # relay aided
                     v = w[u] * np.log1p(ms.g1[k, u] * p_grid) - mu * p_grid
                     best_grid = max(best_grid, float(v.max()))
-                if not ms.in_relay_set[k, u]:
+                if ms.admissible[1, k, u]:  # direct
                     v = 2.0 * w[u] * np.log1p(gains.g_su[k, u] * p_grid / 2.0) - mu * p_grid
                     best_grid = max(best_grid, float(v.max()))
-            got = _metric(int(state.dest[k]), str(state.mode[k]), k, mu, params, gains)
+            got = _metric(int(state.pick[k] // 2), str(_mode(state)[k]), k, mu, params, gains)
             assert got >= best_grid - 1e-12
             assert math.isclose(got, best_grid, rel_tol=1e-4, abs_tol=1e-4)
 
@@ -361,12 +366,12 @@ def _assert_certified(alloc, params, gains):
     ms = rates.classify(gains, params.ptot)
     state = solve_at_price(alloc.mu_star, params, gains, ms)
     on = (state.power > 0.0) | (alloc.power > 0.0)
-    np.testing.assert_array_equal(state.dest[on], alloc.dest[on])
-    np.testing.assert_array_equal(state.mode[on], alloc.mode[on])
+    np.testing.assert_array_equal(state.pick[on] // 2, alloc.dest[on])
+    np.testing.assert_array_equal(_mode(state)[on], alloc.mode[on])
     np.testing.assert_allclose(alloc.power, state.power * (params.ptot / state.total_power), rtol=1e-12, atol=0.0)
     k = np.arange(gains.num_subcarriers)
     relay = alloc.mode == rates.MODE_RELAY
-    inv_g = np.where(relay, ms.inv_g1[k, alloc.dest], ms.inv_g_su[k, alloc.dest])
+    inv_g = np.where(relay, ms.inv_gain[0, k, alloc.dest], ms.inv_gain[1, k, alloc.dest])
     floor = float((np.where(relay, 1.0, 2.0) * inv_g)[state.power > 0.0].sum())
     assert abs(state.total_power - params.ptot) <= 1e-12 * (params.ptot + floor)
 
@@ -381,11 +386,11 @@ def test_search_steps_to_the_exact_price_of_the_first_state():
     assert alloc.status == STATUS_KKT and alloc.iterations == len(rows) == 2
     first = solve_at_price(rows[0][1], params, TWO_DIRECT, ms)
     k = np.arange(TWO_DIRECT.num_subcarriers)
-    relay = first.mode == rates.MODE_RELAY
-    inv_g = np.where(relay, ms.inv_g1[k, first.dest], ms.inv_g_su[k, first.dest])
-    num, den = water_level(params.weights[first.dest], inv_g, params.ptot, np.where(relay, 1.0, 2.0))
+    relay, dest = _mode(first) == rates.MODE_RELAY, first.pick // 2
+    inv_g = np.where(relay, ms.inv_gain[0, k, dest], ms.inv_gain[1, k, dest])
+    num, den = water_level(params.weights[dest], inv_g, params.ptot, np.where(relay, 1.0, 2.0))
     assert rows[1][1] == num / den == alloc.mu_star
-    np.testing.assert_array_equal(alloc.dest, first.dest)
+    np.testing.assert_array_equal(alloc.dest, dest)
     _assert_certified(alloc, params, TWO_DIRECT)
 
 
@@ -412,6 +417,15 @@ def test_solve_requires_matching_shapes():
     ms = rates.classify(DIRECT1, 3.0)
     with pytest.raises(ValueError):
         solve(SolverParams(ptot=2.0, weights=[1.0]), DIRECT1, ms)
+
+
+def test_solve_rejects_mode_sets_of_another_budget_below_one_watt():
+    # the budget check is relative: sets classified at 1e-13 W are a hundred
+    # times off a 1e-15 W budget, though within 1e-12 of it in watts
+    params = SolverParams(ptot=1e-15, weights=[1.0])
+    with pytest.raises(ValueError, match="different total power"):
+        solve(params, DIRECT1, rates.classify(DIRECT1, 1e-13))
+    assert solve(params, DIRECT1, rates.classify(DIRECT1, 1e-15)).status == STATUS_KKT
 
 
 def test_solve_exclusivity_and_detail_consistency():
@@ -554,6 +568,32 @@ def _any_scale_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.one_of(_tie_rich_instances(), _any_scale_instances()))
+@example(instance=(SIX_TIED, np.ones(2), 10.0))
+def test_choices_break_ties_in_candidate_order(instance):
+    # solve_at_price keeps the first maximum of the Lagrangian table in
+    # candidate order 2u + m (lowest destination, relay aided before
+    # direct) at both bracket edges and their geometric mean;
+    # max_gain_choice keeps the lowest destination and goes direct on a tie
+    gains, weights, ptot = instance
+    params = SolverParams(ptot=ptot, weights=weights)
+    ms = rates.classify(gains, ptot)
+    lo, hi = price_bracket(params, gains, ms)
+    kk, uu = gains.g_su.shape
+    if hi > 0.0:
+        for mu in (lo, hi, initial_price(lo, hi)):
+            value, _ = solver._candidate_tables(mu, params, ms)
+            interleaved = value.transpose(1, 2, 0).reshape(kk, 2 * uu)  # column 2u + m
+            np.testing.assert_array_equal(solve_at_price(mu, params, gains, ms).pick, np.argmax(interleaved, axis=1))
+    pick, gain = solver.max_gain_choice(ms.gain, weights)
+    for k in range(kk):
+        best = [weights[u] * max(ms.g1[k, u], gains.g_su[k, u]) for u in range(uu)]
+        u = best.index(max(best))
+        m = 0 if ms.g1[k, u] > gains.g_su[k, u] else 1
+        assert (pick[k], gain[k]) == (2 * u + m, ms.gain[m, k, u])
+
+
+@settings(max_examples=300, deadline=None)
 @given(_any_scale_instances())
 def test_solve_raises_nothing_on_gains_of_any_scale(instance):
     gains, weights, ptot = instance
@@ -599,7 +639,9 @@ def test_wsr_never_falls_as_the_budget_grows(instance, growth):
 
 def _assert_arrays_match_rows(alloc, params, gains):
     rows = alloc.assignments
-    expected = solver._assemble(alloc.dest, alloc.mode, alloc.power, gains)
+    # both protocols spread a direct subcarrier over both slots
+    direct = alloc.mode == rates.MODE_DIRECT
+    expected = solver._assemble(2 * alloc.dest + direct, alloc.power, np.where(direct, 2.0, 1.0), gains)
     assert len(rows) == len(expected) == gains.num_subcarriers
     for row, want in zip(rows, expected):
         for f in dataclasses.fields(want):
