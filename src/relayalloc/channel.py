@@ -5,8 +5,9 @@ an independent Rayleigh tapped delay line. Tap powers decay exponentially and
 are normalized so that the total mean received power follows a distance power
 law (exponent 3, 30 dB attenuation at 10 m), optionally multiplied by a
 log-normal shadowing term drawn in dB.
-Frequency responses are plain forward DFTs of the zero padded taps, and gains
-are squared magnitudes divided by the receiver noise variance.
+A realization holds the complex taps of every link, one row per link; gains
+are the squared magnitudes of the taps' forward K point DFT (zero padded)
+divided by the receiver noise variance, one formula for every link class.
 
 Each link draws from its own Philox stream, keyed by
 ``SeedSequence([seed, role, a, b]).generate_state(2, np.uint64)`` for a role
@@ -159,28 +160,17 @@ class TapProfile:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Per link complex frequency responses on a K subcarrier grid.
+    """Complex multipath taps of every link, one (L,) row per link.
 
-    ``freq_*`` entries are K point DFTs of the zero padded ``taps_*``; the
-    taps are kept for consistency checks.
+    Rows follow the ``_link_streams`` order: U source->destination links, N
+    source->relay links, then relay i -> destination j at row U + N + i*U + j.
     """
 
     num_subcarriers: int
-    freq_su: np.ndarray  # (K, U)
-    freq_sr: np.ndarray  # (K, N)
-    freq_ru: np.ndarray  # (K, N, U)
-    taps_su: np.ndarray  # (L, U)
-    taps_sr: np.ndarray  # (L, N)
-    taps_ru: np.ndarray  # (L, N, U)
+    num_relays: int
+    num_destinations: int
+    taps: np.ndarray  # (U + N + N*U, L)
     seed: int
-
-    @property
-    def num_relays(self) -> int:
-        return self.freq_sr.shape[1]
-
-    @property
-    def num_destinations(self) -> int:
-        return self.freq_su.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +334,7 @@ def synthesize_realization(
     n, u = topology.num_relays, topology.num_destinations
     length = profile.num_taps
 
-    # (role, a, b, distance) of every link, in the column order of the taps
+    # (role, a, b, distance) of every link, in the row order of the taps
     d_sr, d_su, d_ru = topology.link_distances()
     links = [
         *((_ROLE_SOURCE_DEST, j, 0, d_su[j]) for j in range(u)),
@@ -363,29 +353,19 @@ def synthesize_realization(
     var = profile.variances * per_link[:, None] * np.array(shadow)[:, None]
     taps = np.sqrt(var / 2.0) * (z[:, 1:1 + length] + 1j * z[:, 1 + length:])
 
-    # C-ordered blocks give C-ordered spectra, the layout to_gains reads
-    taps_su = np.ascontiguousarray(taps[:u].T)
-    taps_sr = np.ascontiguousarray(taps[u:u + n].T)
-    taps_ru = np.ascontiguousarray(taps[u + n:].T).reshape(length, n, u)
-    return ChannelRealization(
-        num_subcarriers=k,
-        freq_su=np.fft.fft(taps_su, n=k, axis=0),
-        freq_sr=np.fft.fft(taps_sr, n=k, axis=0),
-        freq_ru=np.fft.fft(taps_ru, n=k, axis=0),
-        taps_su=taps_su,
-        taps_sr=taps_sr,
-        taps_ru=taps_ru,
-        seed=seed,
-    )
+    return ChannelRealization(num_subcarriers=k, num_relays=n, num_destinations=u, taps=taps, seed=seed)
 
 
 def to_gains(realization: ChannelRealization, noise_variance: float) -> GainTable:
-    """Squared channel magnitudes over the noise variance."""
+    """Squared magnitudes of the taps' K point DFT over the noise variance.
+
+    One DFT along the taps' rows gives every link's spectrum; the three
+    tables are C-ordered slices of the transposed (K, links) gains.
+    """
     if noise_variance <= 0.0:
         raise ValueError("noise_variance must be positive")
-    return GainTable(
-        g_su=np.abs(realization.freq_su) ** 2 / noise_variance,
-        g_sr=np.abs(realization.freq_sr) ** 2 / noise_variance,
-        g_ru=np.abs(realization.freq_ru) ** 2 / noise_variance,
-    )
-
+    n, u = realization.num_relays, realization.num_destinations
+    freq = np.fft.fft(realization.taps, n=realization.num_subcarriers, axis=1)
+    gain = (np.abs(freq) ** 2 / noise_variance).T
+    return GainTable(g_su=np.ascontiguousarray(gain[:, :u]), g_sr=np.ascontiguousarray(gain[:, u:u + n]),
+                     g_ru=np.ascontiguousarray(gain[:, u + n:]).reshape(-1, n, u))

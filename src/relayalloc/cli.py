@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -146,10 +147,18 @@ class RunReport:
         return np.column_stack([samples, prob])
 
 
+def _has_bool(value) -> bool:
+    """True for a YAML boolean, alone or in a list, which float() reads as 0 or 1."""
+    return isinstance(value, bool) or (isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
+
+
 def _as_float(raw: dict, key: str, errors: list, default=None, required=False):
     if key not in raw:
         if required:
             errors.append(f"{key}: required")
+        return default
+    if _has_bool(raw[key]):
+        errors.append(f"{key}: expected a number, got {raw[key]!r}")
         return default
     try:
         value = float(raw[key])
@@ -188,7 +197,7 @@ def _as_points(value, key: str, errors: list, count: Optional[int] = None) -> Op
     Returns None after recording an error under ``key``.
     """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1 or count not in (None, arr.shape[0]):
@@ -238,14 +247,15 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     w_arr = None
     if weights is not None:
         try:
-            w_arr = np.asarray(weights, dtype=float)
+            w_arr = None if _has_bool(weights) else np.asarray(weights, dtype=float)
         except (TypeError, ValueError):
-            errors.append("weights: expected a list of numbers")
-        else:
-            if uu is not None and w_arr.shape != (uu,):
-                errors.append(f"weights: expected {uu} entries, got {w_arr.size}")
-            elif np.any(w_arr <= 0.0) or not np.all(np.isfinite(w_arr)):
-                errors.append("weights: entries must be positive and finite")
+            pass
+        if w_arr is None:
+            errors.append(f"weights: expected a list of numbers, got {weights!r}")
+        elif uu is not None and w_arr.shape != (uu,):
+            errors.append(f"weights: expected {uu} entries, got {w_arr.size}")
+        elif np.any(w_arr <= 0.0) or not np.all(np.isfinite(w_arr)):
+            errors.append("weights: entries must be positive and finite")
 
     protocols = raw.get("protocols", [PROTO_PROPOSED])
     if not isinstance(protocols, (list, tuple)) or not protocols:
@@ -281,6 +291,9 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         if isinstance(region_raw, dict):
             _check_keys(region_raw, _REGION_KEYS, "geometry.destination_region.", errors)
         try:
+            flags = [k for k in _REGION_KEYS if _has_bool(region_raw[k])]
+            if flags:
+                raise TypeError(f"expected numbers, got booleans for {flags}")
             region = channel.Region(**{k: float(region_raw[k]) for k in _REGION_KEYS})
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"geometry.destination_region: {exc}")
@@ -396,8 +409,10 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
     rr = config.realizations
     uu = config.num_destinations
     results: list = [None] * rr
-    if config.workers > 1 and rr > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # a pool forks all its workers at once: none beyond the realizations or CPUs
+    workers = min(config.workers, rr, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_run_realization, [config] * rr, range(rr)):
                 results[res["index"]] = res
                 log.info("realization %d/%d done", res["index"] + 1, rr)

@@ -75,7 +75,7 @@ def solve_reference(
     params = solver.SolverParams(ptot=ptot, weights=np.full(gains.num_destinations, w0))
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
-    pick, gain = solver.max_gain_choice(np.stack((g1_table, gains.g_su)))
+    pick, gain = solver.max_gain_choice((g1_table, gains.g_su))
     if np.isfinite(rates._inverse(gain)).any():
         power, level = waterfill(gain, ptot)
     else:

@@ -353,21 +353,22 @@ def _fill(w, inv_g, c, budget: float):
     return lam, power
 
 
-def max_gain_choice(gain: np.ndarray, weights: Optional[np.ndarray] = None):
-    """Per subcarrier candidate of the largest (weighted) gain in a (2, K, U) table.
+def max_gain_choice(gain, weights: Optional[np.ndarray] = None):
+    """Per subcarrier candidate of the largest (weighted) gain of (g1, g_su).
 
-    Picks the destination maximizing ``w_u * max(g1, g_su)``, or
-    ``max(g1, g_su)`` without weights (lowest index on ties); relay aided
-    mode needs a strict gain advantage. Returns (pick, gain). The reference
-    protocol selects with it, and the collapse repair refills its weighted
-    choice: with direct mode on both slots, that reaches at least the
-    reference protocol's rates.
+    ``gain`` is a (2, K, U) table or a pair of (K, U) tables. Picks the
+    destination maximizing ``w_u * max(g1, g_su)``, or ``max(g1, g_su)``
+    without weights (lowest index on ties); relay aided mode needs a strict
+    gain advantage. Returns (pick, gain). The reference protocol selects
+    with it, and the collapse repair refills its weighted choice: with
+    direct mode on both slots, that reaches at least the reference
+    protocol's rates.
     """
-    best = np.maximum(gain[0], gain[1])
+    g1, g_su = gain
+    best = np.maximum(g1, g_su)
     dest = np.argmax(best if weights is None else weights * best, axis=1)
     rows = np.arange(dest.size)
-    mode = (gain[0, rows, dest] <= gain[1, rows, dest]).astype(np.intp)
-    return 2 * dest + mode, gain[mode, rows, dest]
+    return 2 * dest + (g1[rows, dest] <= g_su[rows, dest]), best[rows, dest]
 
 
 def _assemble(pick, power, c, gains: GainTable) -> list:

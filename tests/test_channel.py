@@ -87,7 +87,7 @@ def test_exponential_profile_power_sum():
 def test_single_tap_channel_is_flat():
     prof = TapProfile.exponential(num_taps=1)
     real = synthesize_realization(_topo(), prof, 16, 7)
-    mags = np.abs(real.freq_su[:, 0])
+    mags = to_gains(real, 1.0).g_su[:, 0]
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
@@ -95,25 +95,30 @@ def test_synthesis_determinism_and_seed_sensitivity():
     prof = TapProfile.exponential()
     a = synthesize_realization(_topo(), prof, 32, 99)
     b = synthesize_realization(_topo(), prof, 32, 99)
-    np.testing.assert_array_equal(a.freq_su, b.freq_su)
-    np.testing.assert_array_equal(a.freq_ru, b.freq_ru)
+    np.testing.assert_array_equal(a.taps, b.taps)
+    np.testing.assert_array_equal(to_gains(a, 1.0).g_ru, to_gains(b, 1.0).g_ru)
     c = synthesize_realization(_topo(), prof, 32, 100)
-    assert not np.array_equal(a.freq_su, c.freq_su)
+    assert not np.array_equal(a.taps[0], c.taps[0])
 
 
 def test_link_streams_are_independent():
     # equidistant links with different roles must not share a draw
     topo = Topology(source_xy=(0.0, 0.0), relay_xy=((10.0, 0.0),), dest_xy=((0.0, 10.0),))
     real = synthesize_realization(topo, TapProfile.exponential(), 16, 5)
-    assert not np.allclose(real.taps_su[:, 0], real.taps_sr[:, 0])
+    # row 0 is source->dest0, row 1 source->relay0
+    assert not np.allclose(real.taps[0], real.taps[1])
 
 
 def test_frequency_response_is_dft_of_taps():
+    # the inverse DFT of a gain row is the circular autocorrelation of the
+    # link's taps: lags 0..5 carry it, and lags 6..58 (between 5 and -5) are zero
     prof = TapProfile.exponential()
     real = synthesize_realization(_topo(), prof, 64, 11)
-    taps_back = np.fft.ifft(real.freq_su[:, 0])
-    np.testing.assert_allclose(taps_back[:6], real.taps_su[:, 0], rtol=1e-10, atol=1e-18)
-    np.testing.assert_allclose(taps_back[6:], 0.0, atol=1e-12)
+    taps = real.taps[0]
+    lags_back = np.fft.ifft(to_gains(real, 1.0).g_su[:, 0])
+    autocorr = np.array([np.vdot(taps[:6 - m], taps[m:]) for m in range(6)])
+    np.testing.assert_allclose(lags_back[:6], autocorr, rtol=1e-10, atol=1e-18)
+    np.testing.assert_allclose(lags_back[6:59], 0.0, atol=1e-12)
 
 
 def test_requires_enough_subcarriers():
@@ -130,8 +135,9 @@ def test_mean_attenuation_statistics():
     draws = 10_000
     for seed in range(draws):
         real = synthesize_realization(topo, prof, 16, seed)
-        acc += float(np.mean(np.abs(real.freq_su[:, 0]) ** 2))
-        acc += float(np.mean(np.abs(real.freq_sr[:, 0]) ** 2))
+        gains = to_gains(real, 1.0)
+        acc += float(np.mean(gains.g_su[:, 0]))
+        acc += float(np.mean(gains.g_sr[:, 0]))
     mean_power = acc / (2 * draws)
     assert abs(mean_power - 1e-3) <= 0.05e-3
 
@@ -142,14 +148,18 @@ def test_shadowing_changes_draws_but_keeps_streams():
     a = synthesize_realization(_topo(), base, 16, 3)
     b = synthesize_realization(_topo(), shadowed, 16, 3)
     # same seed, same generator stream: only the scale differs per link
-    ratio = np.abs(b.taps_su[:, 0]) / np.abs(a.taps_su[:, 0])
+    ratio = np.abs(b.taps[0]) / np.abs(a.taps[0])
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
 
 
 def test_to_gains_normalizes_by_noise():
     real = synthesize_realization(_topo(), TapProfile.exponential(), 16, 13)
     g = to_gains(real, 1e-3)
-    np.testing.assert_allclose(g.g_su, np.abs(real.freq_su) ** 2 / 1e-3, rtol=1e-12)
+    # one source->dest row, then one source->relay row, then one relay->dest row
+    spectra = np.abs(np.fft.fft(real.taps, n=16, axis=1).T) ** 2
+    np.testing.assert_allclose(g.g_su, spectra[:, :1] / 1e-3, rtol=1e-12)
+    np.testing.assert_allclose(g.g_sr, spectra[:, 1:2] / 1e-3, rtol=1e-12)
+    np.testing.assert_allclose(g.g_ru, spectra[:, 2:, None] / 1e-3, rtol=1e-12)
     with pytest.raises(ValueError):
         to_gains(real, 0.0)
 
@@ -200,36 +210,36 @@ def _placement_reference(region, count, seed):
     return np.column_stack([x, y])
 
 
-def _link_by_link(topology, profile, num_subcarriers, seed):
+def _link_by_link(topology, profile, num_subcarriers, seed, noise_variance):
     """Reference synthesis: one ``Philox(SeedSequence([seed, role, a, b]))``
-    per link, drawing its shadowing, then the real and imaginary tap parts."""
-    def draw(role, a, b, distance):
+    per link, drawing its shadowing, then the real and imaginary tap parts.
+
+    Returns the link-major taps and each link's gains, the squared
+    magnitudes of its own K point DFT over the noise, in the three tables.
+    """
+    n, u, length, k = topology.num_relays, topology.num_destinations, profile.num_taps, num_subcarriers
+    d_su = np.hypot(*(topology.dest_xy - topology.source_xy).T)
+    d_sr = np.hypot(*(topology.relay_xy - topology.source_xy).T)
+    taps = np.empty((u + n + n * u, length), dtype=complex)
+    g_su, g_sr, g_ru = np.empty((k, u)), np.empty((k, n)), np.empty((k, n, u))
+
+    def draw(row, role, a, b, distance):
         rng = _seed_sequence_stream(seed, role, a, b)
         shadow = 10.0 ** (rng.normal(0.0, profile.shadowing_db_std) / 10.0)
         var = profile.link_variances(distance) * shadow
         scale = np.sqrt(var / 2.0)
-        return scale * (rng.standard_normal(profile.num_taps) + 1j * rng.standard_normal(profile.num_taps))
+        taps[row] = scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+        return np.abs(np.fft.fft(taps[row], n=k)) ** 2 / noise_variance
 
-    n, u, length = topology.num_relays, topology.num_destinations, profile.num_taps
-    d_su = np.hypot(*(topology.dest_xy - topology.source_xy).T)
-    d_sr = np.hypot(*(topology.relay_xy - topology.source_xy).T)
-    taps_su = np.empty((length, u), dtype=complex)
     for j in range(u):
-        taps_su[:, j] = draw(0, j, 0, d_su[j])
-    taps_sr = np.empty((length, n), dtype=complex)
+        g_su[:, j] = draw(j, 0, j, 0, d_su[j])
     for i in range(n):
-        taps_sr[:, i] = draw(1, i, 0, d_sr[i])
-    taps_ru = np.empty((length, n, u), dtype=complex)
+        g_sr[:, i] = draw(u + i, 1, i, 0, d_sr[i])
     for i in range(n):
         for j in range(u):
             dist = float(np.hypot(*(topology.dest_xy[j] - topology.relay_xy[i])))
-            taps_ru[:, i, j] = draw(2, i, j, dist)
-    return {
-        "taps_su": taps_su, "taps_sr": taps_sr, "taps_ru": taps_ru,
-        "freq_su": np.fft.fft(taps_su, n=num_subcarriers, axis=0),
-        "freq_sr": np.fft.fft(taps_sr, n=num_subcarriers, axis=0),
-        "freq_ru": np.fft.fft(taps_ru, n=num_subcarriers, axis=0),
-    }
+            g_ru[:, i, j] = draw(u + n + i * u + j, 2, i, j, dist)
+    return taps, {"g_su": g_su, "g_sr": g_sr, "g_ru": g_ru}
 
 
 @st.composite
@@ -257,13 +267,16 @@ def _synthesis_inputs(draw):
 def test_synthesis_equals_link_by_link_reference(inputs):
     topology, profile, k, seed = inputs
     real = synthesize_realization(topology, profile, k, seed)
-    want = _link_by_link(topology, profile, k, seed)
+    taps, want = _link_by_link(topology, profile, k, seed, 1e-3)
+    assert real.taps.shape == taps.shape and np.array_equal(real.taps, taps)
+    gains = to_gains(real, 1e-3)
     for name, arr in want.items():
-        got = getattr(real, name)
+        got = getattr(gains, name)
         assert got.shape == arr.shape and np.array_equal(got, arr), name
-        # to_gains reads the spectra; keep the reference's C order too
+        # relay_closed_form gathers from C-ordered tables
         assert got.flags.c_contiguous, name
-    assert (real.num_subcarriers, real.seed) == (k, seed)
+    n, u = topology.num_relays, topology.num_destinations
+    assert (real.num_subcarriers, real.num_relays, real.num_destinations, real.seed) == (k, n, u, seed)
     # placement keys its own generator with the placement role's stream
     count = topology.num_destinations
     assert np.array_equal(place_destinations(REGION, count, seed), _placement_reference(REGION, count, seed))
@@ -276,11 +289,12 @@ def test_taps_are_pinned():
                     dest_xy=((0.0, -20.0), (3.0, -12.0), (-8.0, -25.0)))
     prof = TapProfile.exponential(num_taps=3, shadowing_db_std=8.0)
     real = synthesize_realization(topo, prof, 16, 2**63 + 12345)
+    # rows: source->dest 0..2, source->relay 3..4, relay i -> dest j at 5 + 3i + j
     pins = [
-        (real.taps_su[0, 2], "0x1.922d23c9b7d30p-9", "-0x1.d4ac5d4f1e568p-8"),
-        (real.taps_sr[2, 1], "-0x1.2aebfbb308e74p-13", "-0x1.2e3fcead648e4p-14"),
-        (real.taps_ru[1, 1, 2], "0x1.f232dc239cfa0p-13", "0x1.67a63f47c9977p-10"),
-        (real.taps_ru[0, 0, 0], "-0x1.09e11a383669cp-6", "0x1.8bc8d0c93354bp-7"),
+        (real.taps[2, 0], "0x1.922d23c9b7d30p-9", "-0x1.d4ac5d4f1e568p-8"),
+        (real.taps[4, 2], "-0x1.2aebfbb308e74p-13", "-0x1.2e3fcead648e4p-14"),
+        (real.taps[10, 1], "0x1.f232dc239cfa0p-13", "0x1.67a63f47c9977p-10"),
+        (real.taps[5, 0], "-0x1.09e11a383669cp-6", "0x1.8bc8d0c93354bp-7"),
     ]
     for tap, re, im in pins:
         assert (float(tap.real).hex(), float(tap.imag).hex()) == (re, im)

@@ -119,6 +119,41 @@ def test_worker_count_does_not_change_results(tmp_path):
     np.testing.assert_array_equal(r1.wsr["reference"], r2.wsr["reference"])
 
 
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers and maps in process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, realizations, cpus, started", [
+    (5000, 2, 64, [2]),   # never more workers than realizations
+    (8, 10, 4, [4]),      # nor than CPUs
+    (3, 10, 4, [3]),
+    (8, 10, None, []),    # an unknown CPU count runs serially
+    (4, 1, 4, []),        # so does a single realization
+])
+def test_worker_count_is_capped(tmp_path, monkeypatch, workers, realizations, cpus, started):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _SerialPool(sizes, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    cfg = load_config(_write(tmp_path, _with_line(f"realizations: {realizations}")))
+    serial = run_monte_carlo(cfg)
+    report = run_monte_carlo(ExperimentConfig(**{**cfg.__dict__, "workers": workers}))
+    assert sizes == started
+    np.testing.assert_array_equal(report.wsr["proposed"], serial.wsr["proposed"])
+    np.testing.assert_array_equal(report.wsr["reference"], serial.wsr["reference"])
+
+
 def test_dominance_in_reports(tmp_path):
     cfg = load_config(_write(tmp_path, GOOD_YAML))
     report = run_monte_carlo(cfg)
@@ -240,6 +275,14 @@ def _with_line(line):
     ("geometry.destination_region", "geometry: {destination_region: {x_min: -.inf, x_max: 10, y_min: -30, y_max: -10}}"),
     ("decay", "taps: {decay: -1.0}"),
     ("shadowing_db_std", "taps: {shadowing_db_std: -2.0}"),
+    # YAML booleans, which float() reads as 1 (true, yes) or 0 (false, no)
+    ("ptot_dbw", "ptot_dbw: true"),
+    ("noise_dbw", "noise_dbw: no"),
+    ("decay", "taps: {decay: yes}"),
+    ("shadowing_db_std", "taps: {shadowing_db_std: false}"),
+    ("weights", "weights: [true, true]"),
+    ("x_min", "geometry: {destination_region: {x_min: false, x_max: 10, y_min: -30, y_max: -10}}"),
+    ("geometry.relay_xy", "geometry: {relay_xy: [[true, -5.0], [5.0, -5.0]]}"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
     assert main([str(_write(tmp_path, _with_line(line))), "-o", str(tmp_path / "out")]) == 2

@@ -574,7 +574,8 @@ def test_choices_break_ties_in_candidate_order(instance):
     # solve_at_price keeps the first maximum of the Lagrangian table in
     # candidate order 2u + m (lowest destination, relay aided before
     # direct) at both bracket edges and their geometric mean;
-    # max_gain_choice keeps the lowest destination and goes direct on a tie
+    # max_gain_choice keeps the lowest destination and goes direct on a tie,
+    # given the (2, K, U) table or the pair of mode tables
     gains, weights, ptot = instance
     params = SolverParams(ptot=ptot, weights=weights)
     ms = rates.classify(gains, ptot)
@@ -585,12 +586,13 @@ def test_choices_break_ties_in_candidate_order(instance):
             value, _ = solver._candidate_tables(mu, params, ms)
             interleaved = value.transpose(1, 2, 0).reshape(kk, 2 * uu)  # column 2u + m
             np.testing.assert_array_equal(solve_at_price(mu, params, gains, ms).pick, np.argmax(interleaved, axis=1))
-    pick, gain = solver.max_gain_choice(ms.gain, weights)
-    for k in range(kk):
-        best = [weights[u] * max(ms.g1[k, u], gains.g_su[k, u]) for u in range(uu)]
-        u = best.index(max(best))
-        m = 0 if ms.g1[k, u] > gains.g_su[k, u] else 1
-        assert (pick[k], gain[k]) == (2 * u + m, ms.gain[m, k, u])
+    for table in (ms.gain, (ms.g1, gains.g_su)):
+        pick, gain = solver.max_gain_choice(table, weights)
+        for k in range(kk):
+            best = [weights[u] * max(ms.g1[k, u], gains.g_su[k, u]) for u in range(uu)]
+            u = best.index(max(best))
+            m = 0 if ms.g1[k, u] > gains.g_su[k, u] else 1
+            assert (pick[k], gain[k]) == (2 * u + m, ms.gain[m, k, u])
 
 
 @settings(max_examples=300, deadline=None)
