@@ -28,8 +28,10 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
     """Classic water-filling ``p_k = [level - 1/g_k]+`` meeting the budget.
 
     Returns (power, level), with the exact level and powers of the solver's
-    fill, which spends the budget however small it is. Gains of zero get no
-    power. Raises ValueError if every gain is zero.
+    fill, which spends the budget however small it is. Gains too small to
+    invert (``rates._inverse``) get no power; if every gain is, the budget is
+    spread evenly and the level is infinite. Raises ValueError for malformed
+    input.
     """
     g = np.asarray(gain, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -38,11 +40,8 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
         raise ValueError("gains must be nonnegative and finite")
     if not (ptot > 0.0 and np.isfinite(ptot)):
         raise ValueError("ptot must be positive and finite")
-    fill = solver._fill(1.0, rates._inverse(g), 1.0, ptot)
-    if fill is None:
-        raise ValueError("water-filling needs at least one positive gain")
-    lam, power = fill
-    return power, 1.0 / lam
+    lam, power = solver._fill(1.0, rates._inverse(g), 1.0, ptot)
+    return power, 1.0 / lam if lam > 0.0 else math.inf
 
 
 def solve_reference(
@@ -60,8 +59,8 @@ def solve_reference(
     common weight w0 so it is directly comparable to a weighted sum rate,
     and the price is ``w0 / level``. ``rate`` is the single slot rate
     ``ln(1 + g p)`` of each subcarrier. Without a usable link (no gain with
-    a finite inverse) no split carries any rate: the budget is spread
-    evenly, as ``solver.solve`` does, and the price is 0. The assignment
+    a finite inverse) ``waterfill`` spreads the budget evenly at an infinite
+    level, so the price is 0, as in ``solver.solve``. The assignment
     rows spend a direct subcarrier's power in the broadcasting slot only.
     Raises ValueError for a common weight or budget that is not positive
     and finite.
@@ -76,10 +75,7 @@ def solve_reference(
     if g1_table is None:
         g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     pick, gain = solver.max_gain_choice((g1_table, gains.g_su))
-    if np.isfinite(rates._inverse(gain)).any():
-        power, level = waterfill(gain, ptot)
-    else:
-        power, level = np.full(gain.size, ptot / gain.size), math.inf
+    power, level = waterfill(gain, ptot)
     mu = w0 / level
     # one slot in either mode
     return solver.Allocation.from_choice(pick, power, gain, 1.0, params, gains, solver.STATUS_WATERFILL, mu, (mu, mu))

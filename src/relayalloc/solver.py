@@ -209,14 +209,13 @@ def water_level(a, v, budget: float, c=1.0):
 
     Returns ``(num, den)``, the active set's ``sum c a`` and
     ``budget + sum c v``, each added in index order, so ``lam = num / den``.
-    Returns None when no term can carry power.
+    When no term can carry power the active set is empty, and the level is
+    price zero: ``(0.0, budget)``.
     """
     v = np.asarray(v, dtype=float)
     a, c = (np.broadcast_to(np.asarray(x, dtype=float), v.shape) for x in (a, c))
     ca, cv, thr = c * a, c * v, v / a
     live = int(np.isfinite(thr).sum())
-    if live == 0:
-        return None
     order = np.argsort(thr, kind="stable")[:live]  # infinite thresholds sort last
     spent = thr[order] * np.cumsum(ca[order]) - np.cumsum(cv[order])
     active = np.zeros(v.shape, dtype=bool)
@@ -264,13 +263,14 @@ def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets:
 def _envelope_terms(mode_sets: ModeSets):
     """Per subcarrier extreme inverse gain terms ``c / g`` over admissible candidates.
 
-    The largest term is taken over live (nonzero gain) candidates only: a
-    dead candidate never carries power, and a subcarrier without a live one
-    gets ``inf`` so it adds nothing to the lower power bound.
+    The largest term is taken over live candidates only, those with a finite
+    ``rates._inverse``: a dead candidate never carries power, and a
+    subcarrier without a live one gets ``inf`` so it adds nothing to the
+    lower power bound.
     """
     inv = _SLOTS[:, None, None] * mode_sets.inv_gain
     ok = mode_sets.admissible
-    hi = np.where(ok & (mode_sets.gain > 0.0), inv, -np.inf).max(axis=(0, 2))
+    hi = np.where(ok & np.isfinite(inv), inv, -np.inf).max(axis=(0, 2))
     hi[np.isneginf(hi)] = np.inf
     return np.where(ok, inv, np.inf).min(axis=(0, 2)), hi
 
@@ -289,13 +289,11 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
     and vmax are the extreme admissible inverse gain terms per subcarrier.
     These sums bound the assigned power from above and below, so the
     optimum price lies between the roots. Both roots are exact
-    (``water_level``); mu_upper is raised by a relative ``1e-10``. Returns
-    (0, 0) when no subcarrier has a usable link.
+    (``water_level``); mu_upper is raised by a relative ``1e-10``. Both
+    are 0 when no subcarrier has a live candidate.
     """
     v_lo, v_hi = _envelope_terms(mode_sets)
     upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
-    if upper is None:
-        return 0.0, 0.0
     lower = water_level(float(params.weights.min()), v_hi, params.ptot)
     mu_upper = upper[0] / upper[1] * (1.0 + _UPPER_MARGIN)
     return min(lower[0] / lower[1], mu_upper), mu_upper
@@ -339,12 +337,14 @@ def _fill(w, inv_g, c, budget: float):
     ``inv_g_k``, ``w_k / lam - inv_g_k`` cancels to zero on every term; the
     budget then goes to the terms of least threshold ``inv_g_k / w_k`` in
     proportion to ``c_k w_k``, the exact small budget limit. Returns
-    (lam, power), or None if no term can carry power.
+    (lam, power). When no term can carry power, lam is 0 and the budget is
+    spread evenly over the terms: no split carries more than rounding
+    small rates, and the KKT conditions hold at price zero.
     """
-    level = water_level(w, inv_g, budget, c)
-    if level is None:
-        return None
-    lam = level[0] / level[1]
+    num, den = water_level(w, inv_g, budget, c)
+    if num == 0.0:
+        return 0.0, np.full(np.shape(inv_g), budget / np.size(inv_g))
+    lam = num / den
     power = c * np.maximum(w / lam - inv_g, 0.0)
     if not power.sum() > 0.0:
         thr = inv_g / w
@@ -475,13 +475,10 @@ def solve(
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
     if mu_upper == 0.0:
-        # no gain has a finite inverse, so no water level exists: the rates
-        # are zero or rounding small for any split of the budget, and the
-        # KKT conditions hold at price zero. The greedy choice spread
-        # evenly reports the rates it does carry.
-        kk = gains.num_subcarriers
+        # no candidate is live: the greedy choice's fill is the budget
+        # spread evenly at price zero, and reports the rates it does carry
         pick, _ = max_gain_choice(mode_sets.gain, params.weights)
-        return finish(pick, np.full(kk, params.ptot / kk), 0.0, STATUS_KKT)
+        return finish(pick, refill(pick)[1], 0.0, STATUS_KKT)
 
     mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
@@ -506,7 +503,7 @@ def solve(
         # the last price is now an edge of the bracket, so a price strictly
         # inside it never repeats one
         fill = refill(state.pick)
-        if fill is not None and lo < fill[0] < hi:
+        if lo < fill[0] < hi:
             mu, priced = fill[0], (state.pick, fill[1])
         else:
             mu, priced = initial_price(lo, hi), None
@@ -526,10 +523,7 @@ def solve(
         pick[tied[:j]] = a.pick[tied[:j]]
         mixes.append(pick)
     mixes.append(max_gain_choice(mode_sets.gain, params.weights)[0])
-    scored = [finish(pick, fill[1], 0.5 * (lo + hi), STATUS_GAP)
-              for pick in mixes if (fill := refill(pick)) is not None]
-    if not scored:  # no mix can carry power: the upper edge state stands
-        return finish(b.pick, b.power, b.mu, STATUS_GAP)
+    scored = [finish(pick, refill(pick)[1], 0.5 * (lo + hi), STATUS_GAP) for pick in mixes]
     return max(scored, key=lambda alloc: alloc.wsr)  # first of equal maxima
 
 

@@ -103,8 +103,11 @@ def test_reference_spends_a_budget_below_the_rounding_of_every_inverse_gain():
 
 
 def test_waterfill_input_validation():
-    with pytest.raises(ValueError):
-        waterfill(np.array([0.0, 0.0]), 1.0)
+    # nothing to invert is no error: the budget is spread evenly at an
+    # infinite level, the reference's price zero
+    power, level = waterfill(np.array([0.0, 0.0]), 1.0)
+    np.testing.assert_array_equal(power, [0.5, 0.5])
+    assert level == math.inf
     with pytest.raises(ValueError):
         waterfill(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
