@@ -53,6 +53,12 @@ MODE_RELAY = "relay"
 # batch with a larger gain is solved on gains scaled by a power of two that
 # brings the largest below it.
 _PEAK_EXP = 500
+# The counterpart at the bottom: a gain below 2**_DEAD_EXP is dead, with an
+# infinite inverse. Every finite inverse is then at most 2**-_DEAD_EXP, so a
+# water level's sum of slot weighted inverses over up to 2**10 subcarriers
+# stays finite; with weights near one, so do the thresholds and prices the
+# search forms (2**-1016 still overflows at K = 1024, U = 32).
+_DEAD_EXP = -1012
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +192,12 @@ def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -
 
 
 def _inverse(arr: np.ndarray) -> np.ndarray:
-    """``1 / arr``, infinite where arr is zero or too small to invert."""
-    with np.errstate(over="ignore"):
-        return np.divide(1.0, arr, out=np.full(arr.shape, np.inf), where=arr > 0.0)
+    """``1 / arr``, infinite where arr is below ``2**_DEAD_EXP``.
+
+    This is the package's one liveness test: a candidate whose gain has no
+    finite inverse never carries power.
+    """
+    return np.divide(1.0, arr, out=np.full(arr.shape, np.inf), where=arr >= 2.0**_DEAD_EXP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +207,19 @@ class ModeSets:
     The candidates form a mode-major (2, K, U) table: entry (m, k, u) is
     destination u on subcarrier k, relay aided for m = 0 (gain ``g1``, one
     slot of power) and direct for m = 1 (gain ``g_su``, power split over
-    both slots). ``inv_gain`` is ``_inverse(gain)``. ``admissible`` is False
-    where a mode can never win: relay aided mode where ``g1 <= g_su``, and
-    direct mode where relay aided mode wins for every feasible power (the
-    budget is at most the crossover). The crossover is in watts, NaN where it
-    does not exist and +inf where relay mode always wins.
+    both slots). ``inv_gain`` is ``_inverse(gain)``, and ``peak``, the
+    largest gain, bounds the products the price search forms. ``admissible``
+    is False where a mode can never win: relay aided mode where
+    ``g1 <= g_su``, and direct mode where relay aided mode wins for every
+    feasible power (the budget is at most the crossover). The crossover is
+    in watts, NaN where it does not exist and +inf where relay mode always
+    wins.
     """
 
     ptot: float
     gain: np.ndarray         # (2, K, U) relay aided effective gains g1, then direct gains g_su
     inv_gain: np.ndarray     # (2, K, U) ``1 / gain``
+    peak: float              # ``gain.max()``
     admissible: np.ndarray   # (2, K, U) bool
     crossover: np.ndarray    # (K, U)
 
@@ -231,5 +243,5 @@ def classify(gains: GainTable, ptot: float) -> ModeSets:
     gain = np.stack((g1, g_su))
     # boundary equality keeps relay mode strictly winning at the budget
     admissible = np.stack((relay, ~(relay & (ptot <= crossover))))
-    return ModeSets(ptot=float(ptot), gain=gain, inv_gain=_inverse(gain), admissible=admissible,
-                    crossover=crossover)
+    return ModeSets(ptot=float(ptot), gain=gain, inv_gain=_inverse(gain), peak=float(gain.max()),
+                    admissible=admissible, crossover=crossover)

@@ -41,7 +41,7 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
     if not (ptot > 0.0 and np.isfinite(ptot)):
         raise ValueError("ptot must be positive and finite")
     lam, power = solver._fill(1.0, rates._inverse(g), 1.0, ptot)
-    return power, 1.0 / lam if lam > 0.0 else math.inf
+    return power, (1.0 / lam if lam > 0.0 else math.inf)
 
 
 def solve_reference(

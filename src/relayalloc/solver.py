@@ -18,11 +18,12 @@ next price is the one at which the last state's assignment spends exactly
 ``Ptot``. The search stops when the maximizer at that price is the same
 assignment on every subcarrier that carries power: that assignment then
 maximizes the Lagrangian at a price where it spends the whole budget, which
-is the KKT certificate. Where the price is not strictly inside the bracket
-(whose edges include the last price, so a repeat is excluded too), the
-search bisects in log price, ``sqrt(lo * hi)``, instead. The gains, inverse
-gains and admissibility do not depend on the price: every evaluation reads
-them from the ``ModeSets`` of ``rates.classify``.
+is the KKT certificate. Where the price is neither strictly inside the
+bracket (whose edges include the last price, so a repeat is excluded too)
+nor the still unmoved lower bound, the search bisects in log price,
+``sqrt(lo * hi)``, instead. The gains, inverse gains and admissibility do
+not depend on the price: every evaluation reads them from the ``ModeSets``
+of ``rates.classify``.
 
 P(mu) is step discontinuous, so no price may certify an assignment. If the
 bracket collapses, the total budget sits inside a power jump: no single
@@ -229,12 +230,14 @@ def _candidate_tables(mu: float, params: SolverParams, mode_sets: ModeSets):
     Returns (value, power) tables of the (2, K, U) shape of ``mode_sets``:
     a candidate of slot count c and gain g spends ``c q`` with the per slot
     power ``q = [w / mu - 1 / g]+`` and is worth ``c (w ln(1 + g q) - mu q)``.
-    Inadmissible candidates carry value -inf.
+    Inadmissible candidates carry value -inf. Every ``g q`` is at most the
+    largest gain times ``max w / mu``.
     """
     c = _SLOTS[:, None, None]
     w = params.weights
     q = np.maximum(w / mu - mode_sets.inv_gain, 0.0)
-    value = np.where(mode_sets.admissible, c * w * np.log1p(mode_sets.gain * q) - c * mu * q, -np.inf)
+    rate = _log1p_product(mode_sets.gain, q, mode_sets.peak * (float(w.max()) / mu), np.log1p)
+    value = np.where(mode_sets.admissible, c * w * rate - c * mu * q, -np.inf)
     return value, c * q
 
 
@@ -302,11 +305,14 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
 def initial_price(mu_lower: float, mu_upper: float) -> float:
     """Geometric mean of the bracket: the first price and the bisection step.
 
-    Where the product of the edges is not a normal number (a huge budget)
-    it underflows or loses digits, so the edges are rooted apart.
+    Where the product of the edges is not a finite normal number (a huge
+    budget, or a tiny one on strong gains) it underflows, loses digits or
+    overflows, so the edges are rooted apart.
     """
     product = mu_lower * mu_upper
-    return math.sqrt(product) if product >= sys.float_info.min else math.sqrt(mu_lower) * math.sqrt(mu_upper)
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(mu_lower) * math.sqrt(mu_upper)
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:
@@ -314,9 +320,32 @@ def _log1p(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log1p, x.tolist()), float, x.size)
 
 
+def _log1p_product(g: np.ndarray, q: np.ndarray, bound: float, log1p) -> np.ndarray:
+    """``log1p(g * q)`` entrywise, ``ln g + ln q`` where the product overflows.
+
+    ``bound`` is an upper bound on every product, so a finite one skips the
+    test.
+    """
+    if bound < math.inf:
+        return log1p(g * q)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = g * q
+        return np.where(np.isfinite(x), log1p(x), np.log(g) + np.log(q))
+
+
 def _rates(gain: np.ndarray, power: np.ndarray, c) -> np.ndarray:
-    """Per subcarrier rate ``c ln(1 + g (p / c))`` of power p spread over c slots."""
-    return c * _log1p(gain * (power / c))
+    """Per subcarrier rate ``c ln(1 + g (p / c))`` of power p spread over c slots (c >= 1).
+
+    A zero or subnormal per slot rate is the rounded product ``g p / c``,
+    and c times it would round ``g p`` twice: the rate there is ``g p``,
+    rounded once, as the one slot rate of the same power is.
+    """
+    bound = float(gain.max(initial=0.0)) * float(power.max(initial=0.0))
+    per_slot = _log1p_product(gain, power / c, bound, _log1p)
+    rate = c * per_slot
+    tiny = per_slot < sys.float_info.min
+    rate[tiny] = gain[tiny] * power[tiny]
+    return rate
 
 
 def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
@@ -349,6 +378,9 @@ def _fill(w, inv_g, c, budget: float):
     if not power.sum() > 0.0:
         thr = inv_g / w
         power = np.where(thr == thr.min(), c * w, 0.0)
+        # a power of two, exact, puts the largest share in [0.5, 1), so that
+        # the rescale below cannot underflow
+        power = np.ldexp(power, -int(np.frexp(power.max())[1]))
     power *= budget / power.sum()
     return lam, power
 
@@ -501,9 +533,11 @@ def solve(
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
             break
         # the last price is now an edge of the bracket, so a price strictly
-        # inside it never repeats one
+        # inside it never repeats one. mu_lower has no margin: where the
+        # lower envelope is tight it is the exact price itself, and pricing
+        # it twice certifies the second time
         fill = refill(state.pick)
-        if lo < fill[0] < hi:
+        if lo < fill[0] < hi or fill[0] == lo == mu_lower:
             mu, priced = fill[0], (state.pick, fill[1])
         else:
             mu, priced = initial_price(lo, hi), None
@@ -530,18 +564,20 @@ def solve(
 def _assignment_rates(assignments, gains: GainTable):
     """(destination, rate) arrays of an assignment list, recomputed from gains.
 
-    A relay aided row's rate is ``ln(1 + g1 P)`` on its sum power, and a
-    direct row's is ``ln(1 + g b) + ln(1 + g r)`` on its broadcasting and
-    relaying slot powers, so rows of every protocol score as it does.
+    A relay aided row's rate is ``ln(1 + g1 P)`` on its sum power P. A
+    direct row that spends power in its relaying slot splits P evenly over
+    both slots, the only split a protocol makes, for ``2 ln(1 + g P / 2)``;
+    one that does not scores ``ln(1 + g P)``. So rows of every protocol
+    score as it does.
     """
     k = np.array([a.k for a in assignments], dtype=int)
     u = np.array([a.u for a in assignments], dtype=int)
     relay = np.array([a.mode == MODE_RELAY for a in assignments], dtype=bool)
-    first = np.array([a.sum_power if a.mode == MODE_RELAY else a.broadcast_power for a in assignments], dtype=float)
-    second = np.array([a.relaying_power for a in assignments], dtype=float)  # zero relay aided
+    power = np.array([a.sum_power for a in assignments], dtype=float)
+    c = np.array([2.0 if a.relaying_power > 0.0 else 1.0 for a in assignments])  # zero relay aided
     gain = gains.g_su[k, u]
     gain[relay] = rates.relay_aided_solution(gains, k[relay], u[relay]).gain[:, 0]
-    return u, _log1p(gain * first) + _log1p(gain * second)
+    return u, _rates(gain, power, c)
 
 
 def weighted_sum_rate(assignments, params: SolverParams, gains: GainTable) -> float:

@@ -242,9 +242,38 @@ def test_bracket_ignores_zero_gain_destinations():
     assert math.isclose(alloc.wsr, math.log(1.5), rel_tol=1e-9)
 
 
+def test_gain_too_small_to_invert_is_dead_in_the_bracket_too():
+    # destination 0's relay aided gain is subnormal: its inverse is
+    # infinite, so the lower price bound must skip it as the solver does
+    # (counting it live once made that bound unbracketable)
+    t = _table([[0.0, 0.0]], [[4.0]], [[[1e-320, 1.0]]])
+    params = SolverParams(ptot=1.0, weights=[1.0, 1.0])
+    ms = rates.classify(t, params.ptot)
+    assert 0.0 < ms.gain[0, 0, 0] and ms.inv_gain[0, 0, 0] == math.inf
+    lo, hi = price_bracket(params, t, ms)
+    assert 0.0 < lo <= hi
+    alloc = solve(params, t, ms)
+    assert (alloc.status, alloc.iterations) == (STATUS_KKT, 2)
+    assert alloc.dest.tolist() == [1] and alloc.power.tolist() == [1.0]
+    assert alloc.wsr == math.log1p(0.8)
+
+
+def test_optimum_on_the_lower_price_bound_is_certified():
+    # a lone relay aided pair makes the lower envelope exact: its root
+    # mu_lower is the optimum price, which the search prices once the
+    # pair's exact price reaches it (not the 46-evaluation collapse of a
+    # search that only prices inside the bracket)
+    t = _table([[0.1]], [[4.0]], [[[4.0]]])
+    params = SolverParams(ptot=1.0, weights=[1.0])
+    alloc = solve(params, t)
+    assert (alloc.status, alloc.iterations) == (STATUS_KKT, 2)
+    assert alloc.mu_star == alloc.mu_lower
+    _assert_certified(alloc, params, t)
+
+
 def test_solve_all_zero_gains_returns_zero_wsr():
-    # no subcarrier has a usable link: the bracket cannot be built, and the
-    # budget may be spread anyhow for a WSR of zero
+    # no subcarrier has a usable link: the bracket is (0, 0), price zero,
+    # and the budget may be spread anyhow for a WSR of zero
     t = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
     params = SolverParams(ptot=5.0, weights=[0.5, 0.5])
     alloc = solve(params, t)
@@ -518,7 +547,8 @@ def test_search_past_the_evaluation_cap_raises(tmp_path, monkeypatch, capsys):
     assert "price search did not end" in capsys.readouterr().err
 
 
-_TIE_GAINS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])
+# 1e-310 and 1e-320 are positive gains too small to invert
+_TIE_GAINS = st.sampled_from([0.0, 1e-320, 1e-310, 0.5, 1.0, 2.0, 4.0])
 
 
 @st.composite
@@ -539,6 +569,9 @@ def _tie_rich_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(_tie_rich_instances())
 @example(instance=(SIX_TIED, np.ones(2), 10.0))
+# a dead table: both protocols spread the budget evenly, and the direct
+# rate 2 ln(1 + g p / 2) of a subnormal g p / 2 once lost to ln(1 + g p)
+@example(instance=(_table(np.full((3, 1), 1e-320), np.zeros((3, 1)), np.zeros((3, 1, 1))), np.ones(1), 1.0))
 def test_solve_on_tie_rich_inputs(instance):
     gains, weights, ptot = instance
     params = SolverParams(ptot=ptot, weights=weights)
