@@ -348,7 +348,11 @@ def synthesize_realization(
     # scalar per link, as rng.normal(0, std) and TapProfile.link_variances
     # compute them: numpy's vectorized ** can differ in the last bit
     std = float(profile.shadowing_db_std)
-    shadow = [10.0 ** ((0.0 + std * z0) / 10.0) for z0 in z[:, 0].tolist()]
+    try:
+        shadow = [10.0 ** ((0.0 + std * z0) / 10.0) for z0 in z[:, 0].tolist()]
+    except OverflowError:
+        db = std * float(z[:, 0].max())
+        raise ValueError(f"a shadowing draw of {db:.4g} dB (shadowing_db_std {std:g}) overflows a link's power") from None
     per_link = np.array([profile.mean_power(d) for *_, d in links]) / profile.variances.sum()
     var = profile.variances * per_link[:, None] * np.array(shadow)[:, None]
     taps = np.sqrt(var / 2.0) * (z[:, 1:1 + length] + 1j * z[:, 1 + length:])

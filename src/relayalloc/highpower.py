@@ -71,8 +71,8 @@ def check_conditions(
 
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
-    max_inv = float(mode_sets.inv_gain.max())
-    max_gain = float(mode_sets.gain.max())
+    max_inv = float(rates._inverse(mode_sets.gain.min()))  # that of the least gain
+    max_gain = mode_sets.peak
     worst = max(max_inv, max_gain)
     margin = threshold / worst if worst > 0.0 else np.inf
     return HighPowerReport(

@@ -23,13 +23,17 @@ recomputations.
 ``classify`` turns every pair into two candidates, stacked mode-major into
 one (2, K, U) ``ModeSets`` table: relay aided (m = 0) with the effective
 gain and one slot, and direct (m = 1) with the direct gain and two slots.
+Under given weights, ``ModeSets.front`` keeps the candidates that can win
+at some price, each subcarrier's (weight, gain) Pareto front (``Front``).
 
 All rates are in nats per two slot frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "MODE_RELAY",
     "RelayClosedForm",
     "ModeSets",
+    "Front",
     "relay_closed_form",
     "relay_aided_solution",
     "effective_gain_table",
@@ -59,6 +64,10 @@ _PEAK_EXP = 500
 # stays finite; with weights near one, so do the thresholds and prices the
 # search forms (2**-1016 still overflows at K = 1024, U = 32).
 _DEAD_EXP = -1012
+
+# Mode index m and its slot count c along the leading axis of a (2, K, ...) table.
+_MODE_AXIS = np.arange(2)[:, None, None]
+_SLOTS_AXIS = _MODE_AXIS + 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +209,118 @@ def _inverse(arr: np.ndarray) -> np.ndarray:
     return np.divide(1.0, arr, out=np.full(arr.shape, np.inf), where=arr >= 2.0**_DEAD_EXP)
 
 
+def _crossover(g1: np.ndarray, g_su: np.ndarray) -> np.ndarray:
+    """``4 (g1 - g_su) / g_su**2``, the power above which direct mode beats relay aided mode.
+
+    A g_su whose square is zero gives +inf (relay mode always wins), and a
+    g_su**2 that overflows puts the crossover far below any budget.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return 4.0 * (g1 - g_su) / g_su**2
+
+
+class Front(NamedTuple):
+    """Each subcarrier's (weight, gain) Pareto front of candidates under fixed weights.
+
+    A candidate's Lagrangian value ``c max_q (w ln(1 + g q) - mu q)`` does
+    not decrease in its weight w or its gain g, so within one mode of one
+    subcarrier a candidate that another beats or ties in both never wins.
+    Per mode and weight level, the front keeps the admissible candidate of
+    the largest gain (the lowest destination on ties). With F distinct
+    weights (F is 1 for equal weights), row k lists its E = 2F entries in
+    candidate order ``2u + m``. An entry that a heavier level's beats or
+    ties in gain is kept too: it is scored at its true value, which is
+    below that level's wherever it carries power. A mode without an
+    admissible candidate in row k holds an entry of gain 0, which never
+    carries power.
+
+    ``first`` is each subcarrier's first admissible candidate in candidate
+    order: every (k, u) pair has an admissible mode, so it is destination
+    0, relay aided if admissible. ``v_lo`` and ``v_hi`` are the least
+    admissible term ``c / g`` and the largest live one (``inf`` where no
+    candidate is live), the per subcarrier terms of the price search's
+    power bounds.
+    """
+
+    pick: np.ndarray       # (K, E) candidate 2u + m
+    gain: np.ndarray       # (K, E)
+    inv_gain: np.ndarray   # (K, E) ``_inverse(gain)``
+    weight: np.ndarray     # (K, E) the destination's weight w
+    slots: np.ndarray      # (K, E) slot count c: 1 relay aided, 2 direct
+    row_start: np.ndarray  # (K,) flat index of each row's first entry
+    first: np.ndarray      # (K,) first admissible candidate
+    v_lo: np.ndarray       # (K,)
+    v_hi: np.ndarray       # (K,)
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: a cache hands the same ones to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _weight_levels(weights: bytes) -> tuple:
+    """(members, starts) of a weight vector given by its bytes.
+
+    Row f of the (F, width) ``members`` lists the destinations of the f-th
+    largest weight in increasing order, padded with the first of them: the
+    first maximum over a row is then at its lowest destination. ``starts``
+    holds the flat index of each row.
+    """
+    w = np.frombuffer(weights).tolist()
+    levels = [[u for u, x in enumerate(w) if x == level] for level in sorted(set(w), reverse=True)]
+    width = max(map(len, levels))
+    members = np.array([level + level[:1] * (width - len(level)) for level in levels])
+    return _read_only(members, np.arange(0, members.size, width))
+
+
+@functools.lru_cache(maxsize=16)
+def _row_offsets(kk: int, uu: int, entries: int) -> tuple:
+    """Flat offsets of the (2, K, U) table's (m, k) rows, sort keys of subcarrier k, and the (K, E) rows."""
+    return _read_only(np.arange(0, 2 * kk * uu, uu).reshape(2, kk, 1), np.arange(0, 2 * kk * uu, 2 * uu)[:, None],
+                      np.arange(0, kk * entries, entries))
+
+
+def _pareto_front(mode_sets: "ModeSets", weights: np.ndarray) -> Front:
+    """``Front`` of a candidate table under per destination weights, in one pass over the table."""
+    gain, admissible = mode_sets.gain, mode_sets.admissible
+    _, kk, uu = gain.shape
+    members, starts = _weight_levels(weights.tobytes())
+    rows, keys, row_start = _row_offsets(kk, uu, 2 * len(members))
+    # an inadmissible candidate counts as gain 0, which never carries power
+    admitted = gain * admissible
+    if len(members) == 1:
+        dest = admitted.argmax(axis=2)[:, :, None]  # the first maximum: the lowest destination
+    else:
+        dest = members.take(admitted[:, :, members].argmax(axis=3) + starts)  # (2, K, F)
+    top = admitted.take(rows + dest)  # (2, K, F)
+    inv = _inverse(top)
+    pick = 2 * dest + _MODE_AXIS
+    # rows of E entries in candidate order
+    order = (pick + keys).ravel().argsort(kind="stable").reshape(kk, -1)
+    pick = pick.take(order)
+
+    # The least admissible term c / g is that of the largest gain, on the
+    # front. The largest live one is read from admissible / gain (1/g on
+    # admissible candidates) where the row's maximum is below 2**-_DEAD_EXP,
+    # so that every admissible candidate of the row is live; the other rows
+    # (a dead admissible candidate, or 0 / 0) mask dead candidates out.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_all = admissible / gain
+    hi = inv_all.take(rows[:, :, 0] + inv_all.argmax(axis=2))  # (2, K)
+    if not (hi < 2.0**-_DEAD_EXP).all():
+        m, k = np.nonzero(~(hi < 2.0**-_DEAD_EXP))
+        g = gain[m, k]
+        hi[m, k] = np.where(admissible[m, k] & (g >= 2.0**_DEAD_EXP), _inverse(g), 0.0).max(axis=1)
+    v_hi = np.maximum(hi[0], 2.0 * hi[1])
+    v_hi[v_hi == 0.0] = np.inf  # no live candidate
+    return Front(pick=pick, gain=top.take(order), inv_gain=inv.take(order), weight=weights[pick >> 1],
+                 slots=1.0 + (pick & 1), row_start=row_start, first=1 - admissible[0, :, 0],
+                 v_lo=(_SLOTS_AXIS * inv).min(axis=(0, 2)), v_hi=v_hi)
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSets:
     """Price independent terms of every (subcarrier, destination) candidate at a budget.
@@ -207,26 +328,47 @@ class ModeSets:
     The candidates form a mode-major (2, K, U) table: entry (m, k, u) is
     destination u on subcarrier k, relay aided for m = 0 (gain ``g1``, one
     slot of power) and direct for m = 1 (gain ``g_su``, power split over
-    both slots). ``inv_gain`` is ``_inverse(gain)``, and ``peak``, the
-    largest gain, bounds the products the price search forms. ``admissible``
-    is False where a mode can never win: relay aided mode where
-    ``g1 <= g_su``, and direct mode where relay aided mode wins for every
-    feasible power (the budget is at most the crossover). The crossover is
-    in watts, NaN where it does not exist and +inf where relay mode always
-    wins.
+    both slots). ``peak``, the largest gain, bounds the products the price
+    search forms. ``admissible`` is False where a mode can never win: relay
+    aided mode where ``g1 <= g_su``, and direct mode where relay aided mode
+    wins for every feasible power (the budget is at most the crossover).
+    ``inv_gain`` (``_inverse(gain)``) and ``crossover`` (in watts, NaN where
+    it does not exist and +inf where relay mode always wins) are computed
+    on first access. ``front(weights)`` is the ``Front`` that every price
+    evaluation scores, built once per weight vector.
     """
 
     ptot: float
     gain: np.ndarray         # (2, K, U) relay aided effective gains g1, then direct gains g_su
-    inv_gain: np.ndarray     # (2, K, U) ``1 / gain``
     peak: float              # ``gain.max()``
     admissible: np.ndarray   # (2, K, U) bool
-    crossover: np.ndarray    # (K, U)
+    _fronts: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def g1(self) -> np.ndarray:
         """(K, U) relay aided effective gains, a view of ``gain[0]``."""
         return self.gain[0]
+
+    @functools.cached_property
+    def inv_gain(self) -> np.ndarray:
+        """(2, K, U) ``1 / gain``, infinite on dead candidates."""
+        return _inverse(self.gain)
+
+    @functools.cached_property
+    def crossover(self) -> np.ndarray:
+        """(K, U) crossover power of every relay aided pair, NaN where ``g1 <= g_su``."""
+        g1, g_su = self.gain
+        return np.where(g1 > g_su, _crossover(g1, g_su), np.nan)
+
+    def front(self, weights) -> Front:
+        """The ``Front`` of these candidates under per destination ``weights``, kept per weight vector."""
+        weights = np.asarray(weights, dtype=float)
+        key = weights.tobytes()
+        if key not in self._fronts:
+            if weights.shape != self.gain.shape[2:]:
+                raise ValueError("weights length must match the number of destinations")
+            self._fronts[key] = _pareto_front(self, weights)
+        return self._fronts[key]
 
 
 def classify(gains: GainTable, ptot: float) -> ModeSets:
@@ -236,12 +378,7 @@ def classify(gains: GainTable, ptot: float) -> ModeSets:
     g1 = effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     g_su = gains.g_su
     relay = g1 > g_su
-    # a g_su whose square is zero gives +inf (relay mode always wins), and a
-    # g_su**2 that overflows puts the crossover far below any budget
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        crossover = np.where(relay, 4.0 * (g1 - g_su) / g_su**2, np.nan)
     gain = np.stack((g1, g_su))
     # boundary equality keeps relay mode strictly winning at the budget
-    admissible = np.stack((relay, ~(relay & (ptot <= crossover))))
-    return ModeSets(ptot=float(ptot), gain=gain, inv_gain=_inverse(gain), peak=float(gain.max()),
-                    admissible=admissible, crossover=crossover)
+    admissible = np.stack((relay, ~(relay & (ptot <= _crossover(g1, g_su)))))
+    return ModeSets(ptot=float(ptot), gain=gain, peak=float(gain.max()), admissible=admissible)

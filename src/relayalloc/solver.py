@@ -21,9 +21,14 @@ maximizes the Lagrangian at a price where it spends the whole budget, which
 is the KKT certificate. Where the price is neither strictly inside the
 bracket (whose edges include the last price, so a repeat is excluded too)
 nor the still unmoved lower bound, the search bisects in log price,
-``sqrt(lo * hi)``, instead. The gains, inverse gains and admissibility do
-not depend on the price: every evaluation reads them from the ``ModeSets``
-of ``rates.classify``.
+``sqrt(lo * hi)``, instead. The gains and admissibility do not depend on
+the price: every evaluation reads them from the ``ModeSets`` of
+``rates.classify``. A candidate's value does not decrease in its weight or
+its gain, so an evaluation scores only each subcarrier's (weight, gain)
+Pareto front, ``ModeSets.front``, which the first price bracket of a solve
+builds for its weights, in the same pass that gives the bracket's
+per-subcarrier terms (Seong, Mohseni and Cioffi, IEEE ISIT 2006, for the
+per-subcarrier dual of weighted OFDMA).
 
 P(mu) is step discontinuous, so no price may certify an assignment. If the
 bracket collapses, the total budget sits inside a power jump: no single
@@ -214,68 +219,85 @@ def water_level(a, v, budget: float, c=1.0):
     price zero: ``(0.0, budget)``.
     """
     v = np.asarray(v, dtype=float)
-    a, c = (np.broadcast_to(np.asarray(x, dtype=float), v.shape) for x in (a, c))
-    ca, cv, thr = c * a, c * v, v / a
-    live = int(np.isfinite(thr).sum())
-    order = np.argsort(thr, kind="stable")[:live]  # infinite thresholds sort last
-    spent = thr[order] * np.cumsum(ca[order]) - np.cumsum(cv[order])
+    # a and c may be numbers: ca takes v's shape through its output array
+    ca, cv, thr = np.multiply(c, a, out=np.empty(v.shape)), np.multiply(c, v), np.divide(v, a)
+    order = thr.argsort(kind="stable")
+    thr = thr[order]
+    live = int(thr.searchsorted(np.inf))  # infinite thresholds sort last
+    order = order[:live]
+    spent = thr[:live] * np.cumsum(ca[order]) - np.cumsum(cv[order])
     active = np.zeros(v.shape, dtype=bool)
     active[order[:max(int(np.searchsorted(spent, budget)), 1)]] = True
     return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
-def _candidate_tables(mu: float, params: SolverParams, mode_sets: ModeSets):
-    """Metric and power of every candidate at price mu.
+def _values(mu: float, w, c, gain, inv_gain, bound: float):
+    """Lagrangian value and per slot power of candidates at price mu.
 
-    Returns (value, power) tables of the (2, K, U) shape of ``mode_sets``:
-    a candidate of slot count c and gain g spends ``c q`` with the per slot
-    power ``q = [w / mu - 1 / g]+`` and is worth ``c (w ln(1 + g q) - mu q)``.
-    Inadmissible candidates carry value -inf. Every ``g q`` is at most the
-    largest gain times ``max w / mu``.
+    A candidate of weight w, slot count c and gain g spends ``c q`` with
+    the per slot power ``q = [w / mu - 1 / g]+`` and is worth
+    ``c (w ln(1 + g q) - mu q)``, computed as ``(c w) rate - (c mu) q``.
+    ``bound`` is an upper bound on every ``g q``. Returns (value, q).
     """
-    c = _SLOTS[:, None, None]
+    q = np.maximum(w / mu - inv_gain, 0.0)
+    rate = _log1p_product(gain, q, bound, np.log1p)
+    return c * w * rate - c * mu * q, q
+
+
+def _row_state(mu: float, params: SolverParams, mode_sets: ModeSets, rows: np.ndarray):
+    """(pick, power, value) of the maximizers of whole rows of the (2, K, U) candidate table.
+
+    The first maximum in candidate order; inadmissible candidates are worth
+    -inf.
+    """
     w = params.weights
-    q = np.maximum(w / mu - mode_sets.inv_gain, 0.0)
-    rate = _log1p_product(mode_sets.gain, q, mode_sets.peak * (float(w.max()) / mu), np.log1p)
-    value = np.where(mode_sets.admissible, c * w * rate - c * mu * q, -np.inf)
-    return value, c * q
+    c = _SLOTS[:, None, None]
+    gain = mode_sets.gain[:, rows]
+    value, q = _values(mu, w, c, gain, rates._inverse(gain), mode_sets.peak * (float(w.max()) / mu))
+    value = np.where(mode_sets.admissible[:, rows], value, -np.inf)
+    dest = np.argmax(np.maximum(value[0], value[1]), axis=1)
+    i = np.arange(rows.size)
+    mode = (value[1, i, dest] > value[0, i, dest]).astype(np.intp)
+    return 2 * dest + mode, _SLOTS[mode] * q[mode, i, dest], value[mode, i, dest]
 
 
 def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
     """Per subcarrier maximization of the Lagrangian at a fixed price.
 
     The maximizer is the first maximum in candidate order: the lowest
-    destination, and relay aided before direct mode.
+    destination, and relay aided before direct mode. Only each
+    subcarrier's ``Front`` (``mode_sets.front(params.weights)``) is scored:
+    a candidate off the front is beaten or tied by one on it. Where the
+    front's best value is not positive, the front does not decide the tie
+    order: where no front candidate carries power, no candidate does, and
+    the maximizer is the first admissible candidate, worth 0; where one
+    does, its value rounded to 0 or below near its threshold, and the whole
+    row is scored.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    value, power = _candidate_tables(mu, params, mode_sets)
-    dest = np.argmax(np.maximum(value[0], value[1]), axis=1)
-    rows = np.arange(dest.size)
-    mode = (value[1, rows, dest] > value[0, rows, dest]).astype(np.intp)
-    p = power[mode, rows, dest]
+    front = mode_sets.front(params.weights)
+    value, q = _values(mu, front.weight, front.slots, front.gain, front.inv_gain,
+                       mode_sets.peak * (float(params.weights.max()) / mu))
+    at = front.row_start + value.argmax(axis=1)  # first maximum in candidate order
+    v, pick, p = value.take(at), front.pick.take(at), (front.slots * q).take(at)
+    scored = v > 0.0
+    if not scored.all():
+        # where no front candidate carries power, none does: the winner's
+        # power and value are 0 already, and the first admissible candidate
+        # wins; where one does, the whole row is scored
+        unpowered = ~(scored | q.any(axis=1))
+        np.copyto(pick, front.first, where=unpowered)
+        k = np.flatnonzero(~(scored | unpowered))
+        if k.size:
+            pick[k], p[k], v[k] = _row_state(mu, params, mode_sets, k)
     return DualState(
         mu=float(mu),
-        pick=2 * dest + mode,
+        pick=pick,
         power=p,
         total_power=float(p.sum()),
-        lagrangian=float(value[mode, rows, dest].sum() + mu * params.ptot),
+        lagrangian=float(v.sum() + mu * params.ptot),
     )
-
-
-def _envelope_terms(mode_sets: ModeSets):
-    """Per subcarrier extreme inverse gain terms ``c / g`` over admissible candidates.
-
-    The largest term is taken over live candidates only, those with a finite
-    ``rates._inverse``: a dead candidate never carries power, and a
-    subcarrier without a live one gets ``inf`` so it adds nothing to the
-    lower power bound.
-    """
-    inv = _SLOTS[:, None, None] * mode_sets.inv_gain
-    ok = mode_sets.admissible
-    hi = np.where(ok & np.isfinite(inv), inv, -np.inf).max(axis=(0, 2))
-    hi[np.isneginf(hi)] = np.inf
-    return np.where(ok, inv, np.inf).min(axis=(0, 2)), hi
 
 
 # The search prices only the open bracket, and where the upper envelope is
@@ -289,17 +311,22 @@ def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -
 
     mu_upper solves ``sum_k [2 max_u w_u / mu - vmin_k]+ = Ptot`` and
     mu_lower solves ``sum_k [min_u w_u / mu - vmax_k]+ = Ptot``, where vmin
-    and vmax are the extreme admissible inverse gain terms per subcarrier.
-    These sums bound the assigned power from above and below, so the
-    optimum price lies between the roots. Both roots are exact
-    (``water_level``); mu_upper is raised by a relative ``1e-10``. Both
+    and vmax are the extreme admissible inverse gain terms per subcarrier
+    (``Front.v_lo`` and ``Front.v_hi``). These sums bound the assigned
+    power from above and below, so the optimum price lies between the
+    roots. Both roots are exact (``water_level``); mu_upper is raised by a
+    relative ``1e-10``. A lower root that underflows to 0 (a tiny weight
+    against a huge budget) is replaced by the smallest normal price. Both
     are 0 when no subcarrier has a live candidate.
     """
-    v_lo, v_hi = _envelope_terms(mode_sets)
-    upper = water_level(2.0 * float(params.weights.max()), v_lo, params.ptot)
-    lower = water_level(float(params.weights.min()), v_hi, params.ptot)
+    front = mode_sets.front(params.weights)
+    upper = water_level(2.0 * float(params.weights.max()), front.v_lo, params.ptot)
+    lower = water_level(float(params.weights.min()), front.v_hi, params.ptot)
     mu_upper = upper[0] / upper[1] * (1.0 + _UPPER_MARGIN)
-    return min(lower[0] / lower[1], mu_upper), mu_upper
+    mu_lower = lower[0] / lower[1]
+    if mu_lower == 0.0 < mu_upper:
+        mu_lower = sys.float_info.min
+    return min(mu_lower, mu_upper), mu_upper
 
 
 def initial_price(mu_lower: float, mu_upper: float) -> float:
@@ -354,7 +381,7 @@ def _weighted_total(weights: np.ndarray, rate: np.ndarray) -> float:
 
 
 def _chosen(pick, table: np.ndarray) -> np.ndarray:
-    """Per subcarrier entry of a choice in a (2, K, U) candidate table: gains or inverse gains."""
+    """Per subcarrier entry of a choice in a (2, K, U) candidate table."""
     return table[pick % 2, np.arange(pick.size), pick // 2]
 
 
@@ -501,8 +528,8 @@ def solve(
         """
         key = pick.tobytes()
         if key not in fills:
-            fills[key] = _fill(params.weights[pick // 2], _chosen(pick, mode_sets.inv_gain), _SLOTS[pick % 2],
-                               params.ptot)
+            fills[key] = _fill(params.weights[pick // 2], rates._inverse(_chosen(pick, mode_sets.gain)),
+                               _SLOTS[pick % 2], params.ptot)
         return fills[key]
 
     mu_lower, mu_upper = price_bracket(params, gains, mode_sets)

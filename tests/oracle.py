@@ -7,6 +7,11 @@ containers, ``GainTable`` and ``SolverParams``. A (subcarrier, destination)
 pair is the tuple ``(g_su, g_sr, g_ru)``: its direct gain and its N source to
 relay and relay to destination gains. Orders of magnitude slower than the
 solvers by design; only meant for tiny instances.
+
+The one exception is the full-table price scorer. It takes the (2, K, U)
+candidate gains and admissibility that ``rates.classify`` computes and
+scores every candidate with the solver's own formula, so the solver, which
+scores only each subcarrier's front, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ import numpy as np
 from relayalloc.channel import GainTable
 from relayalloc.solver import SolverParams
 
-__all__ = ["oracle_relay_gain", "oracle_split_optimality", "oracle_global_wsr"]
+__all__ = [
+    "oracle_relay_gain",
+    "oracle_split_optimality",
+    "oracle_global_wsr",
+    "oracle_candidate_tables",
+    "oracle_state_at_price",
+]
 
 
 def _gains(pair: tuple) -> tuple:
@@ -141,3 +152,45 @@ def oracle_global_wsr(
             nxt[n] = cand.max()
         f = nxt
     return float(f.max())
+
+
+# Below this gain a candidate is dead: its inverse is infinite (the
+# solver's liveness floor, ``rates._DEAD_EXP``).
+_DEAD_GAIN = 2.0**-1012
+_SLOTS = np.array([1.0, 2.0])[:, None, None]
+
+
+def oracle_candidate_tables(mu: float, weights, gain: np.ndarray, admissible: np.ndarray) -> tuple:
+    """Lagrangian value and power of every candidate of a (2, K, U) table at price mu.
+
+    Entry (m, k, u) is destination u on subcarrier k, relay aided (m = 0,
+    one slot) or direct (m = 1, two slots). With c slots and gain g it
+    spends ``c q``, ``q = [w / mu - 1 / g]+``, and is worth
+    ``(c w) ln(1 + g q) - (c mu) q``, with ``ln g + ln q`` for the log where
+    ``g q`` overflows; inadmissible candidates are worth -inf. Every
+    candidate is scored. Returns (value, power).
+    """
+    w = np.asarray(weights, dtype=float)
+    inv = np.divide(1.0, gain, out=np.full(gain.shape, np.inf), where=gain >= _DEAD_GAIN)
+    q = np.maximum(w / mu - inv, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = gain * q
+        rate = np.where(np.isfinite(x), np.log1p(x), np.log(gain) + np.log(q))
+    value = np.where(admissible, _SLOTS * w * rate - _SLOTS * mu * q, -np.inf)
+    return value, _SLOTS * q
+
+
+def oracle_state_at_price(mu: float, params: SolverParams, gain: np.ndarray, admissible: np.ndarray) -> tuple:
+    """(pick, power, total_power, lagrangian) of the Lagrangian maximizers at price mu.
+
+    Each subcarrier takes the first maximum of its whole row in candidate
+    order ``2u + m``: the destination of the largest best-mode value, then
+    direct mode only where it is strictly better. ``lagrangian`` adds the
+    maximizers' values and ``mu * ptot``.
+    """
+    value, power = oracle_candidate_tables(mu, params.weights, gain, admissible)
+    dest = np.argmax(np.maximum(value[0], value[1]), axis=1)
+    rows = np.arange(dest.size)
+    mode = (value[1, rows, dest] > value[0, rows, dest]).astype(np.intp)
+    p = power[mode, rows, dest]
+    return 2 * dest + mode, p, float(p.sum()), float(value[mode, rows, dest].sum() + mu * params.ptot)

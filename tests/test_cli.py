@@ -3,10 +3,15 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relayalloc
 from relayalloc import cli
 from relayalloc.cli import (
     ConfigError,
@@ -437,6 +442,30 @@ def test_rates_stay_finite_where_gain_times_power_overflows(tmp_path):
     assert summary["status_counts"]["proposed"] == {"kkt": 1}
     wsr = summary["average_wsr"]
     assert wsr["proposed"] >= wsr["reference"] > 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_weight_against_a_huge_budget_keeps_the_lower_price_positive(tmp_path):
+    # the lower price root is about w_min K / ptot = 1e-100 * 16 / 1e300,
+    # which underflows to 0; the search then priced mu = 0 and the run
+    # exited 1 with "mu must be positive"
+    text = TINY_BUDGET_YAML.replace("ptot_dbw: -3000.0", "ptot_dbw: 3000.0").replace(
+        "num_destinations: 4", "num_destinations: 3\nweights: [1.0e-100, 1, 1]").replace(
+        "protocols: [proposed, reference, highpower]", "protocols: [proposed]")
+    summary = _corner_run(tmp_path, text)
+    assert summary["status_counts"]["proposed"] == {"kkt": 3}
+
+
+def test_shadowing_past_the_float_range_is_an_error_exit(tmp_path):
+    # a 3000 dB shadowing deviation draws link powers past 10**308, which
+    # once ended in an OverflowError traceback
+    config = _write(tmp_path, GOOD_YAML + "taps: {shadowing_db_std: 3000}\n")
+    path = os.pathsep.join([str(Path(relayalloc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-m", "relayalloc.cli", str(config), "-o", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and "overflows" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_main_protocol_override(tmp_path, capsys):

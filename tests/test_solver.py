@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import oracle_candidate_tables, oracle_state_at_price
 from scipy.optimize import brentq
 
 from relayalloc import channel, cli, highpower, rates, reference, solver
@@ -69,7 +70,8 @@ def test_params_validation():
 
 def _metric(u, mode, k, mu, params, gains):
     """Candidate (u, mode)'s entry of the Lagrangian table of subcarrier k at price mu."""
-    value, _ = solver._candidate_tables(mu, params, rates.classify(gains, params.ptot))
+    ms = rates.classify(gains, params.ptot)
+    value, _ = oracle_candidate_tables(mu, params.weights, ms.gain, ms.admissible)
     return float(value[int(mode == rates.MODE_DIRECT), k, u])
 
 
@@ -446,6 +448,9 @@ def test_solve_requires_matching_shapes():
     ms = rates.classify(DIRECT1, 3.0)
     with pytest.raises(ValueError):
         solve(SolverParams(ptot=2.0, weights=[1.0]), DIRECT1, ms)
+    # the front behind the price bounds and every evaluation checks it too
+    with pytest.raises(ValueError, match="weights length"):
+        price_bracket(SolverParams(ptot=3.0, weights=[1.0, 1.0]), DIRECT1, ms)
 
 
 def test_solve_rejects_mode_sets_of_another_budget_below_one_watt():
@@ -600,15 +605,49 @@ def _any_scale_instances(draw):
     return _table(block(k, u), block(k, n), block(k, n, u)), weights, 10.0 ** draw(st.floats(-3.0, 8.0))
 
 
+@st.composite
+def _weight_level_instances(draw):
+    """(gains, weights, ptot): unequal weights on up to three levels, with gains tied across them.
+
+    Every destination's direct and second hop gains are one of two columns,
+    so destinations of one weight level and of different levels tie in
+    gain, and the front holds up to three entries per mode.
+    """
+    k, u, n = draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    weights = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=u, max_size=u)))
+    column = np.array(draw(st.lists(st.integers(0, 1), min_size=u, max_size=u)))
+
+    def block(*shape):
+        flat = draw(st.lists(_TIE_GAINS, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.reshape(flat, shape)
+
+    g_su, g_ru = block(k, 2)[:, column], block(k, n, 2)[:, :, column]
+    return _table(g_su, block(k, n), g_ru), weights, draw(st.sampled_from([0.1, 1.0, 10.0, 1000.0]))
+
+
+def _assert_state_matches_the_oracle(state, mu, params, ms):
+    """Every field of a price state bit for bit equal to the full-table oracle's."""
+    pick, power, total_power, lagrangian = oracle_state_at_price(mu, params, ms.gain, ms.admissible)
+    assert state.mu == mu
+    for got, want in ((state.pick, pick), (state.power, power), (state.total_power, total_power),
+                      (state.lagrangian, lagrangian)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_tie_rich_instances(), _any_scale_instances()))
+@given(st.one_of(_tie_rich_instances(), _any_scale_instances(), _weight_level_instances()))
 @example(instance=(SIX_TIED, np.ones(2), 10.0))
+@example(instance=(_table([[1.0, 1.0, 2.0, 2.0]], [[0.5]], [[[0.5, 0.5, 0.5, 0.5]]]),
+                   np.array([1.0, 2.0, 1.0, 2.0]), 1.0))
 def test_choices_break_ties_in_candidate_order(instance):
-    # solve_at_price keeps the first maximum of the Lagrangian table in
-    # candidate order 2u + m (lowest destination, relay aided before
-    # direct) at both bracket edges and their geometric mean;
-    # max_gain_choice keeps the lowest destination and goes direct on a tie,
-    # given the (2, K, U) table or the pair of mode tables
+    # solve_at_price scores only each subcarrier's (weight, gain) front; at
+    # both bracket edges and their geometric mean every field of its state
+    # equals that of scoring every candidate, and its choice is the first
+    # maximum of the Lagrangian table in candidate order 2u + m (lowest
+    # destination, relay aided before direct); max_gain_choice keeps the
+    # lowest destination and goes direct on a tie, given the (2, K, U)
+    # table or the pair of mode tables
     gains, weights, ptot = instance
     params = SolverParams(ptot=ptot, weights=weights)
     ms = rates.classify(gains, ptot)
@@ -616,9 +655,11 @@ def test_choices_break_ties_in_candidate_order(instance):
     kk, uu = gains.g_su.shape
     if hi > 0.0:
         for mu in (lo, hi, initial_price(lo, hi)):
-            value, _ = solver._candidate_tables(mu, params, ms)
+            state = solve_at_price(mu, params, gains, ms)
+            _assert_state_matches_the_oracle(state, mu, params, ms)
+            value, _ = oracle_candidate_tables(mu, weights, ms.gain, ms.admissible)
             interleaved = value.transpose(1, 2, 0).reshape(kk, 2 * uu)  # column 2u + m
-            np.testing.assert_array_equal(solve_at_price(mu, params, gains, ms).pick, np.argmax(interleaved, axis=1))
+            np.testing.assert_array_equal(state.pick, np.argmax(interleaved, axis=1))
     for table in (ms.gain, (ms.g1, gains.g_su)):
         pick, gain = solver.max_gain_choice(table, weights)
         for k in range(kk):
@@ -626,6 +667,45 @@ def test_choices_break_ties_in_candidate_order(instance):
             u = best.index(max(best))
             m = 0 if ms.g1[k, u] > gains.g_su[k, u] else 1
             assert (pick[k], gain[k]) == (2 * u + m, ms.gain[m, k, u])
+
+
+def test_price_states_near_a_threshold_match_the_full_table_oracle():
+    # just below a candidate's threshold its value rounds to 0 or below
+    # although it carries power; the front then does not decide the tie
+    # order. Alone, it is the maximizer at value 0 with its power; beside
+    # an unpowered candidate worth 0, that one wins.
+    alone = DIRECT1
+    params = SolverParams(ptot=1.0, weights=[1.0])
+    mu = math.nextafter(1.0, 0.0)
+    ms = rates.classify(alone, params.ptot)
+    state = solve_at_price(mu, params, alone, ms)
+    assert state.power[0] > 0.0 and state.lagrangian == mu
+    _assert_state_matches_the_oracle(state, mu, params, ms)
+
+    beside = _table([[0.46181848625247157, 0.005]], [[0.01]], [[[0.01, 0.01]]])
+    params = SolverParams(ptot=1.0, weights=[1.8823189875937536] * 2)
+    mu = 0.8692897054948321
+    ms = rates.classify(beside, params.ptot)
+    value, power = oracle_candidate_tables(mu, params.weights, ms.gain, ms.admissible)
+    assert value[1, 0, 0] < 0.0 < power[1, 0, 0]
+    state = solve_at_price(mu, params, beside, ms)
+    assert state.pick[0] // 2 == 1 and state.power[0] == 0.0
+    _assert_state_matches_the_oracle(state, mu, params, ms)
+
+
+def test_price_state_tie_across_modes_goes_to_the_first_candidate():
+    # destination 0 direct (pick 1) and destination 1 relay aided (pick 2)
+    # are worth exactly the same at this price: the front lists them in
+    # candidate order, so the direct one wins, as on the full table
+    gains = _table([[1.0, 0.1]], [[4.0]], [[[0.01, 4.0]]])
+    params = SolverParams(ptot=1.0, weights=[1.0, 1.0])
+    mu = 0.2747546453878038
+    ms = rates.classify(gains, params.ptot)
+    value, _ = oracle_candidate_tables(mu, params.weights, ms.gain, ms.admissible)
+    assert value[1, 0, 0] == value[0, 0, 1] > 0.0
+    state = solve_at_price(mu, params, gains, ms)
+    assert state.pick.tolist() == [1]
+    _assert_state_matches_the_oracle(state, mu, params, ms)
 
 
 @settings(max_examples=300, deadline=None)
