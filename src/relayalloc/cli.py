@@ -16,6 +16,7 @@ and worker count cannot affect results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -366,7 +367,6 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     single = config.realizations == 1  # only a single run emits per subcarrier tables
     bracket = None  # (mu_lower, mu_upper), shared by the proposed and highpower protocols
     out: dict = {
-        "index": index,
         "wsr": {},
         "user_rates": {},
         "status": {},
@@ -408,17 +408,13 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
     """Run every realization and aggregate in realization index order."""
     rr = config.realizations
     uu = config.num_destinations
-    results: list = [None] * rr
+    results: list = []
     # a pool forks all its workers at once: none beyond the realizations or CPUs
     workers = min(config.workers, rr, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_run_realization, [config] * rr, range(rr)):
-                results[res["index"]] = res
-                log.info("realization %d/%d done", res["index"] + 1, rr)
-    else:
-        for i in range(rr):
-            results[i] = _run_realization(config, i)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        mapped = map if pool is None else pool.map  # both yield in realization order
+        for i, res in enumerate(mapped(_run_realization, [config] * rr, range(rr))):
+            results.append(res)
             log.info("realization %d/%d done", i + 1, rr)
 
     wsr = {p: np.full(rr, math.nan) for p in config.protocols}

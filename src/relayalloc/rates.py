@@ -12,13 +12,13 @@ gain, consider suffix sets, and pick the suffix whose beamforming ratio is
 largest; its start z lies between x, the first relay whose source link beats
 the direct link, and y, the last suffix whose second hop sum still does. The
 result is a single effective gain so the two slot rate becomes
-``ln(1 + gain * P)`` for the total subcarrier power P; the relay set and the
-power split scale with P, so only fractions are kept. ``relay_closed_form``
+``ln(1 + gain * P)`` for the total subcarrier power P. ``relay_closed_form``
 evaluates it for a whole batch of pairs at once, in one loop over the sorted
-relay positions that works on (M, U) slices of the batch: ``classify`` on the
-(K, U) grid, and ``relay_aided_solution`` on chosen (subcarrier, destination)
-pairs of a gain table, for the solver's assignment rows and rate
-recomputations.
+relay positions that works on (M, U) slices of the batch and keeps only each
+pair's best score and suffix start: ``classify`` on the (K, U) grid, and
+``relay_aided_solution`` on chosen (subcarrier, destination) pairs of a gain
+table, for rate recomputations and, through ``RelayClosedForm.split``, the
+source and relay powers of the solver's assignment rows.
 
 ``classify`` turns every pair into two candidates, stacked mode-major into
 one (2, K, U) ``ModeSets`` table: relay aided (m = 0) with the effective
@@ -82,51 +82,54 @@ class RelayClosedForm:
     best source link gain) or the relays that decode are too weak on the
     second hop (the gain is the direct link's). The derivation bounds z by x,
     the first relay whose source link beats the direct link, and y, the last
-    suffix whose second hop sum still beats it; neither is kept.
-    ``source_fraction`` is the share of the subcarrier power the source
-    spends in the broadcasting slot. ``g_ru`` is the (M, N, U) second hop
-    table the gains were computed from, the input itself unless it was
-    scaled: ``relay_splits`` rebuilds the sorted second hop gains and their
-    suffix sums from it, for the beamform pairs only.
+    suffix whose second hop sum still beats it; neither is kept. ``g_su``,
+    ``gs`` (the source link gains in ``order``) and ``g_ru`` are the gains
+    the closed form was solved on, the inputs themselves unless they were
+    scaled: ``split`` reads them for the source and relay powers.
     """
 
-    gain: np.ndarray             # (M, U) effective gain
-    order: np.ndarray            # (M, N)
-    best: np.ndarray             # (M,) relay with the largest source link gain
-    z: np.ndarray                # (M, U)
-    source_fraction: np.ndarray  # (M, U)
-    g_ru: np.ndarray             # (M, N, U) second hop gains, unsorted
+    gain: np.ndarray   # (M, U) effective gain
+    order: np.ndarray  # (M, N)
+    best: np.ndarray   # (M,) relay with the largest source link gain
+    z: np.ndarray      # (M, U)
+    g_su: np.ndarray   # (M, U) direct gains
+    gs: np.ndarray     # (M, N) source link gains, sorted
+    g_ru: np.ndarray   # (M, N, U) second hop gains, unsorted
 
-    def relay_splits(self, shared) -> list:
-        """(relay_set, relay_powers) of every pair in row major order.
+    def split(self, power) -> tuple:
+        """(source, member, relay) of every pair in row major order at its power.
 
-        The relays of pair i share ``shared[i]`` watts in proportion to
-        their second hop gains. A beamform pair uses the suffix of the
-        sorted order from z; the other pairs hand the best source link relay
-        all of it (zero, as their source fraction is one).
+        Pair i spends ``power[i]`` watts. The (P,) ``source`` is what the
+        source spends in the broadcasting slot; the rest goes to the relays
+        of the (P, N) mask ``member``, in proportion to their second hop
+        gains, as the (P, N) ``relay`` powers (0 outside the set), both in
+        relay index order. A beamform pair's set is the suffix of the sorted
+        order from z and its source share ``t / (t + gs[z] - g_su)`` for the
+        second hop suffix sum t at z; the other pairs give the source all of
+        the power and name the best source link relay, at 0 W.
         """
-        shared = np.asarray(shared, dtype=float)
-        u = self.z.shape[1]
+        power = np.asarray(power, dtype=float)
+        n = self.order.shape[1]
+        pair = np.arange(self.z.size)
+        row, dest = np.divmod(pair, self.z.shape[1])
         z = self.z.reshape(-1)
-        beam = np.nonzero(z >= 0)[0]
-        row, dest = np.divmod(beam, u)
+        beam = z >= 0
         order = self.order[row]
-        gr = self.g_ru[row[:, None], order, dest[:, None]]  # (beamform pairs, N), sorted
-        t = np.cumsum(gr[:, ::-1], axis=1)[:, ::-1]          # suffix sums, as relay_closed_form adds them
-        t_z = t[np.arange(beam.size), z[beam]]
-        # only the entries from z on are read; the others may overflow where
-        # the suffix sum at z is subnormal
-        with np.errstate(invalid="ignore", over="ignore"):
-            powers = shared[beam, None] * (gr / t_z[:, None])
-        beamform = iter(zip(order.tolist(), powers))
-        out = []
-        for zi, b, s in zip(z.tolist(), np.repeat(self.best, u).tolist(), shared.tolist()):
-            if zi < 0:
-                out.append(((b,), np.array([s])))
-            else:
-                o, p = next(beamform)
-                out.append((tuple(o[zi:]), p[zi:]))
-        return out
+        g = self.g_ru[row, :, dest]                    # (P, N)
+        gr = np.take_along_axis(g, order, axis=1)      # sorted
+        # suffix sums, as relay_closed_form adds them; z = -1 reads the last
+        t_z = np.cumsum(gr[:, ::-1], axis=1)[:, ::-1][pair, z]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        member = np.where(beam[:, None], rank >= z[:, None], np.arange(n) == self.best[row, None])
+        # the other pairs' entries and the beamform pairs' entries before z
+        # are not read; they may divide by zero or overflow where the suffix
+        # sum at z is subnormal
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            psi = t_z / (t_z + self.gs[row, z] - self.g_su.reshape(-1))
+            source = np.where(beam, psi, 1.0) * power
+            relay = np.where(member & beam[:, None], (power - source)[:, None] * (g / t_z[:, None]), 0.0)
+        return source, member, relay
 
 
 def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> RelayClosedForm:
@@ -155,7 +158,6 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
     shape = g_su.shape
     top = np.full(shape, -np.inf)         # best score so far
     z = np.full(shape, -1, np.intp)       # its position
-    t_z = np.zeros(shape)                 # and its suffix sum
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(n - 1, -1, -1):
             gr = g_ru[rows, order[:, j]]                # (M, U)
@@ -169,25 +171,14 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
             take = (t > g_su) & (gs_j > g_su) & (ratio >= top)
             np.copyto(top, ratio, where=take)
             np.copyto(z, j, where=take)
-            np.copyto(t_z, t, where=take)
-        psi = t_z / (t_z + gs[rows[:, None], z] - g_su)  # gs[z] from the (M, N) table
 
     gs_max = gs[:, -1:]
-    other = top == -np.inf             # no suffix start counted: no beamforming
-    np.copyto(psi, 1.0, where=other)
     gain = top                         # the beamform gain, overwritten in the other cases
-    np.copyto(gain, g_su, where=other)             # decoders too weak on the second hop
+    np.copyto(gain, g_su, where=top == -np.inf)    # no suffix start counted: decoders too weak
     np.copyto(gain, gs_max, where=g_su >= gs_max)  # direct link beats every source link
     if shift:
         gain = np.ldexp(gain, -shift)
-    return RelayClosedForm(
-        gain=gain,
-        order=order,
-        best=np.argmax(g_sr, axis=1),
-        z=z,
-        source_fraction=psi,
-        g_ru=g_ru,
-    )
+    return RelayClosedForm(gain=gain, order=order, best=np.argmax(g_sr, axis=1), z=z, g_su=g_su, gs=gs, g_ru=g_ru)
 
 
 def relay_aided_solution(gains: GainTable, k, u) -> RelayClosedForm:
@@ -331,11 +322,9 @@ class ModeSets:
     both slots). ``peak``, the largest gain, bounds the products the price
     search forms. ``admissible`` is False where a mode can never win: relay
     aided mode where ``g1 <= g_su``, and direct mode where relay aided mode
-    wins for every feasible power (the budget is at most the crossover).
-    ``inv_gain`` (``_inverse(gain)``) and ``crossover`` (in watts, NaN where
-    it does not exist and +inf where relay mode always wins) are computed
-    on first access. ``front(weights)`` is the ``Front`` that every price
-    evaluation scores, built once per weight vector.
+    wins for every feasible power (the budget is at most the crossover
+    power ``_crossover(g1, g_su)``). ``front(weights)`` is the ``Front``
+    that every price evaluation scores, built once per weight vector.
     """
 
     ptot: float
@@ -348,17 +337,6 @@ class ModeSets:
     def g1(self) -> np.ndarray:
         """(K, U) relay aided effective gains, a view of ``gain[0]``."""
         return self.gain[0]
-
-    @functools.cached_property
-    def inv_gain(self) -> np.ndarray:
-        """(2, K, U) ``1 / gain``, infinite on dead candidates."""
-        return _inverse(self.gain)
-
-    @functools.cached_property
-    def crossover(self) -> np.ndarray:
-        """(K, U) crossover power of every relay aided pair, NaN where ``g1 <= g_su``."""
-        g1, g_su = self.gain
-        return np.where(g1 > g_su, _crossover(g1, g_su), np.nan)
 
     def front(self, weights) -> Front:
         """The ``Front`` of these candidates under per destination ``weights``, kept per weight vector."""

@@ -46,7 +46,8 @@ arrays of destination, mode, total power and unweighted rate, the WSR as
 their weighted sum, and the unspent budget. The relay set and the source
 and relay power split of each relay aided subcarrier serve only reports,
 so ``Allocation.assignments`` assembles them as ``SubcarrierAssignment``
-rows on first access, through one more batched closed form call.
+rows on first access, from one more batched closed form call and its
+``split``.
 """
 
 from __future__ import annotations
@@ -435,28 +436,27 @@ def _assemble(pick, power, c, gains: GainTable) -> list:
 
     A direct subcarrier spends ``p / c`` in each of its c slots: both with
     c = 2, the broadcasting slot only with c = 1 (the reference protocol).
-    One closed form call splits every relay aided one.
+    One ``RelayClosedForm.split`` gives every relay aided one its source
+    power and its relays with their powers, in ascending relay index, and
+    the rows are cut from those arrays.
     """
     dest, mode = pick // 2, pick % 2
-    relay_k = np.nonzero(mode == 0)[0]
-    cf = rates.relay_aided_solution(gains, relay_k, dest[relay_k])
-    p_relay = power[relay_k]
-    p_src = cf.source_fraction[:, 0] * p_relay
-    splits = iter(zip(p_src.tolist(), cf.relay_splits(p_relay - p_src)))
+    relay_k = np.flatnonzero(mode == 0)
+    source, member, relay_power = rates.relay_aided_solution(gains, relay_k, dest[relay_k]).split(power[relay_k])
     c = np.broadcast_to(c, power.shape)
+    broadcast = power / c
+    relaying = (c - 1.0) * broadcast
+    broadcast[relay_k], relaying[relay_k] = source, 0.0
+    at = np.cumsum(member.sum(axis=1))[:-1]
+    relays = zip(np.split(np.nonzero(member)[1], at), np.split(relay_power[member], at))
     rows = []
-    for k, (u, m, p, ck) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist(), c.tolist())):
+    for k, (u, m, p, b, r) in enumerate(zip(dest.tolist(), mode.tolist(), power.tolist(), broadcast.tolist(),
+                                            relaying.tolist())):
         if m:
-            b = p / ck
-            rows.append(SubcarrierAssignment(
-                k=k, u=u, mode=MODE_DIRECT, sum_power=p, broadcast_power=b, relaying_power=(ck - 1.0) * b,
-            ))
+            rows.append(SubcarrierAssignment(k, u, MODE_DIRECT, p, b, r))
         else:
-            b, (relay_set, relay_powers) = next(splits)
-            rows.append(SubcarrierAssignment(
-                k=k, u=u, mode=MODE_RELAY, sum_power=p, broadcast_power=b, relaying_power=0.0,
-                relay_indices=relay_set, relay_powers=relay_powers,
-            ))
+            indices, powers = next(relays)
+            rows.append(SubcarrierAssignment(k, u, MODE_RELAY, p, b, r, tuple(indices.tolist()), powers))
     return rows
 
 

@@ -22,12 +22,13 @@ from relayalloc.solver import _rates
 
 def pair_solution(g_su, g_sr, g_ru):
     """The closed form of one (subcarrier, destination) pair: row 0 of
-    ``relay_aided_solution`` on its gain table, and its relay set and relay
-    power fractions."""
+    ``relay_aided_solution`` on its gain table, and the ``split`` of 1 W:
+    the source's share, the relay set in ascending index and its relays'
+    powers."""
     table = GainTable(g_su=[[g_su]], g_sr=[g_sr], g_ru=np.reshape(g_ru, (1, -1, 1)))
     cf = relay_aided_solution(table, [0], [0])
-    [(relay_set, fractions)] = cf.relay_splits([1.0])
-    return cf, relay_set, fractions
+    (source,), (member,), (relay,) = cf.split([1.0])
+    return cf, source, tuple(np.flatnonzero(member).tolist()), relay[member]
 
 
 def effective_gain(g_su, g_sr, g_ru) -> float:
@@ -84,46 +85,47 @@ def test_direct_equal_split_is_best():
 # ----------------------------------------------------------- relay aided mode
 
 def test_source_dominates_case():
-    cf, relay_set, _ = pair_solution(10.0, [5.0], [1.0])
+    cf, source, relay_set, relay = pair_solution(10.0, [5.0], [1.0])
     assert _scalar_closed_form(10.0, np.array([5.0]), np.array([1.0]))[1] == SOURCE_DOMINATES
     assert cf.z[0, 0] == -1
     assert cf.gain[0, 0] == 5.0
     assert relay_set == (0,)
-    assert cf.source_fraction[0, 0] == 1.0
+    assert source == 1.0 and relay.tolist() == [0.0]
 
 
 def test_beamform_case_single_relay():
     # zero direct link: the bottleneck balance gives half the gain
-    cf, relay_set, fractions = pair_solution(0.0, [4.0], [4.0])
+    cf, source, relay_set, relay = pair_solution(0.0, [4.0], [4.0])
     assert _scalar_closed_form(0.0, np.array([4.0]), np.array([4.0]))[1] == BEAMFORM
     assert math.isclose(cf.gain[0, 0], 2.0, rel_tol=1e-12)
-    assert math.isclose(cf.source_fraction[0, 0], 0.5, rel_tol=1e-12)
+    assert math.isclose(source, 0.5, rel_tol=1e-12)
     assert relay_set == (0,)
     assert cf.z[0, 0] == 0
-    np.testing.assert_allclose(fractions, [1.0])
+    np.testing.assert_allclose(relay, [1.0 - source])
 
 
 def test_relay_sum_weak_case():
     # decodable relays exist but their second hop sum is below the direct link
-    cf, relay_set, _ = pair_solution(1.0, [2.0, 3.0], [0.4, 0.5])
+    cf, source, relay_set, _ = pair_solution(1.0, [2.0, 3.0], [0.4, 0.5])
     assert _scalar_closed_form(1.0, np.array([2.0, 3.0]), np.array([0.4, 0.5]))[1] == RELAY_SUM_WEAK
     assert cf.z[0, 0] == -1
     assert cf.gain[0, 0] == 1.0
-    assert cf.source_fraction[0, 0] == 1.0
+    assert source == 1.0
     assert len(relay_set) == 1
 
 
 def test_effective_gain_independent_of_power():
-    # the gain table is the same at every budget, and the relay split of a
-    # pair only scales with the power it shares
+    # the gain table is the same at every budget, and the split of a pair
+    # only scales with its power
     rng = np.random.default_rng(3)
     for _ in range(20):
         g_su, g_sr, g_ru = random_pair(rng)
         t = _table([[g_su]], [g_sr], g_ru.reshape(1, -1, 1))
         np.testing.assert_array_equal(classify(t, 0.5).g1, classify(t, 50.0).g1)
-        (set_a, powers_a), (set_b, powers_b) = relay_aided_solution(t, [0, 0], [0, 0]).relay_splits([0.5, 50.0])
-        assert set_a == set_b
-        np.testing.assert_allclose(powers_b, 100.0 * powers_a, rtol=1e-12)
+        source, member, relay = relay_aided_solution(t, [0, 0], [0, 0]).split([0.5, 50.0])
+        np.testing.assert_array_equal(member[0], member[1])
+        assert math.isclose(source[1], 100.0 * source[0], rel_tol=1e-12)
+        np.testing.assert_allclose(relay[1], 100.0 * relay[0], rtol=1e-12)
 
 
 def test_beamform_invariants():
@@ -131,7 +133,7 @@ def test_beamform_invariants():
     hits = 0
     for _ in range(300):
         g_su, g_sr, g_ru = random_pair(rng)
-        cf, relay_set, fractions = pair_solution(g_su, g_sr, g_ru)
+        cf, source, relay_set, relay = pair_solution(g_su, g_sr, g_ru)
         order = cf.order[0].tolist()
         _, case, xyz, *_ = _scalar_closed_form(g_su, g_sr, g_ru)
         z = int(cf.z[0, 0])
@@ -143,14 +145,15 @@ def test_beamform_invariants():
         assert cf.gain[0, 0] > g_su
         assert x <= z <= y
         # the chosen set is a suffix of the sorted order
-        assert list(relay_set) == order[z:]
-        assert math.isclose(float(fractions.sum()), 1.0, rel_tol=1e-12)
+        assert relay_set == tuple(sorted(order[z:]))
+        # the relays share what the source leaves in proportion to their gains
+        assert math.isclose(float(relay.sum()), 1.0 - source, rel_tol=1e-12)
         np.testing.assert_allclose(
-            fractions * g_ru[list(relay_set)].sum(),
-            g_ru[list(relay_set)],
+            relay * g_ru[list(relay_set)].sum(),
+            (1.0 - source) * g_ru[list(relay_set)],
             rtol=1e-12,
         )
-        assert 0.0 < cf.source_fraction[0, 0] <= 1.0
+        assert 0.0 < source <= 1.0
     assert hits > 20
 
 
@@ -182,11 +185,17 @@ def _table(g_su, g_sr, g_ru):
                      g_ru=np.asarray(g_ru, float))
 
 
+def crossover(ms):
+    """(K, U) crossover power of every relay aided pair of a ``ModeSets``, NaN where ``g1 <= g_su``."""
+    g1, g_su = ms.gain
+    return np.where(g1 > g_su, rates._crossover(g1, g_su), np.nan)
+
+
 def test_crossover_value():
     # effective gain 4*3/(3+4-1) = 2 against direct gain 1: 4 (2 - 1) / 1 = 4 W
     ms = classify(_table([[1.0]], [[4.0]], [[[3.0]]]), 1.0)
     assert ms.g1[0, 0] == 2.0
-    assert math.isclose(ms.crossover[0, 0], 4.0, rel_tol=1e-12)
+    assert math.isclose(crossover(ms)[0, 0], 4.0, rel_tol=1e-12)
 
 
 def test_crossover_none_cases():
@@ -194,8 +203,8 @@ def test_crossover_none_cases():
     # where it always wins (g_su == 0)
     ms = classify(_table([[2.0, 5.0, 0.0]], [[4.0]], [[[2.0, 1.0, 1.0]]]), 1.0)
     assert ms.g1[0].tolist() == [2.0, 4.0, 0.8]
-    assert np.isnan(ms.crossover[0, :2]).all()
-    assert ms.crossover[0, 2] == math.inf
+    assert np.isnan(crossover(ms)[0, :2]).all()
+    assert crossover(ms)[0, 2] == math.inf
 
 
 def test_rates_tie_at_crossover():
@@ -211,7 +220,7 @@ def test_classify_direct_only():
     ms = classify(t, 5.0)
     assert in_direct_set(ms)[0].tolist() == [True, True]
     assert not in_relay_set(ms).any()
-    assert np.all(np.isnan(ms.crossover))
+    assert np.all(np.isnan(crossover(ms)))
 
 
 def test_classify_threshold_sides():
@@ -318,6 +327,18 @@ def _one(g_su, g_sr, g_ru):
     return np.array([[g_su]], float), np.array([g_sr], float), np.array(g_ru, float).reshape(1, -1, 1)
 
 
+def _assert_split(split, row, psi, relay_set, fractions):
+    """Pair ``row`` of a ``split`` of 1 W per pair against the scalar closed form.
+
+    The source keeps ``psi`` of the watt and the relays of the set share the
+    rest in the scalar form's fractions (given in its sorted order), exactly.
+    """
+    source, member, relay = split
+    assert source[row] == psi
+    assert set(np.flatnonzero(member[row]).tolist()) == set(relay_set)
+    np.testing.assert_array_equal(relay[row, list(relay_set)], (1.0 - psi) * fractions)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_batches())
 @example(_one(10.0, [5.0, 5.0], [1.0, 1.0]))             # source dominates, tied relays
@@ -331,12 +352,12 @@ def test_batched_closed_form_matches_per_pair(batch):
     g_su, g_sr, g_ru = batch
     m, n, u = g_ru.shape
     cf = relay_closed_form(g_su, g_sr, g_ru)
-    splits = cf.relay_splits(np.ones(m * u))
+    split = cf.split(np.ones(m * u))
     np.testing.assert_array_equal(effective_gain_table(g_su, g_sr, g_ru), cf.gain)
     # the same pairs picked out of a gain table, one row each
     k, d = np.divmod(np.arange(m * u), u)
     picked = relay_aided_solution(_table(g_su, g_sr, g_ru), k, d)
-    picked_splits = picked.relay_splits(np.ones(m * u))
+    picked_split = picked.split(np.ones(m * u))
     for i in range(m):
         for j in range(u):
             row = i * u + j
@@ -344,10 +365,14 @@ def test_batched_closed_form_matches_per_pair(batch):
             assert cf.gain[i, j] == picked.gain[row, 0] == gain
             for got, z in (cf.gain[i, j], cf.z[i, j]), (picked.gain[row, 0], picked.z[row, 0]):
                 _assert_case(case, xyz, got, int(z), g_su[i, j], g_sr[i])
-            assert cf.source_fraction[i, j] == picked.source_fraction[row, 0] == psi
-            assert splits[row][0] == picked_splits[row][0] == relay_set
-            np.testing.assert_array_equal(splits[row][1], fractions)
-            np.testing.assert_array_equal(picked_splits[row][1], fractions)
+            _assert_split(split, row, psi, relay_set, fractions)
+            _assert_split(picked_split, row, psi, relay_set, fractions)
+    for a, b in zip(split, picked_split):
+        np.testing.assert_array_equal(a, b)
+    # relays outside the set carry nothing, and the parts add up to the power
+    source, member, relay = split
+    assert (relay[~member] == 0.0).all()
+    np.testing.assert_allclose(source + relay.sum(axis=1), 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("draw", ["lognormal", "tie_rich"])
@@ -362,7 +387,7 @@ def test_closed_form_matches_per_pair_with_eight_relays(draw):
     else:
         g_su, g_sr, g_ru = (rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], s) for s in shapes)
     cf = relay_closed_form(g_su, g_sr, g_ru)
-    splits = cf.relay_splits(np.ones(cf.gain.size))
+    split = cf.split(np.ones(cf.gain.size))
     cases = set()
     assert cf.z.max() >= 4
     np.testing.assert_array_equal(cf.order, np.argsort(g_sr, axis=1, kind="stable"))
@@ -373,9 +398,7 @@ def test_closed_form_matches_per_pair_with_eight_relays(draw):
             assert cf.gain[i, j] == gain
             _assert_case(case, xyz, cf.gain[i, j], int(cf.z[i, j]), g_su[i, j], g_sr[i])
             cases.add(case)
-            assert cf.source_fraction[i, j] == psi
-            assert splits[i * 8 + j][0] == relay_set
-            np.testing.assert_array_equal(splits[i * 8 + j][1], fractions)
+            _assert_split(split, i * 8 + j, psi, relay_set, fractions)
     assert cases == {SOURCE_DOMINATES, RELAY_SUM_WEAK, BEAMFORM}
 
 
@@ -402,8 +425,8 @@ def test_closed_form_scales_exactly(k):
     base = relay_closed_form(g_su, g_sr, g_ru)
     scaled = relay_closed_form(*(np.ldexp(a, k) for a in (g_su, g_sr, g_ru)))
     np.testing.assert_array_equal(scaled.gain, np.ldexp(base.gain, k))
-    for name in ("z", "source_fraction", "order", "best"):
+    for name in ("z", "order", "best"):
         np.testing.assert_array_equal(getattr(scaled, name), getattr(base, name))
-    for (set_a, powers_a), (set_b, powers_b) in zip(base.relay_splits(np.ones(512)), scaled.relay_splits(np.ones(512))):
-        assert set_a == set_b
-        np.testing.assert_array_equal(powers_a, powers_b)
+    # the source share, relay sets and relay powers of the split, exactly
+    for a, b in zip(base.split(np.ones(512)), scaled.split(np.ones(512))):
+        np.testing.assert_array_equal(a, b)

@@ -251,7 +251,7 @@ def test_gain_too_small_to_invert_is_dead_in_the_bracket_too():
     t = _table([[0.0, 0.0]], [[4.0]], [[[1e-320, 1.0]]])
     params = SolverParams(ptot=1.0, weights=[1.0, 1.0])
     ms = rates.classify(t, params.ptot)
-    assert 0.0 < ms.gain[0, 0, 0] and ms.inv_gain[0, 0, 0] == math.inf
+    assert 0.0 < ms.gain[0, 0, 0] and rates._inverse(ms.gain)[0, 0, 0] == math.inf
     lo, hi = price_bracket(params, t, ms)
     assert 0.0 < lo <= hi
     alloc = solve(params, t, ms)
@@ -402,7 +402,8 @@ def _assert_certified(alloc, params, gains):
     np.testing.assert_allclose(alloc.power, state.power * (params.ptot / state.total_power), rtol=1e-12, atol=0.0)
     k = np.arange(gains.num_subcarriers)
     relay = alloc.mode == rates.MODE_RELAY
-    inv_g = np.where(relay, ms.inv_gain[0, k, alloc.dest], ms.inv_gain[1, k, alloc.dest])
+    inv_gain = rates._inverse(ms.gain)
+    inv_g = np.where(relay, inv_gain[0, k, alloc.dest], inv_gain[1, k, alloc.dest])
     floor = float((np.where(relay, 1.0, 2.0) * inv_g)[state.power > 0.0].sum())
     assert abs(state.total_power - params.ptot) <= 1e-12 * (params.ptot + floor)
 
@@ -418,7 +419,8 @@ def test_search_steps_to_the_exact_price_of_the_first_state():
     first = solve_at_price(rows[0][1], params, TWO_DIRECT, ms)
     k = np.arange(TWO_DIRECT.num_subcarriers)
     relay, dest = _mode(first) == rates.MODE_RELAY, first.pick // 2
-    inv_g = np.where(relay, ms.inv_gain[0, k, dest], ms.inv_gain[1, k, dest])
+    inv_gain = rates._inverse(ms.gain)
+    inv_g = np.where(relay, inv_gain[0, k, dest], inv_gain[1, k, dest])
     num, den = water_level(params.weights[dest], inv_g, params.ptot, np.where(relay, 1.0, 2.0))
     assert rows[1][1] == num / den == alloc.mu_star
     np.testing.assert_array_equal(alloc.dest, dest)
@@ -902,18 +904,20 @@ def test_wsr_of_empty_and_single():
 
 
 def test_assignments_carry_the_per_pair_relay_split():
-    # the batched closed form behind the assignment list gives exactly the
-    # relay set and powers of the closed form of each pair on its own
+    # the batched split behind the assignment list gives exactly the source
+    # power, relay set and relay powers of the split of each pair on its own,
+    # in ascending relay index
     gains = _synthesized(64, 8, 0)
     alloc = solve(SolverParams(ptot=1.0, weights=np.full(8, 0.125)), gains)
     relayed = [a for a in alloc.assignments if a.mode == rates.MODE_RELAY]
     assert len(relayed) > 32
+    assert any(len(a.relay_indices) > 1 for a in relayed)
     for a in relayed:
-        cf = rates.relay_aided_solution(gains, [a.k], [a.u])
-        [(relay_set, fractions)] = cf.relay_splits([1.0])
-        assert a.relay_indices == relay_set
-        assert a.broadcast_power == cf.source_fraction[0, 0] * a.sum_power
-        np.testing.assert_array_equal(a.relay_powers, (a.sum_power - a.broadcast_power) * fractions)
+        (source,), (member,), (relay,) = rates.relay_aided_solution(gains, [a.k], [a.u]).split([a.sum_power])
+        assert a.relay_indices == tuple(np.flatnonzero(member).tolist())
+        assert list(a.relay_indices) == sorted(set(a.relay_indices))
+        assert a.broadcast_power == source
+        np.testing.assert_array_equal(a.relay_powers, relay[member])
     # rates added one subcarrier at a time with math.log1p, as the loops
     # the vectorized bookkeeping replaced did
     g1 = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
