@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,11 +88,11 @@ class ExperimentConfig:
     relay_xy: tuple
     destination_region: Optional[channel.Region]
     destination_xy: Optional[tuple]
-    num_taps: int = 6
-    tap_decay: float = 3.0
-    shadowing_db_std: float = 0.0
-    workers: int = 1
-    output_dir: str = "relayalloc_out"
+    num_taps: int
+    tap_decay: float
+    shadowing_db_std: float
+    workers: int
+    output_dir: str
 
     @property
     def ptot_watts(self) -> float:
@@ -130,8 +130,8 @@ class RunReport:
     statuses: dict            # protocol -> list of status strings
     residuals: np.ndarray     # (R,) proposed-protocol budget slack, NaN if absent
     highpower_met: np.ndarray # (R,) bool, False where conditions failed
-    assignments: dict = field(default_factory=dict)  # single runs only
-    gain_tables: dict = field(default_factory=dict)  # single runs only
+    assignments: dict         # protocol -> assignment rows, empty unless a single run
+    gain_tables: dict         # "g_su" and "g1" tables, empty unless a single run
 
     @property
     def average_wsr(self) -> dict:
@@ -407,7 +407,6 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
 def run_monte_carlo(config: ExperimentConfig) -> RunReport:
     """Run every realization and aggregate in realization index order."""
     rr = config.realizations
-    uu = config.num_destinations
     results: list = []
     # a pool forks all its workers at once: none beyond the realizations or CPUs
     workers = min(config.workers, rr, os.cpu_count() or 1)
@@ -417,27 +416,14 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
             results.append(res)
             log.info("realization %d/%d done", i + 1, rr)
 
-    wsr = {p: np.full(rr, math.nan) for p in config.protocols}
-    user_rates = {p: np.full((rr, uu), math.nan) for p in config.protocols}
-    statuses = {p: ["absent"] * rr for p in config.protocols}
-    residuals = np.full(rr, math.nan)
-    hp_met = np.zeros(rr, dtype=bool)
-    for i, res in enumerate(results):
-        for p in config.protocols:
-            wsr[p][i] = res["wsr"][p]
-            user_rates[p][i] = res["user_rates"][p]
-            statuses[p][i] = res["status"][p]
-        residuals[i] = res["residual"]
-        hp_met[i] = res["highpower_met"]
-
     return RunReport(
         config=config,
-        wsr=wsr,
-        user_rates=user_rates,
-        statuses=statuses,
-        residuals=residuals,
-        highpower_met=hp_met,
-        assignments=results[0]["assignments"],  # empty unless a single run
+        wsr={p: np.array([res["wsr"][p] for res in results]) for p in config.protocols},
+        user_rates={p: np.array([res["user_rates"][p] for res in results]) for p in config.protocols},
+        statuses={p: [res["status"][p] for res in results] for p in config.protocols},
+        residuals=np.array([res["residual"] for res in results]),
+        highpower_met=np.array([res["highpower_met"] for res in results]),
+        assignments=results[0]["assignments"],
         gain_tables=results[0]["gain_tables"],
     )
 

@@ -1,11 +1,14 @@
 """High power closed form: uniform power and max gain destination choice.
 
 When the water level implied by the upper price bound dwarfs every inverse
-gain (and every gain, so that the log arguments are large), the dual search
-can be skipped: equal power per subcarrier with the best direct gain
-destination per subcarrier is optimum up to vanishing terms. The conditions
-are checked with the margin ``FACTOR`` and reported, so callers can fall
-back to the full search when they do not hold.
+gain (and every gain, so that the log arguments are large), the closed form
+replaces the dual search: equal power per subcarrier, each to its best
+direct gain destination (the largest weight one with unequal weights). This
+is the paper's large budget limit. It carries no certificate at a finite
+budget: with unequal weights its weighted sum rate can fall well below the
+proposed protocol's where the conditions hold. The conditions are checked
+with the margin ``FACTOR`` and reported, so callers can fall back to the
+full search when they do not hold.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def check_conditions(
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
     if bracket is None:
-        bracket = solver.price_bracket(params, gains, mode_sets)
+        bracket = solver.price_bracket(params, mode_sets)
     mu_lower, mu_upper = bracket
 
     # a zero bound means no usable link, hence no water level to compare
@@ -74,13 +77,12 @@ def check_conditions(
     max_inv = float(rates._inverse(mode_sets.gain.min()))  # that of the least gain
     max_gain = mode_sets.peak
     worst = max(max_inv, max_gain)
-    margin = threshold / worst if worst > 0.0 else np.inf
     return HighPowerReport(
         conditions_met=bool(threshold >= FACTOR * worst),
         threshold=threshold,
         max_inverse_gain=max_inv,
         max_gain=max_gain,
-        margin=margin,
+        margin=threshold / worst,  # max_inv > 0: the inverse of a gain, or inf
         factor=FACTOR,
         mu_lower=mu_lower,
         mu_upper=mu_upper,
@@ -96,8 +98,9 @@ def solve_high_power(
 
     Power is split uniformly over subcarriers. With equal weights each
     subcarrier goes to the destination with the largest direct gain; with
-    unequal weights the weighted log dominates and every subcarrier goes to
-    the maximum weight destination (lowest index on ties). The price bracket
+    unequal weights every subcarrier goes to the maximum weight destination
+    (lowest index on ties), the choice of the paper's large budget limit,
+    which is not certified at a finite budget. The price bracket
     reported is the one ``report`` was checked at; ``report`` is computed
     when not supplied. Raises ValueError when the regime conditions are not
     met.
@@ -115,10 +118,12 @@ def solve_high_power(
     if np.all(w == w[0]):
         dest = np.argmax(gains.g_su, axis=1)
     else:
-        # the weighted log dominates every gain difference in this regime
+        # the large budget limit's choice; at a finite budget a stronger
+        # destination of a smaller weight can be worth more
         dest = np.full(kk, int(np.argmax(w)))
 
     power = np.full(kk, params.ptot / kk)
     # direct candidates 2u + 1, over both slots
-    return Allocation.from_choice(2 * dest + 1, power, gains.g_su[np.arange(kk), dest], 2.0, params, gains,
-                                  solver.STATUS_CLOSED_FORM, report.mu_upper, (report.mu_lower, report.mu_upper))
+    return Allocation.from_choice(2 * dest + 1, power, gains.g_su[np.arange(kk), dest], rates._SLOTS[1], params,
+                                  gains, solver.STATUS_CLOSED_FORM, report.mu_upper,
+                                  (report.mu_lower, report.mu_upper))

@@ -65,9 +65,10 @@ _PEAK_EXP = 500
 # search forms (2**-1016 still overflows at K = 1024, U = 32).
 _DEAD_EXP = -1012
 
-# Mode index m and its slot count c along the leading axis of a (2, K, ...) table.
+# Slot count c of mode m: one relay aided (m = 0), both slots direct (m = 1).
+_SLOTS = np.array([1.0, 2.0])
+# Mode index m along the leading axis of a (2, K, ...) table.
 _MODE_AXIS = np.arange(2)[:, None, None]
-_SLOTS_AXIS = _MODE_AXIS + 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +306,11 @@ def _pareto_front(mode_sets: "ModeSets", weights: np.ndarray) -> Front:
         m, k = np.nonzero(~(hi < 2.0**-_DEAD_EXP))
         g = gain[m, k]
         hi[m, k] = np.where(admissible[m, k] & (g >= 2.0**_DEAD_EXP), _inverse(g), 0.0).max(axis=1)
-    v_hi = np.maximum(hi[0], 2.0 * hi[1])
+    v_hi = np.maximum(hi[0], _SLOTS[1] * hi[1])
     v_hi[v_hi == 0.0] = np.inf  # no live candidate
     return Front(pick=pick, gain=top.take(order), inv_gain=inv.take(order), weight=weights[pick >> 1],
-                 slots=1.0 + (pick & 1), row_start=row_start, first=1 - admissible[0, :, 0],
-                 v_lo=(_SLOTS_AXIS * inv).min(axis=(0, 2)), v_hi=v_hi)
+                 slots=_SLOTS[pick & 1], row_start=row_start, first=1 - admissible[0, :, 0],
+                 v_lo=(_SLOTS[:, None, None] * inv).min(axis=(0, 2)), v_hi=v_hi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,7 +72,6 @@ __all__ = [
     "Allocation",
     "solve_at_price",
     "price_bracket",
-    "initial_price",
     "water_level",
     "max_gain_choice",
     "solve",
@@ -117,10 +116,8 @@ class SolverParams:
         return self.weights.size
 
 
-# Slots a candidate's power spreads over: one relay aided (m = 0), both
-# direct (m = 1). A choice is one candidate index ``pick = 2u + m`` per
-# subcarrier.
-_SLOTS = np.array([1.0, 2.0])
+# A choice is one candidate index ``pick = 2u + m`` per subcarrier; m
+# indexes ``_MODES`` and the slot counts ``rates._SLOTS``.
 _MODES = np.array([MODE_RELAY, MODE_DIRECT])
 
 
@@ -252,17 +249,17 @@ def _row_state(mu: float, params: SolverParams, mode_sets: ModeSets, rows: np.nd
     -inf.
     """
     w = params.weights
-    c = _SLOTS[:, None, None]
+    c = rates._SLOTS[:, None, None]
     gain = mode_sets.gain[:, rows]
     value, q = _values(mu, w, c, gain, rates._inverse(gain), mode_sets.peak * (float(w.max()) / mu))
     value = np.where(mode_sets.admissible[:, rows], value, -np.inf)
     dest = np.argmax(np.maximum(value[0], value[1]), axis=1)
     i = np.arange(rows.size)
     mode = (value[1, i, dest] > value[0, i, dest]).astype(np.intp)
-    return 2 * dest + mode, _SLOTS[mode] * q[mode, i, dest], value[mode, i, dest]
+    return 2 * dest + mode, rates._SLOTS[mode] * q[mode, i, dest], value[mode, i, dest]
 
 
-def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> DualState:
+def solve_at_price(mu: float, params: SolverParams, mode_sets: ModeSets) -> DualState:
     """Per subcarrier maximization of the Lagrangian at a fixed price.
 
     The maximizer is the first maximum in candidate order: the lowest
@@ -307,7 +304,7 @@ def solve_at_price(mu: float, params: SolverParams, gains: GainTable, mode_sets:
 _UPPER_MARGIN = 1e-10
 
 
-def price_bracket(params: SolverParams, gains: GainTable, mode_sets: ModeSets) -> tuple:
+def price_bracket(params: SolverParams, mode_sets: ModeSets) -> tuple:
     """Prices (mu_lower, mu_upper) enclosing the optimum.
 
     mu_upper solves ``sum_k [2 max_u w_u / mu - vmin_k]+ = Ptot`` and
@@ -516,7 +513,7 @@ def solve(
     iterations = 0
 
     def finish(pick, power, mu: float, status: str) -> Allocation:
-        return Allocation.from_choice(pick, power, _chosen(pick, mode_sets.gain), _SLOTS[pick % 2], params,
+        return Allocation.from_choice(pick, power, _chosen(pick, mode_sets.gain), rates._SLOTS[pick % 2], params,
                                       gains, status, mu, (mu_lower, mu_upper), iterations)
 
     fills = {}
@@ -529,10 +526,10 @@ def solve(
         key = pick.tobytes()
         if key not in fills:
             fills[key] = _fill(params.weights[pick // 2], rates._inverse(_chosen(pick, mode_sets.gain)),
-                               _SLOTS[pick % 2], params.ptot)
+                               rates._SLOTS[pick % 2], params.ptot)
         return fills[key]
 
-    mu_lower, mu_upper = price_bracket(params, gains, mode_sets)
+    mu_lower, mu_upper = price_bracket(params, mode_sets)
     if mu_upper == 0.0:
         # no candidate is live: the greedy choice's fill is the budget
         # spread evenly at price zero, and reports the rates it does carry
@@ -543,7 +540,7 @@ def solve(
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
     priced = None  # (pick, power) of the assignment that spends ptot at mu
     for iterations in range(1, _MAX_EVALS + 1):
-        state = solve_at_price(mu, params, gains, mode_sets)
+        state = solve_at_price(mu, params, mode_sets)
         if trace is not None:
             trace(iterations, state.mu, state.total_power, state.lagrangian)
         if priced is not None:
@@ -575,8 +572,8 @@ def solve(
     # takes the first j tied subcarriers from the lower edge state and the
     # rest from the upper one; each mix and the greedy choice is refilled to
     # the exact budget, and the first strict maximum is kept.
-    a = solve_at_price(lo, params, gains, mode_sets)
-    b = solve_at_price(hi, params, gains, mode_sets)
+    a = solve_at_price(lo, params, mode_sets)
+    b = solve_at_price(hi, params, mode_sets)
     tied = np.nonzero(a.pick != b.pick)[0]
     mixes = []
     for j in range(tied.size + 1):

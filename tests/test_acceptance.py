@@ -213,7 +213,7 @@ def test_criterion_05_kkt_residual_window(desk_instances, bench_population):
                 checked += 1
                 assert alloc.mu_star > 0.0
                 assert alloc.mu_lower - 1e-12 <= alloc.mu_star <= alloc.mu_upper + 1e-12
-                state = solve_at_price(alloc.mu_star, params, gains, rates.classify(gains, params.ptot))
+                state = solve_at_price(alloc.mu_star, params, rates.classify(gains, params.ptot))
                 on = (state.power > 0.0) | (alloc.power > 0.0)
                 assert np.array_equal(state.pick[on] // 2, alloc.dest[on])
                 assert np.array_equal(state.pick[on] % 2 == 1, alloc.mode[on] == rates.MODE_DIRECT)

@@ -416,6 +416,16 @@ def test_gains_near_the_float_floor_stay_normal(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gains_just_below_the_float_floor_count_as_dead(tmp_path):
+    # noise_dbw 3030 puts the gains just below the dead-gain floor 2**-1012;
+    # counting them live overflowed the price search's sums
+    text = HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", "noise_dbw: 3030.0").replace(
+        "realizations: 1", "realizations: 3")
+    summary = _corner_run(tmp_path, text)
+    assert summary["status_counts"]["proposed"] == {"kkt": 3}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tiny_budget_on_huge_gains_roots_the_bracket_edges_apart(tmp_path):
     # at 1e-300 W on gains up to 1e305 the bracket is about [1.7e300,
     # 5.3e300], and the product of its edges overflows
@@ -521,6 +531,49 @@ def test_flat_channel_collapse_beats_the_reference(tmp_path):
     assert collapsed
     for i in collapsed:
         assert report.wsr["proposed"][i] > report.wsr["reference"][i]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_flat_channel_with_unequal_weights_spends_the_budget(tmp_path):
+    # one tap ties every subcarrier, and four weight levels give each
+    # subcarrier's (weight, gain) front several entries per mode
+    text = FLAT_YAML.replace("protocols: [proposed, reference]", "protocols: [proposed, highpower]") + (
+        "weights: [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]\n")
+    _corner_run(tmp_path, text)
+
+
+SINGLE_RUN_YAML = """\
+num_subcarriers: 64
+num_destinations: 8
+ptot_dbw: 0.0
+noise_dbw: -30.0
+seed: 1
+realizations: 1
+protocols: [proposed, reference, highpower]
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, tables", [
+    # most subcarriers go relay aided; the high power conditions fail
+    (SINGLE_RUN_YAML, ["proposed", "reference"]),
+    # the high power conditions hold, so every protocol writes its table
+    (SINGLE_RUN_YAML.replace("ptot_dbw: 0.0", "ptot_dbw: 100.0"), ["highpower", "proposed", "reference"]),
+    # every subcarrier goes relay aided on gains above 2**500, so the split
+    # runs on scaled gains; its powers near 1e-305 W leave no absolute slack
+    (SINGLE_RUN_YAML.replace("num_subcarriers: 64\nnum_destinations: 8", "num_subcarriers: 16\nnum_destinations: 4")
+     .replace("ptot_dbw: 0.0\nnoise_dbw: -30.0", "ptot_dbw: -3040.0\nnoise_dbw: -3070.0"), ["proposed", "reference"]),
+], ids=["0dBW", "100dBW", "scaled"])
+def test_alloc_tables_split_each_subcarrier_power(tmp_path, text, tables):
+    # each alloc_<protocol>.csv row's P_k is its source power plus its relay powers
+    summary = _corner_run(tmp_path, text)
+    kk = summary["config"]["num_subcarriers"]
+    assert sorted(p.name for p in (tmp_path / "out").glob("alloc_*.csv")) == [f"alloc_{p}.csv" for p in tables]
+    for protocol in tables:
+        table = np.loadtxt(tmp_path / "out" / f"alloc_{protocol}.csv", delimiter=",", skiprows=1,
+                           usecols=range(3, 5 + summary["config"]["num_relays"]), ndmin=2)
+        assert table.shape[0] == kk
+        np.testing.assert_allclose(table[:, 0], table[:, 1:].sum(axis=1), rtol=1e-9, atol=0.0)
 
 
 def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):
@@ -660,7 +713,7 @@ def test_dead_table_reports_the_rates_of_its_spread(tmp_path, monkeypatch):
     for i in range(cfg.realizations):
         out = cli._run_realization(cfg, i)
         params, gains, alloc = solved[-1]
-        assert cli.solver.price_bracket(params, gains, cli.rates.classify(gains, params.ptot)) == (0.0, 0.0)
+        assert cli.solver.price_bracket(params, cli.rates.classify(gains, params.ptot)) == (0.0, 0.0)
         assert 0.0 < alloc.wsr == cli.solver.weighted_sum_rate(alloc.assignments, params, gains)
         np.testing.assert_array_equal(out["user_rates"]["proposed"], cli.solver.user_rates(alloc.assignments, gains))
         # the same choice and spread, and the same rates: 2 ln(1 + g p / 2)

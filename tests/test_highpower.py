@@ -68,7 +68,7 @@ def test_equal_weights_pick_best_direct_gain_per_subcarrier():
     assert alloc.status == "closed_form" and alloc.converged
     assert alloc.residual == 0.0
     # the allocation reports the bracket its report was checked at
-    bracket = solver.price_bracket(params, gains, rates.classify(gains, params.ptot))
+    bracket = solver.price_bracket(params, rates.classify(gains, params.ptot))
     assert (alloc.mu_lower, alloc.mu_upper) == (report.mu_lower, report.mu_upper) == bracket
     assert alloc.mu_star == report.mu_upper
 
@@ -183,7 +183,7 @@ def test_report_takes_its_maxima_from_the_mode_sets():
         mode_sets = rates.classify(gains, params.ptot)
         both = np.stack([mode_sets.g1, gains.g_su])
         want = (float(rates._inverse(both).max()), float(both.max()))
-        bracket = solver.price_bracket(params, gains, mode_sets)
+        bracket = solver.price_bracket(params, mode_sets)
         default = check_conditions(params, gains)
         given = check_conditions(params, gains, mode_sets=mode_sets, bracket=bracket)
         for report in (default, given):

@@ -106,20 +106,20 @@ def test_metric_rejects_inadmissible_mode():
     # an inadmissible candidate carries -inf, so no price picks it
     params = SolverParams(ptot=3.0, weights=[1.0])
     assert _metric(0, rates.MODE_DIRECT, 0, 0.1, params, RELAY1) == -math.inf
-    assert _mode(solve_at_price(0.1, params, RELAY1, rates.classify(RELAY1, params.ptot)))[0] == rates.MODE_RELAY
+    assert _mode(solve_at_price(0.1, params, rates.classify(RELAY1, params.ptot)))[0] == rates.MODE_RELAY
     params2 = SolverParams(ptot=40.0, weights=[0.25])
     ms2 = rates.classify(DIRECT2, params2.ptot)
     assert _metric(0, rates.MODE_RELAY, 0, 0.1, params2, DIRECT2) == -math.inf
-    assert _mode(solve_at_price(0.1, params2, DIRECT2, ms2))[0] == rates.MODE_DIRECT
+    assert _mode(solve_at_price(0.1, params2, ms2))[0] == rates.MODE_DIRECT
     with pytest.raises(ValueError):
-        solve_at_price(0.0, params2, DIRECT2, ms2)
+        solve_at_price(0.0, params2, ms2)
 
 
 def test_price_solve_prefers_direct_on_ambivalent_pair():
     # at price 0.1 the two-slot direct term wins despite the smaller gain
     params = SolverParams(ptot=40.0, weights=[1.0])
     ms = rates.classify(AMBI, params.ptot)
-    state = solve_at_price(0.1, params, AMBI, ms)
+    state = solve_at_price(0.1, params, ms)
     assert _mode(state)[0] == rates.MODE_DIRECT
     assert math.isclose(state.power[0], 2.0 * (10.0 - 1.0 / 1.5), rel_tol=1e-12)
     assert math.isclose(state.total_power, 56.0 / 3.0, rel_tol=1e-12)
@@ -128,7 +128,7 @@ def test_price_solve_prefers_direct_on_ambivalent_pair():
 def test_price_solve_high_price_gives_zero_power():
     params = SolverParams(ptot=40.0, weights=[1.0])
     ms = rates.classify(AMBI, params.ptot)
-    state = solve_at_price(1e9, params, AMBI, ms)
+    state = solve_at_price(1e9, params, ms)
     assert state.total_power == 0.0
 
 
@@ -137,7 +137,7 @@ def test_price_solve_tie_breaks_to_lowest_destination():
     t = _table([[2.0, 2.0]], [[0.1]], [[[0.1, 0.1]]])
     params = SolverParams(ptot=10.0, weights=[0.5, 0.5])
     ms = rates.classify(t, params.ptot)
-    state = solve_at_price(0.05, params, t, ms)
+    state = solve_at_price(0.05, params, ms)
     assert state.pick[0] // 2 == 0
 
 
@@ -149,9 +149,9 @@ def test_per_price_state_matches_power_grid_search():
         w = rng.uniform(0.2, 1.0, gains.num_destinations)
         params = SolverParams(ptot=float(rng.uniform(1.0, 10.0)), weights=w)
         ms = rates.classify(gains, params.ptot)
-        lo, hi = price_bracket(params, gains, ms)
+        lo, hi = price_bracket(params, ms)
         mu = float(rng.uniform(lo, hi))
-        state = solve_at_price(mu, params, gains, ms)
+        state = solve_at_price(mu, params, ms)
         p_grid = np.linspace(0.0, 2.0 * w.max() / mu, 10_000)
         for k in range(gains.num_subcarriers):
             best_grid = 0.0
@@ -213,7 +213,7 @@ def test_water_level_matches_brentq(terms, log_budget):
 def test_bracket_single_direct_user():
     params = SolverParams(ptot=2.0, weights=[1.0])
     ms = rates.classify(DIRECT1, params.ptot)
-    mu_l, mu_u = price_bracket(params, DIRECT1, ms)
+    mu_l, mu_u = price_bracket(params, ms)
     assert math.isclose(mu_u, 0.5, rel_tol=1e-8)
     assert math.isclose(mu_l, 0.25, rel_tol=1e-8)
 
@@ -223,8 +223,8 @@ def test_bracket_bounds_monotone_in_budget():
     params_big = SolverParams(ptot=10.0, weights=[1.0])
     ms_small = rates.classify(DIRECT1, 1.0)
     ms_big = rates.classify(DIRECT1, 10.0)
-    lo_s, hi_s = price_bracket(params_small, DIRECT1, ms_small)
-    lo_b, hi_b = price_bracket(params_big, DIRECT1, ms_big)
+    lo_s, hi_s = price_bracket(params_small, ms_small)
+    lo_b, hi_b = price_bracket(params_big, ms_big)
     assert hi_b < hi_s and lo_b < lo_s
 
 
@@ -234,7 +234,7 @@ def test_bracket_ignores_zero_gain_destinations():
     t = _table([[1.0, 0.0]], [[0.5]], np.zeros((1, 1, 2)))
     params = SolverParams(ptot=1.0, weights=[0.5, 0.5])
     ms = rates.classify(t, params.ptot)
-    lo, hi = price_bracket(params, t, ms)
+    lo, hi = price_bracket(params, ms)
     assert 0.0 < lo <= 1.0 / 3.0 <= hi
     alloc = solve(params, t, ms)
     assert alloc.status == STATUS_KKT
@@ -252,7 +252,7 @@ def test_gain_too_small_to_invert_is_dead_in_the_bracket_too():
     params = SolverParams(ptot=1.0, weights=[1.0, 1.0])
     ms = rates.classify(t, params.ptot)
     assert 0.0 < ms.gain[0, 0, 0] and rates._inverse(ms.gain)[0, 0, 0] == math.inf
-    lo, hi = price_bracket(params, t, ms)
+    lo, hi = price_bracket(params, ms)
     assert 0.0 < lo <= hi
     alloc = solve(params, t, ms)
     assert (alloc.status, alloc.iterations) == (STATUS_KKT, 2)
@@ -290,7 +290,7 @@ def test_solve_all_zero_gains_returns_zero_wsr():
 def test_bracket_without_usable_links_is_zero():
     t = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
     params = SolverParams(ptot=5.0, weights=[0.5, 0.5])
-    assert price_bracket(params, t, rates.classify(t, params.ptot)) == (0.0, 0.0)
+    assert price_bracket(params, rates.classify(t, params.ptot)) == (0.0, 0.0)
 
 
 def test_bracket_contains_power_root():
@@ -300,17 +300,17 @@ def test_bracket_contains_power_root():
         w = rng.uniform(0.2, 1.0, gains.num_destinations)
         params = SolverParams(ptot=float(rng.uniform(1.0, 10.0)), weights=w)
         ms = rates.classify(gains, params.ptot)
-        lo, hi = price_bracket(params, gains, ms)
+        lo, hi = price_bracket(params, ms)
         assert 0.0 < lo <= hi
         # assigned power at the edges brackets the budget
-        assert solve_at_price(lo, params, gains, ms).total_power >= params.ptot - 1e-6
-        assert solve_at_price(hi, params, gains, ms).total_power <= params.ptot + 1e-6
+        assert solve_at_price(lo, params, ms).total_power >= params.ptot - 1e-6
+        assert solve_at_price(hi, params, ms).total_power <= params.ptot + 1e-6
 
 
 def test_initial_price_is_geometric_mean_of_bracket():
     params = SolverParams(ptot=2.0, weights=[1.0])
     ms = rates.classify(DIRECT1, params.ptot)
-    mu_l, mu_u = price_bracket(params, DIRECT1, ms)
+    mu_l, mu_u = price_bracket(params, ms)
     assert math.isclose(initial_price(mu_l, mu_u), math.sqrt(mu_l * mu_u), rel_tol=1e-15)
     assert initial_price(0.5, 0.5) == 0.5
     # the bracket of a 1e300 W budget: the product of its edges underflows
@@ -367,7 +367,7 @@ def test_search_prices_stay_inside_a_shrinking_bracket():
         rows = []
         alloc = solve(params, gains, ms, trace=lambda *r: rows.append(r))
         statuses.add(alloc.status)
-        lo, hi = price_bracket(params, gains, ms)
+        lo, hi = price_bracket(params, ms)
         assert (alloc.mu_lower, alloc.mu_upper) == (lo, hi)
         for i, (_, mu, total_power, _) in enumerate(rows, start=1):
             assert lo < mu < hi
@@ -395,7 +395,7 @@ def _assert_certified(alloc, params, gains):
         assert alloc.mu_upper == 0.0
         return
     ms = rates.classify(gains, params.ptot)
-    state = solve_at_price(alloc.mu_star, params, gains, ms)
+    state = solve_at_price(alloc.mu_star, params, ms)
     on = (state.power > 0.0) | (alloc.power > 0.0)
     np.testing.assert_array_equal(state.pick[on] // 2, alloc.dest[on])
     np.testing.assert_array_equal(_mode(state)[on], alloc.mode[on])
@@ -416,7 +416,7 @@ def test_search_steps_to_the_exact_price_of_the_first_state():
     rows = []
     alloc = solve(params, TWO_DIRECT, ms, trace=lambda *r: rows.append(r))
     assert alloc.status == STATUS_KKT and alloc.iterations == len(rows) == 2
-    first = solve_at_price(rows[0][1], params, TWO_DIRECT, ms)
+    first = solve_at_price(rows[0][1], params, ms)
     k = np.arange(TWO_DIRECT.num_subcarriers)
     relay, dest = _mode(first) == rates.MODE_RELAY, first.pick // 2
     inv_gain = rates._inverse(ms.gain)
@@ -452,7 +452,7 @@ def test_solve_requires_matching_shapes():
         solve(SolverParams(ptot=2.0, weights=[1.0]), DIRECT1, ms)
     # the front behind the price bounds and every evaluation checks it too
     with pytest.raises(ValueError, match="weights length"):
-        price_bracket(SolverParams(ptot=3.0, weights=[1.0, 1.0]), DIRECT1, ms)
+        price_bracket(SolverParams(ptot=3.0, weights=[1.0, 1.0]), ms)
 
 
 def test_solve_rejects_mode_sets_of_another_budget_below_one_watt():
@@ -653,11 +653,11 @@ def test_choices_break_ties_in_candidate_order(instance):
     gains, weights, ptot = instance
     params = SolverParams(ptot=ptot, weights=weights)
     ms = rates.classify(gains, ptot)
-    lo, hi = price_bracket(params, gains, ms)
+    lo, hi = price_bracket(params, ms)
     kk, uu = gains.g_su.shape
     if hi > 0.0:
         for mu in (lo, hi, initial_price(lo, hi)):
-            state = solve_at_price(mu, params, gains, ms)
+            state = solve_at_price(mu, params, ms)
             _assert_state_matches_the_oracle(state, mu, params, ms)
             value, _ = oracle_candidate_tables(mu, weights, ms.gain, ms.admissible)
             interleaved = value.transpose(1, 2, 0).reshape(kk, 2 * uu)  # column 2u + m
@@ -680,7 +680,7 @@ def test_price_states_near_a_threshold_match_the_full_table_oracle():
     params = SolverParams(ptot=1.0, weights=[1.0])
     mu = math.nextafter(1.0, 0.0)
     ms = rates.classify(alone, params.ptot)
-    state = solve_at_price(mu, params, alone, ms)
+    state = solve_at_price(mu, params, ms)
     assert state.power[0] > 0.0 and state.lagrangian == mu
     _assert_state_matches_the_oracle(state, mu, params, ms)
 
@@ -690,7 +690,7 @@ def test_price_states_near_a_threshold_match_the_full_table_oracle():
     ms = rates.classify(beside, params.ptot)
     value, power = oracle_candidate_tables(mu, params.weights, ms.gain, ms.admissible)
     assert value[1, 0, 0] < 0.0 < power[1, 0, 0]
-    state = solve_at_price(mu, params, beside, ms)
+    state = solve_at_price(mu, params, ms)
     assert state.pick[0] // 2 == 1 and state.power[0] == 0.0
     _assert_state_matches_the_oracle(state, mu, params, ms)
 
@@ -705,7 +705,7 @@ def test_price_state_tie_across_modes_goes_to_the_first_candidate():
     ms = rates.classify(gains, params.ptot)
     value, _ = oracle_candidate_tables(mu, params.weights, ms.gain, ms.admissible)
     assert value[1, 0, 0] == value[0, 0, 1] > 0.0
-    state = solve_at_price(mu, params, gains, ms)
+    state = solve_at_price(mu, params, ms)
     assert state.pick.tolist() == [1]
     _assert_state_matches_the_oracle(state, mu, params, ms)
 
