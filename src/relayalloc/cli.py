@@ -219,9 +219,10 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     unknown keys included, are collected and reported together, listed by
     field name.
     """
-    text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(raw, dict):

@@ -43,6 +43,15 @@ def _write(tmp_path, text, name="config.yaml"):
     return path
 
 
+def _summary(out):
+    """``out``/summary.json, read as strict JSON: NaN and Infinity are errors."""
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads((out / "summary.json").read_text(), parse_constant=reject)
+
+
 def test_load_config_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, "num_subcarriers: 16\nnum_destinations: 4\nptot_dbw: 35\nnoise_dbw: -30\n"))
     assert cfg.protocols == ("proposed",)
@@ -196,7 +205,7 @@ def test_emit_writes_expected_files(tmp_path):
     assert alloc_rows[0] == "k,u_k,mode,P_k,P_source,P_relay_1,P_relay_2"
     first = alloc_rows[1].split(",")
     assert first[0] == "1" and first[1] in ("1", "2")  # 1-based indices
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _summary(out)
     assert summary["config"]["num_relays"] == 2
     assert "proposed" in summary["average_wsr"]
 
@@ -230,6 +239,13 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, "num_destinations: 2\n", "bad.yaml")
     assert main([str(bad)]) == 2
     assert "num_subcarriers" in capsys.readouterr().err
+
+    # a file that is not UTF-8 once ended in a UnicodeDecodeError traceback
+    undecodable = tmp_path / "undecodable.yaml"
+    undecodable.write_bytes(b"\xff\xfe\x00bad")
+    assert main([str(undecodable), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not UTF-8 text")
+    assert not (tmp_path / "out").exists()
 
     # a destination on top of the source passes validation but fails at run time
     broken = _write(tmp_path, """\
@@ -323,7 +339,7 @@ def test_main_exit_code_contract(tmp_path, capsys):
     dead = GOOD_YAML.replace("noise_dbw: -30.0", "noise_dbw: 3070.0").replace(
         "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
     assert main([str(_write(tmp_path, dead)), "-o", str(tmp_path / "dead")]) == 0
-    summary = json.loads((tmp_path / "dead" / "summary.json").read_text())
+    summary = _summary(tmp_path / "dead")
     # the budget spread evenly still carries subnormal rates, and both
     # protocols report them
     average = summary["average_wsr"]
@@ -332,7 +348,7 @@ def test_main_exit_code_contract(tmp_path, capsys):
     # a budget of 1e300 W: the product of the bracket edges underflows
     huge = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 3000.0")
     assert main([str(_write(tmp_path, huge)), "-o", str(tmp_path / "huge")]) == 0
-    summary = json.loads((tmp_path / "huge" / "summary.json").read_text())
+    summary = _summary(tmp_path / "huge")
     assert summary["average_wsr"]["proposed"] >= summary["average_wsr"]["reference"] > 0.0
 
 
@@ -342,9 +358,26 @@ num_destinations: 4
 ptot_dbw: 35.0
 noise_dbw: -3070.0
 seed: 1
-realizations: 1
+realizations: 3
 protocols: [proposed, reference, highpower]
 """
+
+
+def _corner_run(tmp_path, text, name="out"):
+    """summary.json of a run that must exit 0, write strict JSON and spend its budget.
+
+    The config is written to ``name``.yaml and the output to ``name``/. Where
+    the reference runs, the proposed WSR is at least its WSR on every
+    realization.
+    """
+    out = tmp_path / name
+    assert main([str(_write(tmp_path, text, f"{name}.yaml")), "-o", str(out)]) == 0
+    summary = _summary(out)
+    assert summary["max_budget_slack"] <= 1e-9 * summary["config"]["ptot_watts"]
+    rows = np.atleast_2d(np.loadtxt(out / "wsr_realizations.csv", delimiter=",", skiprows=1))
+    if "reference" in summary["average_wsr"]:
+        assert np.all(rows[:, 1] >= rows[:, 2])
+    return summary
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -352,24 +385,18 @@ def test_huge_gains_stay_finite(tmp_path):
     # gains up to about 1e305: unless the relay closed form scales them
     # first, a product of two overflows, the effective gains are infinite,
     # and the reference's water-filling rejects them
-    assert main([str(_write(tmp_path, HUGE_GAINS_YAML)), "-o", str(tmp_path / "out")]) == 0
-    table = np.loadtxt(tmp_path / "out" / "gains_step1.csv", delimiter=",", skiprows=1)
+    summary = _corner_run(tmp_path, HUGE_GAINS_YAML)
+    assert math.isfinite(summary["average_wsr"]["proposed"])
+    assert summary["status_counts"]["proposed"] == {"kkt": 3}
+    # only a single run writes its step 1 gains
+    single = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("realizations: 3", "realizations: 1"), "single")
+    assert single["status_counts"]["proposed"] == {"kkt": 1}
+    table = np.loadtxt(tmp_path / "single" / "gains_step1.csv", delimiter=",", skiprows=1)
     assert table.shape == (64, 4) and np.all(np.isfinite(table))
     assert table[:, 2:].max() > 1e300
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert math.isfinite(summary["average_wsr"]["proposed"])
-    assert summary["status_counts"]["proposed"] == {"kkt": 1}
 
 
-TINY_BUDGET_YAML = """\
-num_subcarriers: 16
-num_destinations: 4
-ptot_dbw: -3000.0
-noise_dbw: -30.0
-seed: 1
-realizations: 3
-protocols: [proposed, reference, highpower]
-"""
+TINY_BUDGET_YAML = HUGE_GAINS_YAML.replace("ptot_dbw: 35.0\nnoise_dbw: -3070.0", "ptot_dbw: -3000.0\nnoise_dbw: -30.0")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -377,31 +404,10 @@ def test_tiny_budget_is_spent(tmp_path):
     # 1e-300 W is below the rounding of every inverse gain, so the water
     # level cancels to zero on every subcarrier; the budget still goes out,
     # to the strongest subcarriers
-    assert main([str(_write(tmp_path, TINY_BUDGET_YAML)), "-o", str(tmp_path / "out")]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    ptot = summary["config"]["ptot_watts"]
-    assert ptot == 1e-300 and summary["max_budget_slack"] <= 1e-9 * ptot
+    summary = _corner_run(tmp_path, TINY_BUDGET_YAML)
+    assert summary["config"]["ptot_watts"] == 1e-300
     wsr = summary["average_wsr"]
     assert wsr["proposed"] >= wsr["reference"] > 0.0
-
-
-def _corner_run(tmp_path, text):
-    """summary.json of a run that must exit 0, write strict JSON and spend its budget.
-
-    Where the reference runs, the proposed WSR is at least its WSR on every
-    realization.
-    """
-    assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")]) == 0
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
-    assert summary["max_budget_slack"] <= 1e-9 * summary["config"]["ptot_watts"]
-    rows = np.atleast_2d(np.loadtxt(tmp_path / "out" / "wsr_realizations.csv", delimiter=",", skiprows=1))
-    if "reference" in summary["average_wsr"]:
-        assert np.all(rows[:, 1] >= rows[:, 2])
-    return summary
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -409,20 +415,18 @@ def test_gains_near_the_float_floor_stay_normal(tmp_path):
     # noise_dbw 3015 puts the candidates' gains on both sides of the
     # dead-gain floor 2**-1012 (about 2.4e-305); unless the ones below it
     # count as dead, their inverses overflow the water level sums
-    text = HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", "noise_dbw: 3015.0").replace(
-        "realizations: 1", "realizations: 3")
-    summary = _corner_run(tmp_path, text)
+    summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", "noise_dbw: 3015.0"))
     assert summary["average_wsr"]["proposed"] > 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gains_just_below_the_float_floor_count_as_dead(tmp_path):
     # noise_dbw 3030 puts the gains just below the dead-gain floor 2**-1012;
-    # counting them live overflowed the price search's sums
-    text = HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", "noise_dbw: 3030.0").replace(
-        "realizations: 1", "realizations: 3")
-    summary = _corner_run(tmp_path, text)
-    assert summary["status_counts"]["proposed"] == {"kkt": 3}
+    # counting them live overflowed the price search's sums. At 3070 they
+    # are far below it, subnormal.
+    for noise in ("3030.0", "3070.0"):
+        summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", f"noise_dbw: {noise}"), noise)
+        assert summary["status_counts"]["proposed"] == {"kkt": 3}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -430,7 +434,7 @@ def test_tiny_budget_on_huge_gains_roots_the_bracket_edges_apart(tmp_path):
     # at 1e-300 W on gains up to 1e305 the bracket is about [1.7e300,
     # 5.3e300], and the product of its edges overflows
     summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("ptot_dbw: 35.0", "ptot_dbw: -3000.0"))
-    assert summary["status_counts"]["proposed"] == {"kkt": 1}
+    assert summary["status_counts"]["proposed"] == {"kkt": 3}
 
 
 def test_tiny_budget_with_a_huge_weight_is_spent(tmp_path):
@@ -449,7 +453,7 @@ def test_rates_stay_finite_where_gain_times_power_overflows(tmp_path):
     # at 60 dBW on gains up to 1e305, g q overflows in the candidate table
     # and in the rates; the rate is then ln g + ln q
     summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("ptot_dbw: 35.0", "ptot_dbw: 60.0"))
-    assert summary["status_counts"]["proposed"] == {"kkt": 1}
+    assert summary["status_counts"]["proposed"] == {"kkt": 3}
     wsr = summary["average_wsr"]
     assert wsr["proposed"] >= wsr["reference"] > 0.0
 
@@ -517,16 +521,20 @@ ptot_dbw: 35.0
 noise_dbw: -30.0
 seed: 1
 realizations: 20
-protocols: [proposed, reference]
+protocols: [proposed, reference, highpower]
 taps: {num_taps: 1}
 """
 
 
-def test_flat_channel_collapse_beats_the_reference(tmp_path):
+def test_flat_channel_collapse_beats_the_reference(tmp_path, monkeypatch):
     # one tap makes every subcarrier of a realization identical, so each
     # price gives them all one choice; where the bracket collapses, only a
     # split of them between the two edge choices spends the budget well
-    report = run_monte_carlo(load_config(_write(tmp_path, FLAT_YAML)))
+    reports = []
+    run = cli.run_monte_carlo
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: reports.append(run(cfg)) or reports[-1])
+    _corner_run(tmp_path, FLAT_YAML)
+    [report] = reports
     collapsed = [i for i, s in enumerate(report.statuses["proposed"]) if s == "bracket_collapse"]
     assert collapsed
     for i in collapsed:
@@ -537,7 +545,7 @@ def test_flat_channel_collapse_beats_the_reference(tmp_path):
 def test_flat_channel_with_unequal_weights_spends_the_budget(tmp_path):
     # one tap ties every subcarrier, and four weight levels give each
     # subcarrier's (weight, gain) front several entries per mode
-    text = FLAT_YAML.replace("protocols: [proposed, reference]", "protocols: [proposed, highpower]") + (
+    text = FLAT_YAML.replace("protocols: [proposed, reference, highpower]", "protocols: [proposed, highpower]") + (
         "weights: [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]\n")
     _corner_run(tmp_path, text)
 
@@ -583,11 +591,7 @@ def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):
         "protocols: [proposed, reference]", "protocols: [proposed, highpower]"
     )))
     emit(run_monte_carlo(cfg), tmp_path / "out")
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
+    summary = _summary(tmp_path / "out")
     assert summary["highpower_conditions_met"] == 0
     assert summary["average_wsr"]["highpower"] is None
     assert summary["average_wsr"]["proposed"] > 0.0
@@ -627,7 +631,7 @@ def test_main_without_usable_links_runs_the_reference(tmp_path, monkeypatch):
     # no split of the budget carries any rate: both protocols report WSR 0
     _kill_every_link(monkeypatch)
     assert main([str(_write(tmp_path, GOOD_YAML)), "-o", str(tmp_path / "out")]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    summary = _summary(tmp_path / "out")
     assert summary["average_wsr"] == {"proposed": 0.0, "reference": 0.0}
 
 
@@ -658,7 +662,7 @@ def test_only_a_single_run_assembles_assignment_rows(tmp_path, monkeypatch):
     text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0").replace(
         "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
     assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "mc")]) == 0
-    assert json.loads((tmp_path / "mc" / "summary.json").read_text())["highpower_conditions_met"] == 3
+    assert _summary(tmp_path / "mc")["highpower_conditions_met"] == 3
     assert calls == []
     assert not list((tmp_path / "mc").glob("alloc_*.csv"))
 
