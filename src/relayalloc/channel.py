@@ -36,6 +36,7 @@ __all__ = [
     "place_destinations",
     "synthesize_realization",
     "to_gains",
+    "link_distances",
 ]
 
 # Role tags keep per-link random streams independent of iteration order.
@@ -66,6 +67,24 @@ class Region:
             raise ValueError("region must have positive area")
 
 
+def link_distances(source_xy, relay_xy, dest_xy=()) -> tuple:
+    """Link lengths: source->relay (N,), source->dest (U,) and relay->dest (N, U).
+
+    ``source_xy`` is one (x, y) point, ``relay_xy`` and ``dest_xy`` lists of
+    them (no destinations gives only the source->relay lengths). Every link
+    must have a strictly positive length: the ValueError names the first
+    coincident one, source->relay links, then source->dest, then relay->dest
+    in row major order.
+    """
+    s, r, d = (np.asarray(xy, dtype=float).reshape(-1, 2) for xy in (source_xy, relay_xy, dest_xy))
+    lengths = (np.hypot(*(r - s).T), np.hypot(*(d - s).T), np.hypot(*np.moveaxis(d - r[:, None], -1, 0)))
+    for length, name in zip(lengths, ("source->relay{}", "source->dest{}", "relay{}->dest{}")):
+        short = np.argwhere(length <= 0.0)
+        if short.size:
+            raise ValueError(f"coincident node positions on link {name.format(*short[0])}")
+    return lengths
+
+
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Node coordinates of one cell: a source, N relays and U destinations."""
@@ -82,22 +101,7 @@ class Topology:
             raise ValueError("relay_xy and dest_xy must be (n, 2) coordinate arrays")
         if self.num_relays < 1 or self.num_destinations < 1:
             raise ValueError("topology needs at least one relay and one destination")
-        # every link must have a strictly positive length; the first
-        # coincident one is named: source->relay links, then source->dest,
-        # then relay->dest in row major order
-        names = ("source->relay{}", "source->dest{}", "relay{}->dest{}")
-        for d, name in zip(self.link_distances(), names):
-            short = np.argwhere(d <= 0.0)
-            if short.size:
-                raise ValueError(f"coincident node positions on link {name.format(*short[0])}")
-
-    def link_distances(self) -> tuple:
-        """Link lengths: source->relay (N,), source->dest (U,) and relay->dest (N, U)."""
-        return (
-            np.hypot(*(self.relay_xy - self.source_xy).T),
-            np.hypot(*(self.dest_xy - self.source_xy).T),
-            np.hypot(*np.moveaxis(self.dest_xy - self.relay_xy[:, None], -1, 0)),
-        )
+        link_distances(self.source_xy, self.relay_xy, self.dest_xy)  # names a coincident link
 
     @property
     def num_relays(self) -> int:
@@ -200,10 +204,6 @@ class GainTable:
     @property
     def num_destinations(self) -> int:
         return self.g_su.shape[1]
-
-    @property
-    def num_relays(self) -> int:
-        return self.g_sr.shape[1]
 
 
 def _check_seed(rng_seed: int) -> int:
@@ -335,7 +335,7 @@ def synthesize_realization(
     length = profile.num_taps
 
     # (role, a, b, distance) of every link, in the row order of the taps
-    d_sr, d_su, d_ru = topology.link_distances()
+    d_sr, d_su, d_ru = link_distances(topology.source_xy, topology.relay_xy, topology.dest_xy)
     links = [
         *((_ROLE_SOURCE_DEST, j, 0, d_su[j]) for j in range(u)),
         *((_ROLE_SOURCE_RELAY, i, 0, d_sr[i]) for i in range(n)),

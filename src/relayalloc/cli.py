@@ -299,6 +299,12 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
             region = channel.Region(**{k: float(region_raw[k]) for k in _REGION_KEYS})
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"geometry.destination_region: {exc}")
+    if source is not None and relay_xy is not None:
+        # the whole topology with fixed destinations, else the source against the relays
+        try:
+            channel.link_distances(source, relay_xy, dest_xy or ())
+        except ValueError as exc:
+            errors.append(f"geometry: {exc}")
 
     taps = raw.get("taps", {})
     if not isinstance(taps, dict):
@@ -362,11 +368,11 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     real = channel.synthesize_realization(topo, config.tap_profile(), config.num_subcarriers, channel_seed)
     gains = channel.to_gains(real, config.noise_watts)
     params = config.solver_params()
+    # shared by every protocol, so the front and price bracket are built once
     mode_sets = rates.classify(gains, params.ptot)
 
     uu = config.num_destinations
     single = config.realizations == 1  # only a single run emits per subcarrier tables
-    bracket = None  # (mu_lower, mu_upper), shared by the proposed and highpower protocols
     out: dict = {
         "wsr": {},
         "user_rates": {},
@@ -387,14 +393,13 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     for proto in config.protocols:
         if proto == PROTO_PROPOSED:
             alloc = solver.solve(params, gains, mode_sets)
-            bracket = (alloc.mu_lower, alloc.mu_upper)
             record(proto, alloc)
             out["residual"] = alloc.residual
         elif proto == PROTO_REFERENCE:
             record(proto, reference.solve_reference(gains, params.ptot, weights=params.weights,
                                                     g1_table=mode_sets.g1))
         elif proto == PROTO_HIGHPOWER:
-            report = highpower.check_conditions(params, gains, mode_sets, bracket)
+            report = highpower.check_conditions(params, gains, mode_sets)
             out["highpower_met"] = report.conditions_met
             if report.conditions_met:
                 record(proto, highpower.solve_high_power(params, gains, report=report))

@@ -34,11 +34,10 @@ class HighPowerReport:
     """Outcome of the high power condition checks.
 
     ``threshold`` is ``min_u w_u / mu_upper``, the smallest water level any
-    destination can see at the upper price bound. ``margin`` is the ratio of
-    the threshold to the larger of the two quantities it must dominate; the
-    conditions hold when ``margin >= factor``, the module's ``FACTOR``.
-    ``mu_lower`` and ``mu_upper`` are the ``solver.price_bracket`` the
-    conditions were checked at.
+    destination can see at the upper price bound ``mu_upper`` of
+    ``solver.price_bracket``. ``margin`` is the ratio of the threshold to the
+    larger of the two quantities it must dominate; the conditions hold when
+    ``margin >= FACTOR``.
     """
 
     conditions_met: bool
@@ -46,8 +45,6 @@ class HighPowerReport:
     max_inverse_gain: float
     max_gain: float
     margin: float
-    factor: float
-    mu_lower: float
     mu_upper: float
 
 
@@ -55,22 +52,18 @@ def check_conditions(
     params: SolverParams,
     gains: GainTable,
     mode_sets: Optional[rates.ModeSets] = None,
-    bracket: Optional[tuple] = None,
 ) -> HighPowerReport:
     """Check whether the closed form regime applies.
 
     The threshold must exceed ``FACTOR`` times both the largest inverse
     gain max(1/g1, 1/g_su) and the largest gain max(g1, g_su) over the whole
-    (2, K, U) candidate table of ``mode_sets``. ``mode_sets``
-    (``rates.classify`` at ``params.ptot``) and ``bracket``
-    (``solver.price_bracket``'s (mu_lower, mu_upper)) are computed when not
-    supplied.
+    (2, K, U) candidate table of ``mode_sets`` (``rates.classify`` at
+    ``params.ptot``, computed when not supplied), and ``mu_upper`` is read
+    from ``solver.price_bracket``.
     """
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
-    if bracket is None:
-        bracket = solver.price_bracket(params, mode_sets)
-    mu_lower, mu_upper = bracket
+    mu_upper = solver.price_bracket(params, mode_sets)[1]
 
     # a zero bound means no usable link, hence no water level to compare
     threshold = float(params.weights.min()) / mu_upper if mu_upper > 0.0 else 0.0
@@ -83,8 +76,6 @@ def check_conditions(
         max_inverse_gain=max_inv,
         max_gain=max_gain,
         margin=threshold / worst,  # max_inv > 0: the inverse of a gain, or inf
-        factor=FACTOR,
-        mu_lower=mu_lower,
         mu_upper=mu_upper,
     )
 
@@ -100,17 +91,16 @@ def solve_high_power(
     subcarrier goes to the destination with the largest direct gain; with
     unequal weights every subcarrier goes to the maximum weight destination
     (lowest index on ties), the choice of the paper's large budget limit,
-    which is not certified at a finite budget. The price bracket
-    reported is the one ``report`` was checked at; ``report`` is computed
-    when not supplied. Raises ValueError when the regime conditions are not
-    met.
+    which is not certified at a finite budget. The price reported is the
+    upper bound ``report`` was checked at; ``report`` is computed when not
+    supplied. Raises ValueError when the regime conditions are not met.
     """
     if report is None:
         report = check_conditions(params, gains)
     if not report.conditions_met:
         raise ValueError(
             "high power conditions not met "
-            f"(margin {report.margin:.3g} < factor {report.factor:.3g})"
+            f"(margin {report.margin:.3g} < factor {FACTOR:.3g})"
         )
 
     w = params.weights
@@ -125,5 +115,4 @@ def solve_high_power(
     power = np.full(kk, params.ptot / kk)
     # direct candidates 2u + 1, over both slots
     return Allocation.from_choice(2 * dest + 1, power, gains.g_su[np.arange(kk), dest], rates._SLOTS[1], params,
-                                  gains, solver.STATUS_CLOSED_FORM, report.mu_upper,
-                                  (report.mu_lower, report.mu_upper))
+                                  gains, solver.STATUS_CLOSED_FORM, report.mu_upper)

@@ -24,7 +24,9 @@ source and relay powers of the solver's assignment rows.
 one (2, K, U) ``ModeSets`` table: relay aided (m = 0) with the effective
 gain and one slot, and direct (m = 1) with the direct gain and two slots.
 Under given weights, ``ModeSets.front`` keeps the candidates that can win
-at some price, each subcarrier's (weight, gain) Pareto front (``Front``).
+at some price, each subcarrier's (weight, gain) Pareto front (``Front``),
+with the price bracket at the budget from ``water_level``, the package's
+one exact water-filling kernel.
 
 All rates are in nats per two slot frame.
 """
@@ -32,6 +34,7 @@ All rates are in nats per two slot frame.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,6 +52,7 @@ __all__ = [
     "relay_aided_solution",
     "effective_gain_table",
     "classify",
+    "water_level",
 ]
 
 MODE_DIRECT = "direct"
@@ -211,6 +215,39 @@ def _crossover(g1: np.ndarray, g_su: np.ndarray) -> np.ndarray:
         return 4.0 * (g1 - g_su) / g_su**2
 
 
+def water_level(a, v, budget: float, c=1.0):
+    """Exact solution of the water-filling ``sum_k c_k [a_k / lam - v_k]+ = budget``.
+
+    Term k carries power once the level ``1/lam`` passes its threshold
+    ``v_k / a_k``; at a threshold t the terms below it spend
+    ``t * sum c a - sum c v``. One sort and two cumulative sums give the
+    active set (Palomar and Fonollosa, IEEE TSP 53(2), 2005). Needs a > 0,
+    v >= 0 and c > 0; terms with ``v_k = inf`` never carry power.
+
+    Returns ``(num, den)``, the active set's ``sum c a`` and
+    ``budget + sum c v``, each added in index order, so ``lam = num / den``.
+    When no term can carry power the active set is empty, and the level is
+    price zero: ``(0.0, budget)``.
+    """
+    v = np.asarray(v, dtype=float)
+    # a and c may be numbers: ca takes v's shape through its output array
+    ca, cv, thr = np.multiply(c, a, out=np.empty(v.shape)), np.multiply(c, v), np.divide(v, a)
+    order = thr.argsort(kind="stable")
+    thr = thr[order]
+    live = int(thr.searchsorted(np.inf))  # infinite thresholds sort last
+    order = order[:live]
+    spent = thr[:live] * np.cumsum(ca[order]) - np.cumsum(cv[order])
+    active = np.zeros(v.shape, dtype=bool)
+    active[order[:max(int(np.searchsorted(spent, budget)), 1)]] = True
+    return float(ca[active].sum()), budget + float(cv[active].sum())
+
+
+# The search prices only the open bracket, and where the upper envelope is
+# tight (one live direct destination, or high power with equal weights) its
+# exact root is the optimum price: keep mu_upper this far above it.
+_UPPER_MARGIN = 1e-10
+
+
 class Front(NamedTuple):
     """Each subcarrier's (weight, gain) Pareto front of candidates under fixed weights.
 
@@ -228,10 +265,15 @@ class Front(NamedTuple):
 
     ``first`` is each subcarrier's first admissible candidate in candidate
     order: every (k, u) pair has an admissible mode, so it is destination
-    0, relay aided if admissible. ``v_lo`` and ``v_hi`` are the least
-    admissible term ``c / g`` and the largest live one (``inf`` where no
-    candidate is live), the per subcarrier terms of the price search's
-    power bounds.
+    0, relay aided if admissible. ``mu_upper`` and ``mu_lower``, the price
+    search's bracket, are the exact roots (``water_level``) of
+    ``sum_k [2 max_u w_u / mu - vmin_k]+ = Ptot`` and
+    ``sum_k [min_u w_u / mu - vmax_k]+ = Ptot`` at the budget of the
+    ``ModeSets``, for each subcarrier's least admissible term ``c / g`` vmin
+    and largest live one vmax. The sums bound the assigned power, so the
+    optimum price lies between them. mu_upper is raised by a relative
+    ``_UPPER_MARGIN``, and a mu_lower that underflows to 0 is the smallest
+    normal price; both are 0 when no subcarrier has a live candidate.
     """
 
     pick: np.ndarray       # (K, E) candidate 2u + m
@@ -241,8 +283,8 @@ class Front(NamedTuple):
     slots: np.ndarray      # (K, E) slot count c: 1 relay aided, 2 direct
     row_start: np.ndarray  # (K,) flat index of each row's first entry
     first: np.ndarray      # (K,) first admissible candidate
-    v_lo: np.ndarray       # (K,)
-    v_hi: np.ndarray       # (K,)
+    mu_lower: float
+    mu_upper: float
 
 
 def _read_only(*arrays) -> tuple:
@@ -294,11 +336,12 @@ def _pareto_front(mode_sets: "ModeSets", weights: np.ndarray) -> Front:
     order = (pick + keys).ravel().argsort(kind="stable").reshape(kk, -1)
     pick = pick.take(order)
 
-    # The least admissible term c / g is that of the largest gain, on the
-    # front. The largest live one is read from admissible / gain (1/g on
-    # admissible candidates) where the row's maximum is below 2**-_DEAD_EXP,
-    # so that every admissible candidate of the row is live; the other rows
-    # (a dead admissible candidate, or 0 / 0) mask dead candidates out.
+    # The bracket's per subcarrier terms: the least admissible c / g is that
+    # of the largest gain, on the front. The largest live one is read from
+    # admissible / gain (1/g on admissible candidates) where the row's
+    # maximum is below 2**-_DEAD_EXP, so that every admissible candidate of
+    # the row is live; the other rows (a dead admissible candidate, or
+    # 0 / 0) mask dead candidates out.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_all = admissible / gain
     hi = inv_all.take(rows[:, :, 0] + inv_all.argmax(axis=2))  # (2, K)
@@ -306,11 +349,18 @@ def _pareto_front(mode_sets: "ModeSets", weights: np.ndarray) -> Front:
         m, k = np.nonzero(~(hi < 2.0**-_DEAD_EXP))
         g = gain[m, k]
         hi[m, k] = np.where(admissible[m, k] & (g >= 2.0**_DEAD_EXP), _inverse(g), 0.0).max(axis=1)
+    v_lo = (_SLOTS[:, None, None] * inv).min(axis=(0, 2))
     v_hi = np.maximum(hi[0], _SLOTS[1] * hi[1])
     v_hi[v_hi == 0.0] = np.inf  # no live candidate
+    num, den = water_level(2.0 * float(weights.max()), v_lo, mode_sets.ptot)
+    mu_upper = num / den * (1.0 + _UPPER_MARGIN)
+    num, den = water_level(float(weights.min()), v_hi, mode_sets.ptot)
+    mu_lower = num / den
+    if mu_lower == 0.0 < mu_upper:  # underflowed: a tiny weight against a huge budget
+        mu_lower = sys.float_info.min
     return Front(pick=pick, gain=top.take(order), inv_gain=inv.take(order), weight=weights[pick >> 1],
                  slots=_SLOTS[pick & 1], row_start=row_start, first=1 - admissible[0, :, 0],
-                 v_lo=(_SLOTS[:, None, None] * inv).min(axis=(0, 2)), v_hi=v_hi)
+                 mu_lower=min(mu_lower, mu_upper), mu_upper=mu_upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +375,8 @@ class ModeSets:
     aided mode where ``g1 <= g_su``, and direct mode where relay aided mode
     wins for every feasible power (the budget is at most the crossover
     power ``_crossover(g1, g_su)``). ``front(weights)`` is the ``Front``
-    that every price evaluation scores, built once per weight vector.
+    that every price evaluation scores, with the price bracket, built once
+    per weight vector.
     """
 
     ptot: float

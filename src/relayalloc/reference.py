@@ -78,4 +78,4 @@ def solve_reference(
     power, level = waterfill(gain, ptot)
     mu = w0 / level
     # one slot in either mode
-    return solver.Allocation.from_choice(pick, power, gain, 1.0, params, gains, solver.STATUS_WATERFILL, mu, (mu, mu))
+    return solver.Allocation.from_choice(pick, power, gain, 1.0, params, gains, solver.STATUS_WATERFILL, mu)

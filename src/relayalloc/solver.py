@@ -11,10 +11,10 @@ a bracket ``(lo, hi)`` with ``P(lo) >= Ptot >= P(hi)`` inside two analytic
 price bounds, and each evaluation shrinks it.
 
 For a fixed assignment (one pick per subcarrier) the power is a water-filling
-``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``water_level`` solves it exactly
-by one sort of the thresholds ``v_k / a_k`` and two cumulative sums. The
-price bounds, the collapse repair and every step of the search call it: the
-next price is the one at which the last state's assignment spends exactly
+``sum_k c_k [a_k / lam - v_k]+ = Ptot``. ``rates.water_level`` solves it
+exactly by one sort of the thresholds ``v_k / a_k`` and two cumulative sums.
+The price bounds, the collapse repair and every step of the search call it:
+the next price is the one at which the last state's assignment spends exactly
 ``Ptot``. The search stops when the maximizer at that price is the same
 assignment on every subcarrier that carries power: that assignment then
 maximizes the Lagrangian at a price where it spends the whole budget, which
@@ -25,10 +25,10 @@ nor the still unmoved lower bound, the search bisects in log price,
 the price: every evaluation reads them from the ``ModeSets`` of
 ``rates.classify``. A candidate's value does not decrease in its weight or
 its gain, so an evaluation scores only each subcarrier's (weight, gain)
-Pareto front, ``ModeSets.front``, which the first price bracket of a solve
-builds for its weights, in the same pass that gives the bracket's
-per-subcarrier terms (Seong, Mohseni and Cioffi, IEEE ISIT 2006, for the
-per-subcarrier dual of weighted OFDMA).
+Pareto front, ``ModeSets.front``, built once per weight vector together
+with the two analytic price bounds, which ``price_bracket`` reads from it
+(Seong, Mohseni and Cioffi, IEEE ISIT 2006, for the per-subcarrier dual of
+weighted OFDMA).
 
 P(mu) is step discontinuous, so no price may certify an assignment. If the
 bracket collapses, the total budget sits inside a power jump: no single
@@ -72,7 +72,6 @@ __all__ = [
     "Allocation",
     "solve_at_price",
     "price_bracket",
-    "water_level",
     "max_gain_choice",
     "solve",
     "weighted_sum_rate",
@@ -170,8 +169,6 @@ class Allocation:
     residual: float
     iterations: int
     status: str
-    mu_lower: float
-    mu_upper: float
     dest: np.ndarray
     mode: np.ndarray
     power: np.ndarray
@@ -183,50 +180,21 @@ class Allocation:
 
     @staticmethod
     def from_choice(pick, power, gain, c, params: SolverParams, gains: GainTable, status: str, mu: float,
-                    bracket: tuple, iterations: int = 0) -> "Allocation":
+                    iterations: int = 0) -> "Allocation":
         """The allocation of a (candidate, power) choice.
 
         ``pick`` is each subcarrier's candidate ``2u + m``, ``gain`` its gain
         (the effective gain relay aided, the direct gain otherwise) and ``c``
         its slot count, an array or one number for all: 1 relay aided, 2
         direct, and 1 for the reference protocol's direct mode, which spends
-        its power in the broadcasting slot only. ``bracket`` is
-        (mu_lower, mu_upper).
+        its power in the broadcasting slot only.
         """
         dest = pick // 2
         rate = _rates(gain, power, c)
         return Allocation(assignments=_LazyAssignments(pick, power, c, gains),
                           wsr=_weighted_total(params.weights[dest], rate), mu_star=mu,
                           residual=max(params.ptot - float(power.sum()), 0.0), iterations=iterations,
-                          status=status, mu_lower=bracket[0], mu_upper=bracket[1], dest=dest,
-                          mode=_MODES[pick % 2], power=power, rate=rate)
-
-
-def water_level(a, v, budget: float, c=1.0):
-    """Exact solution of the water-filling ``sum_k c_k [a_k / lam - v_k]+ = budget``.
-
-    Term k carries power once the level ``1/lam`` passes its threshold
-    ``v_k / a_k``; at a threshold t the terms below it spend
-    ``t * sum c a - sum c v``. One sort and two cumulative sums give the
-    active set (Palomar and Fonollosa, IEEE TSP 53(2), 2005). Needs a > 0,
-    v >= 0 and c > 0; terms with ``v_k = inf`` never carry power.
-
-    Returns ``(num, den)``, the active set's ``sum c a`` and
-    ``budget + sum c v``, each added in index order, so ``lam = num / den``.
-    When no term can carry power the active set is empty, and the level is
-    price zero: ``(0.0, budget)``.
-    """
-    v = np.asarray(v, dtype=float)
-    # a and c may be numbers: ca takes v's shape through its output array
-    ca, cv, thr = np.multiply(c, a, out=np.empty(v.shape)), np.multiply(c, v), np.divide(v, a)
-    order = thr.argsort(kind="stable")
-    thr = thr[order]
-    live = int(thr.searchsorted(np.inf))  # infinite thresholds sort last
-    order = order[:live]
-    spent = thr[:live] * np.cumsum(ca[order]) - np.cumsum(cv[order])
-    active = np.zeros(v.shape, dtype=bool)
-    active[order[:max(int(np.searchsorted(spent, budget)), 1)]] = True
-    return float(ca[active].sum()), budget + float(cv[active].sum())
+                          status=status, dest=dest, mode=_MODES[pick % 2], power=power, rate=rate)
 
 
 def _values(mu: float, w, c, gain, inv_gain, bound: float):
@@ -298,33 +266,16 @@ def solve_at_price(mu: float, params: SolverParams, mode_sets: ModeSets) -> Dual
     )
 
 
-# The search prices only the open bracket, and where the upper envelope is
-# tight (one live direct destination, or high power with equal weights) its
-# exact root is the optimum price: keep mu_upper this far above it.
-_UPPER_MARGIN = 1e-10
-
-
 def price_bracket(params: SolverParams, mode_sets: ModeSets) -> tuple:
-    """Prices (mu_lower, mu_upper) enclosing the optimum.
+    """Prices (mu_lower, mu_upper) enclosing the optimum: those of ``mode_sets.front(params.weights)``.
 
-    mu_upper solves ``sum_k [2 max_u w_u / mu - vmin_k]+ = Ptot`` and
-    mu_lower solves ``sum_k [min_u w_u / mu - vmax_k]+ = Ptot``, where vmin
-    and vmax are the extreme admissible inverse gain terms per subcarrier
-    (``Front.v_lo`` and ``Front.v_hi``). These sums bound the assigned
-    power from above and below, so the optimum price lies between the
-    roots. Both roots are exact (``water_level``); mu_upper is raised by a
-    relative ``1e-10``. A lower root that underflows to 0 (a tiny weight
-    against a huge budget) is replaced by the smallest normal price. Both
-    are 0 when no subcarrier has a live candidate.
+    ``rates.Front`` derives them. Raises ValueError when ``mode_sets`` was
+    classified at a budget other than ``params.ptot``.
     """
+    if mode_sets.ptot != params.ptot:
+        raise ValueError("mode_sets was classified at a different total power")
     front = mode_sets.front(params.weights)
-    upper = water_level(2.0 * float(params.weights.max()), front.v_lo, params.ptot)
-    lower = water_level(float(params.weights.min()), front.v_hi, params.ptot)
-    mu_upper = upper[0] / upper[1] * (1.0 + _UPPER_MARGIN)
-    mu_lower = lower[0] / lower[1]
-    if mu_lower == 0.0 < mu_upper:
-        mu_lower = sys.float_info.min
-    return min(mu_lower, mu_upper), mu_upper
+    return front.mu_lower, front.mu_upper
 
 
 def initial_price(mu_lower: float, mu_upper: float) -> float:
@@ -386,7 +337,7 @@ def _chosen(pick, table: np.ndarray) -> np.ndarray:
 def _fill(w, inv_g, c, budget: float):
     """Exact water-filling powers ``c_k [w_k / lam - inv_g_k]+`` spending ``budget``.
 
-    lam is ``water_level``'s exact root, and a final rescale puts the
+    lam is ``rates.water_level``'s exact root, and a final rescale puts the
     rounding of the powers on the budget. Below the rounding of every
     ``inv_g_k``, ``w_k / lam - inv_g_k`` cancels to zero on every term; the
     budget then goes to the terms of least threshold ``inv_g_k / w_k`` in
@@ -395,7 +346,7 @@ def _fill(w, inv_g, c, budget: float):
     spread evenly over the terms: no split carries more than rounding
     small rates, and the KKT conditions hold at price zero.
     """
-    num, den = water_level(w, inv_g, budget, c)
+    num, den = rates.water_level(w, inv_g, budget, c)
     if num == 0.0:
         return 0.0, np.full(np.shape(inv_g), budget / np.size(inv_g))
     lam = num / den
@@ -507,14 +458,12 @@ def solve(
         raise ValueError("weights length must match the number of destinations")
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
-    elif abs(mode_sets.ptot - params.ptot) > 1e-12 * params.ptot:
-        raise ValueError("mode_sets was classified at a different total power")
 
     iterations = 0
 
     def finish(pick, power, mu: float, status: str) -> Allocation:
         return Allocation.from_choice(pick, power, _chosen(pick, mode_sets.gain), rates._SLOTS[pick % 2], params,
-                                      gains, status, mu, (mu_lower, mu_upper), iterations)
+                                      gains, status, mu, iterations)
 
     fills = {}
 

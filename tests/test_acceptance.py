@@ -15,7 +15,7 @@ from oracle import oracle_global_wsr, oracle_relay_gain, oracle_split_optimality
 from relayalloc import channel, rates, solver, reference
 from relayalloc.cli import realization_seeds
 from relayalloc.reference import waterfill
-from relayalloc.solver import STATUS_KKT, SolverParams, solve, solve_at_price
+from relayalloc.solver import STATUS_KKT, SolverParams, price_bracket, solve, solve_at_price
 
 MASTER_SEED = 20260818
 NOISE_WATTS = 1e-3  # -30 dBW
@@ -212,8 +212,10 @@ def test_criterion_05_kkt_residual_window(desk_instances, bench_population):
                     continue
                 checked += 1
                 assert alloc.mu_star > 0.0
-                assert alloc.mu_lower - 1e-12 <= alloc.mu_star <= alloc.mu_upper + 1e-12
-                state = solve_at_price(alloc.mu_star, params, rates.classify(gains, params.ptot))
+                mode_sets = rates.classify(gains, params.ptot)
+                lo, hi = price_bracket(params, mode_sets)
+                assert lo - 1e-12 <= alloc.mu_star <= hi + 1e-12
+                state = solve_at_price(alloc.mu_star, params, mode_sets)
                 on = (state.power > 0.0) | (alloc.power > 0.0)
                 assert np.array_equal(state.pick[on] // 2, alloc.dest[on])
                 assert np.array_equal(state.pick[on] % 2 == 1, alloc.mode[on] == rates.MODE_DIRECT)

@@ -247,7 +247,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config is not UTF-8 text")
     assert not (tmp_path / "out").exists()
 
-    # a destination on top of the source passes validation but fails at run time
+    # a destination on top of the source once passed validation and failed at run time
     broken = _write(tmp_path, """\
 num_subcarriers: 8
 num_destinations: 1
@@ -256,8 +256,20 @@ noise_dbw: -30.0
 geometry:
   destination_xy: [[0.0, 0.0]]
 """, "broken.yaml")
-    assert main([str(broken)]) == 1
-    assert "coincident" in capsys.readouterr().err
+    assert main([str(broken), "-o", str(tmp_path / "out")]) == 2
+    assert "geometry: coincident node positions on link source->dest0" in capsys.readouterr().err
+    # so did a relay on top of the source, with randomly placed destinations
+    on_source = _write(tmp_path, _with_line("geometry: {relay_xy: [[0.0, 0.0], [5.0, -5.0]]}"), "on_source.yaml")
+    assert main([str(on_source), "-o", str(tmp_path / "out")]) == 2
+    assert "geometry: coincident node positions on link source->relay0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    # a YAML syntax error, and a file whose top level is not a mapping
+    for text, message in (("num_subcarriers: [8\n", "config parse error"),
+                          ("- 8\n- 2\n", "expected a mapping at the top level")):
+        assert main([str(_write(tmp_path, text, "unparsed.yaml")), "-o", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
     good = _write(tmp_path, GOOD_YAML)
     code = main([str(good), "-o", str(tmp_path / "cli_out"), "-s", "11"])
@@ -304,6 +316,16 @@ def _with_line(line):
     ("weights", "weights: [true, true]"),
     ("x_min", "geometry: {destination_region: {x_min: false, x_max: 10, y_min: -30, y_max: -10}}"),
     ("geometry.relay_xy", "geometry: {relay_xy: [[true, -5.0], [5.0, -5.0]]}"),
+    # values of the wrong kind; equal weights, so that the reference
+    # protocol's equal-weights message cannot stand in for theirs
+    ("num_subcarriers", "num_subcarriers: 6.5"),
+    ("weights", "weights: [a, b]"),
+    ("weights", "weights: [0.0, 0.0]"),
+    ("weights", "weights: [.inf, .inf]"),
+    ("geometry", "geometry: 3"),
+    ("taps", "taps: [1, 2]"),
+    ("output_dir", "output_dir: 5"),
+    ("geometry.relay_xy", "geometry: {relay_xy: [[a, 1.0]]}"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
     assert main([str(_write(tmp_path, _with_line(line))), "-o", str(tmp_path / "out")]) == 2
@@ -606,6 +628,20 @@ def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
     out = cli._run_realization(cfg, 0)
     assert out["highpower_met"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("protocols", ["[proposed, highpower]", "[highpower, proposed]"])
+def test_realization_solves_the_price_bracket_once(tmp_path, monkeypatch, protocols):
+    # the proposed and highpower protocols read one bracket, built with the
+    # front of the realization's mode sets: the second read is a cache hit
+    fronts, brackets = [], []
+    pareto_front, price_bracket = cli.rates._pareto_front, cli.solver.price_bracket
+    monkeypatch.setattr(cli.rates, "_pareto_front", lambda *a: fronts.append(1) or pareto_front(*a))
+    monkeypatch.setattr(cli.solver, "price_bracket", lambda *a: brackets.append(1) or price_bracket(*a))
+    text = GOOD_YAML.replace("protocols: [proposed, reference]", f"protocols: {protocols}")
+    out = cli._run_realization(load_config(_write(tmp_path, text.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0"))), 0)
+    assert out["highpower_met"]
+    assert (len(fronts), len(brackets)) == (1, 2)
 
 
 def _kill_every_link(monkeypatch):

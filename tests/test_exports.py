@@ -1,5 +1,6 @@
 """Every exported name resolves, and the package ships only its solver modules."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -38,7 +39,8 @@ def test_package_exports_only_its_modules():
 
 def test_names_the_benchmark_reads_resolve():
     # perfbench/spans.py wraps the functions of TRACED by name, and
-    # perfbench/run.py reads the other names; a rename breaks the benchmark
+    # perfbench/run.py and perfbench/checks.py read the other names and the
+    # members below; a rename or a deleted member breaks the benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -49,3 +51,21 @@ def test_names_the_benchmark_reads_resolve():
                if not hasattr(importlib.import_module(f"relayalloc.{module}"), name)]
     assert spans.TRACED and missing == []
     assert all(callable(getattr(importlib.import_module(f"relayalloc.{m}"), n)) for m, n in spans.TRACED)
+
+    members = {
+        ("solver", "Allocation"): ("wsr", "assignments", "dest", "power", "mode", "status"),
+        ("highpower", "HighPowerReport"): ("conditions_met",),
+        ("solver", "SubcarrierAssignment"): ("k", "u", "mode", "sum_power", "broadcast_power", "relaying_power",
+                                             "relay_indices", "relay_powers"),
+        ("rates", "ModeSets"): ("g1",),
+        ("solver", "SolverParams"): ("ptot", "weights", "num_destinations"),
+        ("cli", "ExperimentConfig"): ("solver_params", "tap_profile", "topology_for", "destination_region",
+                                      "noise_watts"),
+    }
+    missing = []
+    for (module, name), attrs in members.items():
+        cls = getattr(importlib.import_module(f"relayalloc.{module}"), name)
+        # a field without a default is no class attribute: hasattr misses it
+        fields = {f.name for f in dataclasses.fields(cls)}
+        missing += [f"{name}.{attr}" for attr in attrs if attr not in fields and not hasattr(cls, attr)]
+    assert missing == []

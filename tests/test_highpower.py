@@ -25,7 +25,7 @@ def test_tiny_budget_fails_conditions():
     params = solver.SolverParams(ptot=0.1, weights=[0.5, 0.5])
     report = check_conditions(params, gains)
     assert not report.conditions_met
-    assert report.margin < report.factor
+    assert report.margin < highpower.FACTOR
     with pytest.raises(ValueError):
         solve_high_power(params, gains)
 
@@ -43,7 +43,7 @@ def test_report_consistency():
     gains = _table([[1.0, 3.0], [2.0, 1.0]])
     params = solver.SolverParams(ptot=2000.0, weights=[0.5, 0.5])
     report = check_conditions(params, gains)
-    assert report.conditions_met == (report.margin >= report.factor)
+    assert report.conditions_met == (report.margin >= highpower.FACTOR)
     assert report.threshold > 0.0
     assert math.isclose(
         report.margin, report.threshold / max(report.max_inverse_gain, report.max_gain),
@@ -67,10 +67,9 @@ def test_equal_weights_pick_best_direct_gain_per_subcarrier():
     assert math.isclose(alloc.wsr, want, rel_tol=1e-12)
     assert alloc.status == "closed_form" and alloc.converged
     assert alloc.residual == 0.0
-    # the allocation reports the bracket its report was checked at
+    # the allocation reports the upper price bound its report was checked at
     bracket = solver.price_bracket(params, rates.classify(gains, params.ptot))
-    assert (alloc.mu_lower, alloc.mu_upper) == (report.mu_lower, report.mu_upper) == bracket
-    assert alloc.mu_star == report.mu_upper
+    assert alloc.mu_star == report.mu_upper == bracket[1]
 
 
 def test_unequal_weights_send_everything_to_the_heaviest_user():
@@ -124,7 +123,6 @@ def test_custom_factor_changes_the_verdict(monkeypatch):
     monkeypatch.setattr(highpower, "FACTOR", 10.0)
     lax = check_conditions(params, gains)
     assert not strict.conditions_met and lax.conditions_met
-    assert (strict.factor, lax.factor) == (1000.0, 10.0)
     assert strict.margin == lax.margin == margin
 
 
@@ -135,20 +133,29 @@ def test_conditions_hold_from_a_margin_of_100():
     reports = [check_conditions(solver.SolverParams(ptot=10.0 ** e, weights=[0.5, 0.5]), gains)
                for e in np.arange(0.0, 6.0, 0.25)]
     assert highpower.FACTOR == 100.0
-    assert all(r.factor == 100.0 and r.conditions_met == (r.margin >= 100.0) for r in reports)
+    assert all(r.conditions_met == (r.margin >= 100.0) for r in reports)
     verdicts = [r.conditions_met for r in reports]
     assert verdicts == sorted(verdicts) and verdicts[0] is False and verdicts[-1] is True
 
 
-@pytest.mark.parametrize("bracket", [None, (0.0, 0.0)], ids=["None", "0.0"])
-def test_no_usable_link_fails_conditions(bracket):
+def test_no_usable_link_fails_conditions():
     # an all-zero table has the bracket (0, 0); the check must not divide by it
     gains = _table(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)))
     params = solver.SolverParams(ptot=5.0, weights=[0.5, 0.5])
-    report = check_conditions(params, gains, bracket=bracket)
+    report = check_conditions(params, gains)
     assert not report.conditions_met
     assert report.threshold == 0.0 and report.margin == 0.0
-    assert (report.mu_lower, report.mu_upper) == (0.0, 0.0)
+    assert solver.price_bracket(params, rates.classify(gains, params.ptot)) == (0.0, 0.0)
+    assert report.mu_upper == 0.0
+
+
+def test_conditions_reject_mode_sets_of_another_budget():
+    # the check reads the price bracket of the budget the sets were classified at
+    gains = _table([[1.0, 2.0], [2.0, 1.0]])
+    params = solver.SolverParams(ptot=2000.0, weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="different total power"):
+        check_conditions(params, gains, rates.classify(gains, 1000.0))
+    assert check_conditions(params, gains, rates.classify(gains, 2000.0)).conditions_met
 
 
 def test_wsr_is_bit_identical_to_the_recomputed_weighted_sum_rate():
@@ -185,8 +192,8 @@ def test_report_takes_its_maxima_from_the_mode_sets():
         want = (float(rates._inverse(both).max()), float(both.max()))
         bracket = solver.price_bracket(params, mode_sets)
         default = check_conditions(params, gains)
-        given = check_conditions(params, gains, mode_sets=mode_sets, bracket=bracket)
+        given = check_conditions(params, gains, mode_sets=mode_sets)
         for report in (default, given):
             assert (report.max_inverse_gain, report.max_gain) == want
-            assert (report.mu_lower, report.mu_upper) == bracket
+            assert report.mu_upper == bracket[1]
         assert (default.threshold, default.margin) == (given.threshold, given.margin)

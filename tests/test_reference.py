@@ -210,10 +210,10 @@ def test_reference_returns_an_allocation_record(seed):
         dest, mode = pick // 2, np.where(pick % 2 == 0, rates.MODE_RELAY, rates.MODE_DIRECT)
         if np.any(gain > 0.0):
             power, level = waterfill(gain, ptot)
-            assert ref.mu_star == ref.mu_lower == ref.mu_upper == w[0] / level > 0.0
+            assert ref.mu_star == w[0] / level > 0.0
         else:
             power = np.full(kk, ptot / kk)
-            assert ref.mu_star == ref.mu_lower == ref.mu_upper == 0.0
+            assert ref.mu_star == 0.0
         np.testing.assert_array_equal(ref.dest, dest)
         np.testing.assert_array_equal(ref.mode, mode)
         np.testing.assert_array_equal(ref.power, power)

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 from relayalloc import channel, cli, highpower, rates, reference, solver
 from relayalloc.channel import GainTable
 from relayalloc.cli import realization_seeds
+from relayalloc.rates import water_level
 from relayalloc.solver import (
     STATUS_KKT,
     SolverParams,
@@ -21,7 +22,6 @@ from relayalloc.solver import (
     solve,
     solve_at_price,
     user_rates,
-    water_level,
     weighted_sum_rate,
 )
 
@@ -269,7 +269,7 @@ def test_optimum_on_the_lower_price_bound_is_certified():
     params = SolverParams(ptot=1.0, weights=[1.0])
     alloc = solve(params, t)
     assert (alloc.status, alloc.iterations) == (STATUS_KKT, 2)
-    assert alloc.mu_star == alloc.mu_lower
+    assert alloc.mu_star == price_bracket(params, rates.classify(t, params.ptot))[0]
     _assert_certified(alloc, params, t)
 
 
@@ -324,7 +324,8 @@ def test_solve_spends_a_huge_budget():
         params = SolverParams(ptot=1e300, weights=rng.uniform(0.2, 1.0, 3))
         alloc = solve(params, gains)
         assert alloc.status in (STATUS_KKT, solver.STATUS_GAP)
-        assert 0.0 < alloc.mu_lower <= alloc.mu_star <= alloc.mu_upper
+        lo, hi = price_bracket(params, rates.classify(gains, params.ptot))
+        assert 0.0 < lo <= alloc.mu_star <= hi
         assert math.isclose(float(alloc.power.sum()), params.ptot, rel_tol=1e-9)
         assert math.isfinite(alloc.wsr) and alloc.wsr == weighted_sum_rate(alloc.assignments, params, gains)
 
@@ -368,7 +369,8 @@ def test_search_prices_stay_inside_a_shrinking_bracket():
         alloc = solve(params, gains, ms, trace=lambda *r: rows.append(r))
         statuses.add(alloc.status)
         lo, hi = price_bracket(params, ms)
-        assert (alloc.mu_lower, alloc.mu_upper) == (lo, hi)
+        front = ms.front(params.weights)
+        assert (front.mu_lower, front.mu_upper) == (lo, hi)
         for i, (_, mu, total_power, _) in enumerate(rows, start=1):
             assert lo < mu < hi
             if i == len(rows) and alloc.status == STATUS_KKT:
@@ -392,7 +394,7 @@ def _assert_certified(alloc, params, gains):
     assert abs(float(alloc.power.sum()) - params.ptot) <= 1e-12 * params.ptot
     assert 0.0 <= alloc.residual <= 1e-12 * params.ptot
     if alloc.mu_star == 0.0:  # no usable link: the conditions hold at price zero
-        assert alloc.mu_upper == 0.0
+        assert price_bracket(params, rates.classify(gains, params.ptot))[1] == 0.0
         return
     ms = rates.classify(gains, params.ptot)
     state = solve_at_price(alloc.mu_star, params, ms)
@@ -464,6 +466,15 @@ def test_solve_rejects_mode_sets_of_another_budget_below_one_watt():
     assert solve(params, DIRECT1, rates.classify(DIRECT1, 1e-15)).status == STATUS_KKT
 
 
+def test_price_bracket_rejects_mode_sets_one_ulp_off_the_budget():
+    # the bracket is solved at the sets' own budget, so only that budget reads it
+    params = SolverParams(ptot=2.0, weights=[1.0])
+    off = rates.classify(DIRECT1, math.nextafter(2.0, math.inf))
+    for call in (price_bracket, lambda p, ms: solve(p, DIRECT1, ms)):
+        with pytest.raises(ValueError, match="different total power"):
+            call(params, off)
+
+
 def test_solve_exclusivity_and_detail_consistency():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -498,7 +509,8 @@ def test_solve_kkt_residual_window():
             continue
         seen_kkt += 1
         assert alloc.mu_star > 0.0
-        assert alloc.mu_lower - 1e-12 <= alloc.mu_star <= alloc.mu_upper + 1e-12
+        lo, hi = price_bracket(params, rates.classify(gains, params.ptot))
+        assert lo - 1e-12 <= alloc.mu_star <= hi + 1e-12
         _assert_certified(alloc, params, gains)
     assert seen_kkt >= 5
 
