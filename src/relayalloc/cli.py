@@ -1,10 +1,11 @@
 """Experiment runner: config in, allocation studies and plot data out.
 
 A run is described by a small YAML or JSON config (physical quantities carry
-unit suffixed keys such as ``ptot_dbw``; dB values are converted to linear
-watts exactly once, at ingestion). Single realization runs additionally emit
-per subcarrier tables; Monte-Carlo runs aggregate weighted sum rates and the
-user 1 rate CDF over independently seeded realizations.
+unit suffixed keys such as ``ptot_dbw``). The config keeps the dB values; its
+``ptot_watts`` and ``noise_watts`` properties convert them to linear watts on
+every read, and every realization reads them. Single realization runs
+additionally emit per subcarrier tables; Monte-Carlo runs aggregate weighted
+sum rates and the user 1 rate CDF over independently seeded realizations.
 
 Per realization seeds are derived from the master seed with a counter based
 scheme: realization ``i`` takes the two 64-bit words of
@@ -74,7 +75,7 @@ def _db_to_watts(db: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description with linear-unit quantities."""
+    """Validated experiment description; budget and noise in dB, read in watts through properties."""
 
     num_subcarriers: int
     num_destinations: int

@@ -80,23 +80,18 @@ def check_conditions(
     )
 
 
-def solve_high_power(
-    params: SolverParams,
-    gains: GainTable,
-    report: Optional[HighPowerReport] = None,
-) -> Allocation:
+def solve_high_power(params: SolverParams, gains: GainTable, report: HighPowerReport) -> Allocation:
     """Closed form allocation for the high power regime.
 
     Power is split uniformly over subcarriers. With equal weights each
     subcarrier goes to the destination with the largest direct gain; with
     unequal weights every subcarrier goes to the maximum weight destination
     (lowest index on ties), the choice of the paper's large budget limit,
-    which is not certified at a finite budget. The price reported is the
-    upper bound ``report`` was checked at; ``report`` is computed when not
-    supplied. Raises ValueError when the regime conditions are not met.
+    which is not certified at a finite budget. ``report`` is
+    ``check_conditions(params, gains)``, and the price reported is the upper
+    bound it was checked at. Raises ValueError when the regime conditions
+    are not met.
     """
-    if report is None:
-        report = check_conditions(params, gains)
     if not report.conditions_met:
         raise ValueError(
             "high power conditions not met "

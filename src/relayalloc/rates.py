@@ -18,7 +18,8 @@ relay positions that works on (M, U) slices of the batch and keeps only each
 pair's best score and suffix start: ``classify`` on the (K, U) grid, and
 ``relay_aided_solution`` on chosen (subcarrier, destination) pairs of a gain
 table, for rate recomputations and, through ``RelayClosedForm.split``, the
-source and relay powers of the solver's assignment rows.
+source and relay powers of the solver's assignment rows. Both scale the whole
+table alike (``_table_shift``), so a pair's gain is the grid's bit for bit.
 
 ``classify`` turns every pair into two candidates, stacked mode-major into
 one (2, K, U) ``ModeSets`` table: relay aided (m = 0) with the effective
@@ -58,9 +59,9 @@ __all__ = [
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
 
-# Below 2**_PEAK_EXP, a gain times a sum of up to 2**23 gains stays finite; a
-# batch with a larger gain is solved on gains scaled by a power of two that
-# brings the largest below it.
+# Below 2**_PEAK_EXP, a gain times a sum of up to 2**23 gains stays finite; the
+# closed form of a table with a larger gain is solved on gains scaled by a
+# power of two that brings the largest below it (``_table_shift``).
 _PEAK_EXP = 500
 # The counterpart at the bottom: a gain below 2**_DEAD_EXP is dead, with an
 # infinite inverse. Every finite inverse is then at most 2**-_DEAD_EXP, so a
@@ -137,7 +138,7 @@ class RelayClosedForm:
         return source, member, relay
 
 
-def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> RelayClosedForm:
+def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray, shift: int) -> RelayClosedForm:
     """Relay aided closed form of every pair, one loop step per relay position.
 
     ``g_su`` is (M, U), ``g_sr`` (M, N) and ``g_ru`` (M, N, U); a batch of
@@ -145,18 +146,20 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
     row. The loop walks the sorted positions from the last one on (M, U)
     slices: it extends every destination's suffix sum by one relay and, where
     that suffix decodes and beats the direct link, scores it against the best
-    suffix start so far. A batch whose largest gain is 2**500 or more is
-    solved on gains scaled by a power of two, which scales the gain exactly
-    and leaves the rest unchanged (up to the last bits of gains that the
-    scaling makes subnormal).
+    suffix start so far. The gains are solved multiplied by ``2**shift``,
+    ``_table_shift`` of the whole gain table the batch is read from, so that
+    every batch of a table is solved on the same numbers as its grid. A
+    nonzero shift scales the gain back exactly, but a gain that it takes
+    below the normal range loses its last bits, and one that it takes below
+    2**-1074 becomes 0: in a table whose largest gain is 2**1020, a pair
+    whose only relay has source link gain 2**-600 and whose direct link is
+    stronger gets effective gain 0, not 2**-600.
     """
     g_su = np.asarray(g_su, dtype=float)
     g_ru = np.asarray(g_ru, dtype=float)
     m, n = g_sr.shape
     order = np.argsort(g_sr, axis=1, kind="stable")
     gs = np.take_along_axis(g_sr, order, axis=1)  # (M, N), ascending
-    peak = max(g_su.max(initial=0.0), gs.max(initial=0.0), g_ru.max(initial=0.0))
-    shift = min(_PEAK_EXP - int(np.frexp(peak)[1]), 0)
     if shift:
         g_su, gs, g_ru = (np.ldexp(a, shift) for a in (g_su, gs, g_ru))
     rows = np.arange(m)
@@ -186,14 +189,21 @@ def relay_closed_form(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> R
     return RelayClosedForm(gain=gain, order=order, best=np.argmax(g_sr, axis=1), z=z, g_su=g_su, gs=gs, g_ru=g_ru)
 
 
+def _table_shift(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> int:
+    """Exponent of the power of two that brings a gain table's largest gain below 2**_PEAK_EXP, at most 0."""
+    peak = max(g_su.max(initial=0.0), g_sr.max(initial=0.0), g_ru.max(initial=0.0))
+    return min(_PEAK_EXP - int(np.frexp(peak)[1]), 0)
+
+
 def relay_aided_solution(gains: GainTable, k, u) -> RelayClosedForm:
-    """Closed form of the pairs (k[i], u[i]) of a gain table, as rows i."""
-    return relay_closed_form(gains.g_su[k, u][:, None], gains.g_sr[k], gains.g_ru[k, :, u][:, :, None])
+    """Closed form of the pairs (k[i], u[i]) of a gain table, as rows i, at the shift of the grid's."""
+    return relay_closed_form(gains.g_su[k, u][:, None], gains.g_sr[k], gains.g_ru[k, :, u][:, :, None],
+                             _table_shift(gains.g_su, gains.g_sr, gains.g_ru))
 
 
 def effective_gain_table(g_su: np.ndarray, g_sr: np.ndarray, g_ru: np.ndarray) -> np.ndarray:
     """Relay aided effective gain of every (k, u) pair: the closed form on the (K, U) grid."""
-    return relay_closed_form(g_su, g_sr, g_ru).gain
+    return relay_closed_form(g_su, g_sr, g_ru, _table_shift(g_su, g_sr, g_ru)).gain
 
 
 def _inverse(arr: np.ndarray) -> np.ndarray:

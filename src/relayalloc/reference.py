@@ -14,7 +14,6 @@ protocol's.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -44,36 +43,30 @@ def waterfill(gain: np.ndarray, ptot: float) -> tuple:
     return power, (1.0 / lam if lam > 0.0 else math.inf)
 
 
-def solve_reference(
-    gains: GainTable,
-    ptot: float,
-    weights: Optional[np.ndarray] = None,
-    g1_table: Optional[np.ndarray] = None,
-) -> solver.Allocation:
+def solve_reference(gains: GainTable, ptot: float, weights: np.ndarray, g1_table: np.ndarray) -> solver.Allocation:
     """Run the baseline protocol; returns an ``Allocation`` with status ``waterfill``.
 
-    The selection is ``solver.max_gain_choice`` without weights: the metric
-    is max(g1, g_su) per destination, and relay aided mode wins only on a
-    strict gain advantage. The protocol is defined for equal priorities, so
-    weights, when given, must be uniform; ``wsr`` is then scaled by the
-    common weight w0 so it is directly comparable to a weighted sum rate,
-    and the price is ``w0 / level``. ``rate`` is the single slot rate
-    ``ln(1 + g p)`` of each subcarrier. Without a usable link (no gain with
-    a finite inverse) ``waterfill`` spreads the budget evenly at an infinite
-    level, so the price is 0, as in ``solver.solve``. The assignment
-    rows spend a direct subcarrier's power in the broadcasting slot only.
-    Raises ValueError for a common weight or budget that is not positive
-    and finite.
+    ``g1_table`` is the (K, U) relay aided effective gain table of
+    ``gains``, ``rates.classify(gains, ptot).g1``, which the caller has
+    already computed for the other protocols. The selection is
+    ``solver.max_gain_choice`` without weights: the metric is max(g1, g_su)
+    per destination, and relay aided mode wins only on a strict gain
+    advantage. The protocol is defined for equal priorities, so the weights
+    must be uniform; ``wsr`` is scaled by the common weight w0 so it is
+    directly comparable to a weighted sum rate, and the price is
+    ``w0 / level``. ``rate`` is the single slot rate ``ln(1 + g p)`` of
+    each subcarrier. Without a usable link (no gain with a finite inverse)
+    ``waterfill`` spreads the budget evenly at an infinite level, so the
+    price is 0, as in ``solver.solve``. The assignment rows spend a direct
+    subcarrier's power in the broadcasting slot only. Raises ValueError for
+    unequal weights, or a common weight or budget that is not positive and
+    finite.
     """
-    w0 = 1.0
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if not np.all(w == w.flat[0]):
-            raise ValueError("the baseline protocol is defined for equal weights only")
-        w0 = float(w.flat[0])
+    w = np.asarray(weights, dtype=float)
+    if not np.all(w == w.flat[0]):
+        raise ValueError("the baseline protocol is defined for equal weights only")
+    w0 = float(w.flat[0])
     params = solver.SolverParams(ptot=ptot, weights=np.full(gains.num_destinations, w0))
-    if g1_table is None:
-        g1_table = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
     pick, gain = solver.max_gain_choice((g1_table, gains.g_su))
     power, level = waterfill(gain, ptot)
     mu = w0 / level

@@ -61,6 +61,15 @@ def test_topology_rejects_coincident_nodes():
     # row major: relay0->dest0 coincides too
     with pytest.raises(ValueError, match=r"on link source->dest1$"):
         Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0),), dest_xy=((1.0, 0.0), (0.0, 0.0)))
+    # coordinates that are not (n, 2), and a cell without a relay or a destination
+    with pytest.raises(ValueError, match=r"\(n, 2\) coordinate arrays"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0, 0.0),), dest_xy=((5.0, 5.0),))
+    with pytest.raises(ValueError, match=r"\(n, 2\) coordinate arrays"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0),), dest_xy=(5.0, 5.0, 5.0))
+    with pytest.raises(ValueError, match="at least one relay and one destination"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=np.empty((0, 2)), dest_xy=((5.0, 5.0),))
+    with pytest.raises(ValueError, match="at least one relay and one destination"):
+        Topology(source_xy=(0.0, 0.0), relay_xy=((1.0, 0.0),), dest_xy=np.empty((0, 2)))
 
 
 def test_profile_validation():
@@ -72,6 +81,11 @@ def test_profile_validation():
         TapProfile.exponential(num_taps=0)
     with pytest.raises(ValueError):
         TapProfile.exponential(shadowing_db_std=-1.0)
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        TapProfile(variances=np.array([]))
+    for distance in (0.0, -1.0):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            TapProfile.exponential().mean_power(distance)
 
 
 def test_exponential_profile_power_sum():

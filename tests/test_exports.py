@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -69,3 +70,36 @@ def test_names_the_benchmark_reads_resolve():
         fields = {f.name for f in dataclasses.fields(cls)}
         missing += [f"{name}.{attr}" for attr in attrs if attr not in fields and not hasattr(cls, attr)]
     assert missing == []
+
+
+# The call shapes of perfbench/run.py and perfbench/spans.py, as (module,
+# function, positional count, keywords); spans.py adds ``trace=`` to every
+# solve, also to the CLI's, which passes its mode sets.
+BENCHMARK_CALLS = (
+    ("solver", "solve", 2, ()),
+    ("solver", "solve", 2, ("trace",)),
+    ("solver", "solve", 3, ("trace",)),
+    ("rates", "classify", 2, ()),
+    ("reference", "solve_reference", 2, ("weights", "g1_table")),
+    ("highpower", "check_conditions", 2, ()),
+    ("highpower", "solve_high_power", 2, ("report",)),
+    ("solver", "user_rates", 2, ()),
+    ("channel", "place_destinations", 3, ()),
+    ("channel", "synthesize_realization", 4, ()),
+    ("channel", "to_gains", 2, ()),
+    ("cli", "realization_seeds", 2, ()),
+    ("cli", "load_config", 1, ()),
+)
+
+
+def test_calls_the_benchmark_makes_bind():
+    # a renamed parameter, or one that gains or loses a default, breaks the
+    # benchmark's calls before any of them runs
+    unbound = []
+    for module, name, count, keywords in BENCHMARK_CALLS:
+        signature = inspect.signature(getattr(importlib.import_module(f"relayalloc.{module}"), name))
+        try:
+            signature.bind(*range(count), **dict.fromkeys(keywords))
+        except TypeError as err:
+            unbound.append(f"{module}.{name}: {err}")
+    assert unbound == []

@@ -27,7 +27,7 @@ def test_tiny_budget_fails_conditions():
     assert not report.conditions_met
     assert report.margin < highpower.FACTOR
     with pytest.raises(ValueError):
-        solve_high_power(params, gains)
+        solve_high_power(params, gains, report=report)
 
 
 def test_margin_monotone_in_budget():
@@ -88,11 +88,11 @@ def test_weight_tie_goes_to_lowest_index():
     gains = _table([[1.0, 2.0], [2.0, 1.0]])
     params = solver.SolverParams(ptot=5000.0, weights=[0.3, 0.3])
     # equal weights: per-subcarrier argmax applies, not the heaviest-user rule
-    alloc = solve_high_power(params, gains)
+    alloc = solve_high_power(params, gains, report=check_conditions(params, gains))
     assert [a.u for a in alloc.assignments] == [1, 0]
     # genuinely unequal with a tie at the top after a tiny bump elsewhere
     params2 = solver.SolverParams(ptot=5000.0, weights=[0.35, 0.3])
-    alloc2 = solve_high_power(params2, gains)
+    alloc2 = solve_high_power(params2, gains, report=check_conditions(params2, gains))
     assert all(a.u == 0 for a in alloc2.assignments)
 
 

@@ -252,6 +252,8 @@ def test_classify_sets_disjoint():
 
 
 def test_effective_gain_table_matches_per_pair():
+    # the grid matches each pair solved on a table of its own, and equals,
+    # bit for bit, each pair of its own table read as a batch of one
     rng = np.random.default_rng(7)
     for _ in range(20):
         k, u, n = (int(rng.integers(1, 6)) for _ in range(3))
@@ -259,10 +261,19 @@ def test_effective_gain_table_matches_per_pair():
         g_sr = rng.lognormal(0.0, 1.0, (k, n))
         g_ru = rng.lognormal(0.0, 1.0, (k, n, u))
         table = effective_gain_table(g_su, g_sr, g_ru)
+        gains = _table(g_su, g_sr, g_ru)
         for kk in range(k):
             for uu in range(u):
                 want = effective_gain(float(g_su[kk, uu]), g_sr[kk], g_ru[kk, :, uu])
                 assert math.isclose(table[kk, uu], want, rel_tol=1e-12)
+                assert relay_aided_solution(gains, [kk], [uu]).gain[0, 0] == table[kk, uu]
+    # past the 2**500 scaling, the shift of the table's 2**1020 takes the
+    # source link 2**-600 of pair (0, 0) to 0, and its batch of one too
+    gains = _table([[2.0**900], [1.0]], [[2.0**-600], [1.0]], [[[1.0]], [[2.0**1020]]])
+    g1 = classify(gains, 1.0).g1
+    assert g1[0, 0] == 0.0
+    for kk, uu in np.ndindex(g1.shape):
+        assert relay_aided_solution(gains, [kk], [uu]).gain[0, 0] == g1[kk, uu]
 
 
 # which branch of the closed form gives a pair's effective gain
@@ -351,7 +362,7 @@ def _assert_split(split, row, psi, relay_set, fractions):
 def test_batched_closed_form_matches_per_pair(batch):
     g_su, g_sr, g_ru = batch
     m, n, u = g_ru.shape
-    cf = relay_closed_form(g_su, g_sr, g_ru)
+    cf = relay_closed_form(g_su, g_sr, g_ru, rates._table_shift(g_su, g_sr, g_ru))
     split = cf.split(np.ones(m * u))
     np.testing.assert_array_equal(effective_gain_table(g_su, g_sr, g_ru), cf.gain)
     # the same pairs picked out of a gain table, one row each
@@ -386,7 +397,7 @@ def test_closed_form_matches_per_pair_with_eight_relays(draw):
         g_su, g_sr, g_ru = (rng.lognormal(0.0, 1.5, s) for s in shapes)
     else:
         g_su, g_sr, g_ru = (rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], s) for s in shapes)
-    cf = relay_closed_form(g_su, g_sr, g_ru)
+    cf = relay_closed_form(g_su, g_sr, g_ru, rates._table_shift(g_su, g_sr, g_ru))
     split = cf.split(np.ones(cf.gain.size))
     cases = set()
     assert cf.z.max() >= 4
@@ -422,8 +433,9 @@ def test_closed_form_scales_exactly(k):
     # 2**500, where a product of two gains could overflow
     rng = np.random.default_rng(17)
     g_su, g_sr, g_ru = (rng.lognormal(0.0, 1.0, s) for s in ((64, 8), (64, 4), (64, 4, 8)))
-    base = relay_closed_form(g_su, g_sr, g_ru)
-    scaled = relay_closed_form(*(np.ldexp(a, k) for a in (g_su, g_sr, g_ru)))
+    base = relay_closed_form(g_su, g_sr, g_ru, rates._table_shift(g_su, g_sr, g_ru))
+    scaled_gains = [np.ldexp(a, k) for a in (g_su, g_sr, g_ru)]
+    scaled = relay_closed_form(*scaled_gains, rates._table_shift(*scaled_gains))
     np.testing.assert_array_equal(scaled.gain, np.ldexp(base.gain, k))
     for name in ("z", "order", "best"):
         np.testing.assert_array_equal(getattr(scaled, name), getattr(base, name))

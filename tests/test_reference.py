@@ -30,7 +30,7 @@ def _random_table(rng, k=4, u=3, n=2):
 
 def test_selection_takes_best_gain_user():
     t = _table([[1.0, 2.5]], [[0.01]], [[[0.01, 0.01]]])
-    ref = solve_reference(t, 1.0)
+    ref = solve_reference(t, 1.0, weights=np.ones(2), g1_table=rates.classify(t, 1.0).g1)
     assert ref.dest[0] == 1 and ref.mode[0] == rates.MODE_DIRECT
     assert math.isclose(ref.rate[0], math.log1p(2.5), rel_tol=1e-12)
 
@@ -38,22 +38,23 @@ def test_selection_takes_best_gain_user():
 def test_selection_relay_mode_needs_strict_advantage():
     # effective gain 2 vs direct 1: relay mode
     t = _table([[1.0]], [[4.0]], [[[3.0]]])
-    ref = solve_reference(t, 1.0)
+    ref = solve_reference(t, 1.0, weights=np.ones(1), g1_table=rates.classify(t, 1.0).g1)
     assert ref.mode[0] == rates.MODE_RELAY and math.isclose(ref.rate[0], math.log1p(2.0), rel_tol=1e-12)
     # hopeless relays: effective gain collapses to the direct gain, tie
     # means direct wins
     t2 = _table([[1.0]], [[2.0, 3.0]], [[[0.4], [0.5]]])
-    ref2 = solve_reference(t2, 1.0)
+    ref2 = solve_reference(t2, 1.0, weights=np.ones(1), g1_table=rates.classify(t2, 1.0).g1)
     assert ref2.mode[0] == rates.MODE_DIRECT
     assert math.isclose(ref2.rate[0], math.log1p(1.0), rel_tol=1e-12)
 
 
 def test_selection_rejects_unequal_weights():
     t = _table([[1.0, 2.0]], [[1.0]], [[[1.0, 1.0]]])
+    g1 = rates.classify(t, 1.0).g1
     with pytest.raises(ValueError, match="equal weights"):
-        solve_reference(t, 1.0, weights=np.array([0.7, 0.3]))
+        solve_reference(t, 1.0, weights=np.array([0.7, 0.3]), g1_table=g1)
     # uniform weights pass through
-    solve_reference(t, 1.0, weights=np.array([0.5, 0.5]))
+    solve_reference(t, 1.0, weights=np.array([0.5, 0.5]), g1_table=g1)
 
 
 # --------------------------------------------------------------- water-filling
@@ -94,7 +95,7 @@ def test_reference_spends_a_budget_below_the_rounding_of_every_inverse_gain():
     rng = np.random.default_rng(43)
     gains = _random_table(rng, k=8, u=3, n=2)
     w = np.full(3, 1.0 / 3.0)
-    ref = solve_reference(gains, 1e-300, weights=w)
+    ref = solve_reference(gains, 1e-300, weights=w, g1_table=rates.classify(gains, 1e-300).g1)
     assert math.isclose(float(ref.power.sum()), 1e-300, rel_tol=1e-12)
     assert ref.residual <= 1e-9 * 1e-300
     assert ref.wsr > 0.0
@@ -140,19 +141,19 @@ def test_reference_dominated_instance():
     # one user has the best gain everywhere: it gets every subcarrier
     t = _table([[1.0, 5.0], [2.0, 6.0]], [[0.01], [0.01]],
                [[[0.01, 0.01]], [[0.01, 0.01]]])
-    ref = solve_reference(t, 4.0)
+    ref = solve_reference(t, 4.0, weights=np.ones(2), g1_table=rates.classify(t, 4.0).g1)
     assert list(ref.dest) == [1, 1]
 
 
 def test_reference_equal_gains_spread_uniformly():
     t = _table([[2.0], [2.0], [2.0]], np.full((3, 1), 0.01), np.full((3, 1, 1), 0.01))
-    ref = solve_reference(t, 6.0)
+    ref = solve_reference(t, 6.0, weights=np.ones(1), g1_table=rates.classify(t, 6.0).g1)
     np.testing.assert_allclose(ref.power, [2.0, 2.0, 2.0], rtol=1e-9)
 
 
 def test_reference_without_usable_links_spreads_the_budget():
     t = _table(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros((4, 1, 2)))
-    ref = solve_reference(t, 6.0, weights=np.array([0.5, 0.5]))
+    ref = solve_reference(t, 6.0, weights=np.array([0.5, 0.5]), g1_table=rates.classify(t, 6.0).g1)
     # an infinite water level is price zero
     assert ref.wsr == 0.0 and ref.mu_star == 0.0
     np.testing.assert_array_equal(ref.power, np.full(4, 1.5))
@@ -162,15 +163,16 @@ def test_reference_without_usable_links_spreads_the_budget():
 def test_reference_single_slot_direct_rate():
     # the baseline's direct mode only uses the broadcasting slot
     t = _table([[3.0]], [[0.01]], [[[0.01]]])
-    ref = solve_reference(t, 2.0)
+    ref = solve_reference(t, 2.0, weights=np.ones(1), g1_table=rates.classify(t, 2.0).g1)
     assert math.isclose(ref.wsr, math.log1p(3.0 * 2.0), rel_tol=1e-9)
     assert ref.wsr < 2.0 * math.log1p(3.0 * 2.0 / 2.0)  # the two slot direct rate
 
 
 def test_reference_weight_scaling():
     t = _table([[1.0, 2.0]], [[0.5]], [[[0.5, 0.5]]])
-    plain = solve_reference(t, 3.0)
-    halved = solve_reference(t, 3.0, weights=np.array([0.5, 0.5]))
+    g1 = rates.classify(t, 3.0).g1
+    plain = solve_reference(t, 3.0, weights=np.ones(2), g1_table=g1)
+    halved = solve_reference(t, 3.0, weights=np.array([0.5, 0.5]), g1_table=g1)
     assert math.isclose(halved.wsr, 0.5 * plain.wsr, rel_tol=1e-12)
 
 
@@ -182,7 +184,7 @@ def test_reference_never_beats_the_joint_optimum():
         w = np.full(gains.num_destinations, 1.0 / gains.num_destinations)
         params = solver.SolverParams(ptot=ptot, weights=w)
         alloc = solver.solve(params, gains)
-        ref = solve_reference(gains, ptot, weights=w)
+        ref = solve_reference(gains, ptot, weights=w, g1_table=rates.classify(gains, ptot).g1)
         assert alloc.wsr >= ref.wsr - 1e-9
 
 
