@@ -23,7 +23,8 @@ with the stream of the placement role.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,40 +115,35 @@ class Topology:
 
 @dataclass(frozen=True, eq=False)
 class TapProfile:
-    """Multipath power profile plus the standard deviation of the shadowing in dB.
+    """Exponential multipath power profile plus the standard deviation of the shadowing in dB.
 
-    ``variances`` holds the relative tap powers. At synthesis time they are
-    rescaled so their sum equals the mean received power dictated by the
-    power law, hence their absolute scale is irrelevant.
+    Tap i carries relative power exp(-decay * i) (``variances``); synthesis
+    rescales them to the mean received power of the power law. The field
+    defaults are the config's tap defaults.
     """
 
-    variances: np.ndarray
+    num_taps: int = 6
+    decay: float = 3.0
     shadowing_db_std: float = 0.0
+    variances: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
-        v = self.variances
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("variances must be a nonempty 1-D array")
+        if not isinstance(self.num_taps, (int, np.integer)) or self.num_taps < 1:
+            raise ValueError("num_taps must be an integer of at least 1")
+        for name in ("decay", "shadowing_db_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.decay <= 0.0:
+            raise ValueError("decay must be positive")
+        if self.shadowing_db_std < 0.0:
+            raise ValueError("shadowing_db_std must be nonnegative")
+        v = np.exp(-self.decay * np.arange(self.num_taps))
+        # a steep decay underflows the later taps, a shallow one rounds them equal
         if not np.all(v > 0.0):
             raise ValueError("tap variances must be strictly positive")
         if np.any(np.diff(v) >= 0.0):
             raise ValueError("tap variances must be strictly decreasing")
-        if self.shadowing_db_std < 0.0:
-            raise ValueError("shadowing_db_std must be nonnegative")
-
-    @classmethod
-    def exponential(cls, num_taps: int = 6, decay: float = 3.0, shadowing_db_std: float = 0.0) -> "TapProfile":
-        """Profile with tap i carrying relative power exp(-decay * i)."""
-        if num_taps < 1:
-            raise ValueError("num_taps must be at least 1")
-        if decay <= 0.0:
-            raise ValueError("decay must be positive")
-        return cls(variances=np.exp(-decay * np.arange(num_taps)), shadowing_db_std=shadowing_db_std)
-
-    @property
-    def num_taps(self) -> int:
-        return self.variances.size
+        object.__setattr__(self, "variances", v)
 
     def mean_power(self, distance: float) -> float:
         """Mean received power (unit transmit power) at the given distance."""
@@ -155,11 +151,6 @@ class TapProfile:
             raise ValueError("distance must be positive")
         att = 10.0 ** (-_REFERENCE_ATTENUATION_DB / 10.0)
         return att * (distance / _REFERENCE_DISTANCE_M) ** (-_PATHLOSS_EXPONENT)
-
-    def link_variances(self, distance: float) -> np.ndarray:
-        """Absolute per tap variances for one link, summing to mean_power."""
-        v = self.variances
-        return v * (self.mean_power(distance) / v.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +336,7 @@ def synthesize_realization(
     for rng, row in zip(_link_streams(seed, [link[:3] for link in links]), z):
         rng.standard_normal(out=row)
 
-    # scalar per link, as rng.normal(0, std) and TapProfile.link_variances
+    # scalar per link, as rng.normal(0, std) and TapProfile.mean_power
     # compute them: numpy's vectorized ** can differ in the last bit
     std = float(profile.shadowing_db_std)
     try:

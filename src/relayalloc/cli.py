@@ -89,9 +89,7 @@ class ExperimentConfig:
     relay_xy: tuple
     destination_region: Optional[channel.Region]
     destination_xy: Optional[tuple]
-    num_taps: int
-    tap_decay: float
-    shadowing_db_std: float
+    taps: channel.TapProfile
     workers: int
     output_dir: str
 
@@ -107,11 +105,7 @@ class ExperimentConfig:
         return solver.SolverParams(ptot=self.ptot_watts, weights=self.weights)
 
     def tap_profile(self) -> channel.TapProfile:
-        return channel.TapProfile.exponential(
-            num_taps=self.num_taps,
-            decay=self.tap_decay,
-            shadowing_db_std=self.shadowing_db_std,
-        )
+        return self.taps
 
     def topology_for(self, dest_xy: np.ndarray) -> channel.Topology:
         return channel.Topology(
@@ -130,7 +124,6 @@ class RunReport:
     user_rates: dict          # protocol -> (R, U) array
     statuses: dict            # protocol -> list of status strings
     residuals: np.ndarray     # (R,) proposed-protocol budget slack, NaN if absent
-    highpower_met: np.ndarray # (R,) bool, False where conditions failed
     assignments: dict         # protocol -> assignment rows, empty unless a single run
     gain_tables: dict         # "g_su" and "g1" tables, empty unless a single run
 
@@ -154,62 +147,85 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool) or (isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
 
 
-def _as_float(raw: dict, key: str, errors: list, default=None, required=False):
-    if key not in raw:
-        if required:
-            errors.append(f"{key}: required")
-        return default
-    if _has_bool(raw[key]):
-        errors.append(f"{key}: expected a number, got {raw[key]!r}")
-        return default
+def _floats(value) -> Optional[np.ndarray]:
+    """``value`` as a float array, or None if it is not numeric or holds a YAML boolean."""
     try:
-        value = float(raw[key])
-    except (TypeError, ValueError):
-        errors.append(f"{key}: expected a number, got {raw[key]!r}")
-        return default
-    if not math.isfinite(value):
-        errors.append(f"{key}: expected a finite number, got {raw[key]!r}")
-        return default
-    return value
+        return None if _has_bool(value) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
-def _as_int(raw: dict, key: str, errors: list, default=None, required=False, minimum=None):
-    if key not in raw:
-        if required:
-            errors.append(f"{key}: required")
-        return default
-    value = raw[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        errors.append(f"{key}: expected an integer, got {value!r}")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{key}: must be >= {minimum}")
-        return default
-    return value
+def _number(value) -> float:
+    number = _floats(value)
+    if number is None or number.ndim or value is None:  # numpy reads None as nan
+        raise ValueError(f"expected a number, got {value!r}")
+    if not np.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(number)
 
 
-def _check_keys(raw: dict, valid: tuple, prefix: str, errors: list) -> None:
-    for key in sorted(set(raw) - set(valid), key=str):
-        errors.append(f"{prefix}{key}: unknown key; valid: {list(valid)}")
+def _integer(minimum: int):
+    def parse(value) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        return value
+    return parse
 
 
-def _as_points(value, key: str, errors: list, count: Optional[int] = None) -> Optional[tuple]:
-    """``value`` as a tuple of finite (x, y) pairs, ``count`` of them if given.
+def _points(count: Optional[int] = None):
+    """Parser of a tuple of finite (x, y) pairs, ``count`` of them if given."""
+    def parse(value) -> tuple:
+        arr = _floats(value)
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1 or count not in (None, len(arr)):
+            want = {None: "a list of [x, y] pairs", 1: "an [x, y] pair"}.get(count, f"{count} [x, y] pairs")
+            raise ValueError(f"expected {want}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coordinates must be finite")
+        return tuple(map(tuple, arr.tolist()))
+    return parse
 
-    Returns None after recording an error under ``key``.
+
+def _weights(count: Optional[int]):
+    """Parser of a 1-D array of positive finite numbers, ``count`` of them if given."""
+    def parse(value) -> np.ndarray:
+        arr = _floats(value)
+        if arr is None or arr.ndim != 1:
+            raise ValueError(f"expected a list of numbers, got {value!r}")
+        if count is not None and arr.size != count:
+            raise ValueError(f"expected {count} entries, got {arr.size}")
+        if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+            raise ValueError("entries must be positive and finite")
+        return arr
+    return parse
+
+
+def _read(section: dict, key: str, errors: list, parse, default=None, required=False, prefix=""):
+    """``parse(section[key])``, or ``default`` when the key is absent.
+
+    A missing required key or a value ``parse`` rejects with a ValueError is
+    recorded under ``prefix + key``, and gives None.
     """
+    if key not in section:
+        if required:
+            errors.append(f"{prefix}{key}: required")
+        return default
     try:
-        arr = np.empty(0) if _has_bool(value) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1 or count not in (None, arr.shape[0]):
-        want = {None: "a list of [x, y] pairs", 1: "an [x, y] pair"}.get(count, f"{count} [x, y] pairs")
-        errors.append(f"{key}: expected {want}")
+        return parse(section[key])
+    except ValueError as exc:
+        errors.append(f"{prefix}{key}: {exc}")
         return None
-    if not np.all(np.isfinite(arr)):
-        errors.append(f"{key}: coordinates must be finite")
+
+
+def _section(value, name: str, valid: tuple, errors: list) -> Optional[dict]:
+    """``value`` if it is a mapping, else None; records that, and each unknown key, under ``name``."""
+    if not isinstance(value, dict):
+        errors.append(f"{name}: expected a mapping")
         return None
-    return tuple(map(tuple, arr.tolist()))
+    for key in sorted(set(value) - set(valid), key=str):
+        errors.append(f"{f'{name}.' if name else ''}{key}: unknown key; valid: {list(valid)}")
+    return value
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -217,8 +233,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
     ``overrides`` replace top level keys of the file before validation, so
     command line overrides pass the same checks. All validation failures,
-    unknown keys included, are collected and reported together, listed by
-    field name.
+    unknown keys and the tap profile's included, are collected and reported
+    together, listed by field name.
     """
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
@@ -231,34 +247,21 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     raw = {**raw, **(overrides or {})}
 
     errors: list = []
-    _check_keys(raw, _KEYS, "", errors)
-    kk = _as_int(raw, "num_subcarriers", errors, required=True, minimum=1)
-    uu = _as_int(raw, "num_destinations", errors, required=True, minimum=1)
-    ptot_dbw = _as_float(raw, "ptot_dbw", errors, required=True)
-    noise_dbw = _as_float(raw, "noise_dbw", errors, required=True)
+    _section(raw, "", _KEYS, errors)
+    kk = _read(raw, "num_subcarriers", errors, _integer(1), required=True)
+    uu = _read(raw, "num_destinations", errors, _integer(1), required=True)
+    ptot_dbw = _read(raw, "ptot_dbw", errors, _number, required=True)
+    noise_dbw = _read(raw, "noise_dbw", errors, _number, required=True)
     for key, db in (("ptot_dbw", ptot_dbw), ("noise_dbw", noise_dbw)):
         # a subnormal noise power overflows the gains it divides
         if db is not None and not sys.float_info.min <= _db_to_watts(db) < math.inf:
             errors.append(f"{key}: {db!r} dB is not a finite number of watts of at least {sys.float_info.min!r}")
-    seed = _as_int(raw, "seed", errors, default=0, minimum=0)
-    realizations = _as_int(raw, "realizations", errors, default=1, minimum=1)
-    workers = _as_int(raw, "workers", errors, default=1, minimum=1)
-
-    weights = raw.get("weights")
-    if weights is None and uu is not None:
-        weights = [1.0 / uu] * uu
-    w_arr = None
-    if weights is not None:
-        try:
-            w_arr = None if _has_bool(weights) else np.asarray(weights, dtype=float)
-        except (TypeError, ValueError):
-            pass
-        if w_arr is None:
-            errors.append(f"weights: expected a list of numbers, got {weights!r}")
-        elif uu is not None and w_arr.shape != (uu,):
-            errors.append(f"weights: expected {uu} entries, got {w_arr.size}")
-        elif np.any(w_arr <= 0.0) or not np.all(np.isfinite(w_arr)):
-            errors.append("weights: entries must be positive and finite")
+    seed = _read(raw, "seed", errors, _integer(0), default=0)
+    realizations = _read(raw, "realizations", errors, _integer(1), default=1)
+    workers = _read(raw, "workers", errors, _integer(1), default=1)
+    # a null weights entry takes the default too
+    equal = None if uu is None else np.full(uu, 1.0 / uu)
+    weights = _read(raw, "weights", errors, _weights(uu)) if raw.get("weights") is not None else equal
 
     protocols = raw.get("protocols", [PROTO_PROPOSED])
     if not isinstance(protocols, (list, tuple)) or not protocols:
@@ -270,36 +273,26 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     repeated = [p for i, p in enumerate(protocols) if p in protocols[:i]]
     if repeated:
         errors.append(f"protocols: repeated entries {repeated}")
-    if (
-        PROTO_REFERENCE in protocols
-        and w_arr is not None
-        and w_arr.size > 0
-        and not np.all(w_arr == w_arr.flat[0])
-    ):
+    if PROTO_REFERENCE in protocols and weights is not None and np.any(weights != weights[:1]):
         errors.append("protocols: the reference protocol requires equal weights")
 
-    geometry = raw.get("geometry", {})
-    if not isinstance(geometry, dict):
-        errors.append("geometry: expected a mapping")
-        geometry = {}
-    _check_keys(geometry, _GEOMETRY_KEYS, "geometry.", errors)
-    source = _as_points([geometry.get("source_xy", (0.0, 0.0))], "geometry.source_xy", errors, count=1)
-    relay_xy = _as_points(geometry.get("relay_xy", _DEFAULT_RELAYS), "geometry.relay_xy", errors)
-
+    geometry = _section(raw.get("geometry", {}), "geometry", _GEOMETRY_KEYS, errors) or {}
+    source = _read(geometry, "source_xy", errors, lambda xy: _points(1)([xy])[0], default=(0.0, 0.0),
+                   prefix="geometry.")
+    relay_xy = _read(geometry, "relay_xy", errors, _points(), default=_DEFAULT_RELAYS, prefix="geometry.")
     dest_xy = region = None
     if geometry.get("destination_xy") is not None:
-        dest_xy = _as_points(geometry["destination_xy"], "geometry.destination_xy", errors, count=uu)
+        dest_xy = _read(geometry, "destination_xy", errors, _points(uu), prefix="geometry.")
     else:
-        region_raw = geometry.get("destination_region", _DEFAULT_REGION)
-        if isinstance(region_raw, dict):
-            _check_keys(region_raw, _REGION_KEYS, "geometry.destination_region.", errors)
-        try:
-            flags = [k for k in _REGION_KEYS if _has_bool(region_raw[k])]
-            if flags:
-                raise TypeError(f"expected numbers, got booleans for {flags}")
-            region = channel.Region(**{k: float(region_raw[k]) for k in _REGION_KEYS})
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"geometry.destination_region: {exc}")
+        name = "geometry.destination_region"
+        bounds = _section(geometry.get("destination_region", _DEFAULT_REGION), name, _REGION_KEYS, errors)
+        if bounds is not None:
+            bounds = {key: _read(bounds, key, errors, _number, required=True, prefix=f"{name}.")
+                      for key in _REGION_KEYS}
+            try:
+                region = None if None in bounds.values() else channel.Region(**bounds)
+            except ValueError as exc:
+                errors.append(f"{name}: {exc}")
     if source is not None and relay_xy is not None:
         # the whole topology with fixed destinations, else the source against the relays
         try:
@@ -307,49 +300,29 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         except ValueError as exc:
             errors.append(f"geometry: {exc}")
 
-    taps = raw.get("taps", {})
-    if not isinstance(taps, dict):
-        errors.append("taps: expected a mapping")
-        taps = {}
-    _check_keys(taps, _TAP_KEYS, "taps.", errors)
-    num_taps = _as_int(taps, "num_taps", errors, default=6, minimum=1)
-    tap_decay = _as_float(taps, "decay", errors, default=3.0)
-    shadow_std = _as_float(taps, "shadowing_db_std", errors, default=0.0)
-    if kk is not None and num_taps is not None and kk < num_taps:
+    tap_raw = _section(raw.get("taps", {}), "taps", _TAP_KEYS, errors) or {}
+    tap_args = {key: _read(tap_raw, key, errors, parse, prefix="taps.")
+                for key, parse in zip(_TAP_KEYS, (_integer(1), _number, _number)) if key in tap_raw}
+    taps = None
+    if None not in tap_args.values():  # the profile checks its own ranges, with the tap defaults
+        try:
+            taps = channel.TapProfile(**tap_args)
+        except ValueError as exc:
+            errors.append(f"taps: {exc}")
+    # a num_taps not given, or rejected, counts as the default
+    if kk is not None and kk < (tap_args.get("num_taps") or channel.TapProfile().num_taps):
         errors.append("num_subcarriers: must be at least taps.num_taps")
 
     output_dir = raw.get("output_dir", "relayalloc_out")
     if not isinstance(output_dir, str):
         errors.append("output_dir: expected a string")
-        output_dir = "relayalloc_out"
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-
-    config = ExperimentConfig(
-        num_subcarriers=kk,
-        num_destinations=uu,
-        ptot_dbw=ptot_dbw,
-        noise_dbw=noise_dbw,
-        weights=w_arr,
-        seed=seed,
-        realizations=realizations,
-        protocols=tuple(protocols),
-        source_xy=source[0],
-        relay_xy=relay_xy,
-        destination_region=region,
-        destination_xy=dest_xy,
-        num_taps=num_taps,
-        tap_decay=tap_decay,
-        shadowing_db_std=shadow_std,
-        workers=workers,
-        output_dir=output_dir,
-    )
-    try:  # the tap profile checks its own ranges
-        config.tap_profile()
-    except ValueError as exc:
-        raise ConfigError(f"invalid config:\n  taps: {exc}") from exc
-    return config
+    return ExperimentConfig(num_subcarriers=kk, num_destinations=uu, ptot_dbw=ptot_dbw, noise_dbw=noise_dbw,
+                            weights=weights, seed=seed, realizations=realizations, protocols=tuple(protocols),
+                            source_xy=source, relay_xy=relay_xy, destination_region=region, destination_xy=dest_xy,
+                            taps=taps, workers=workers, output_dir=output_dir)
 
 
 def realization_seeds(master_seed: int, index: int) -> tuple:
@@ -366,7 +339,7 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
     else:
         dest = channel.place_destinations(config.destination_region, config.num_destinations, placement_seed)
     topo = config.topology_for(dest)
-    real = channel.synthesize_realization(topo, config.tap_profile(), config.num_subcarriers, channel_seed)
+    real = channel.synthesize_realization(topo, config.taps, config.num_subcarriers, channel_seed)
     gains = channel.to_gains(real, config.noise_watts)
     params = config.solver_params()
     # shared by every protocol, so the front and price bracket are built once
@@ -379,7 +352,6 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
         "user_rates": {},
         "status": {},
         "residual": math.nan,
-        "highpower_met": False,
         "assignments": {},
         "gain_tables": {"g_su": gains.g_su, "g1": mode_sets.g1} if single else {},
     }
@@ -401,7 +373,6 @@ def _run_realization(config: ExperimentConfig, index: int) -> dict:
                                                     g1_table=mode_sets.g1))
         elif proto == PROTO_HIGHPOWER:
             report = highpower.check_conditions(params, gains, mode_sets)
-            out["highpower_met"] = report.conditions_met
             if report.conditions_met:
                 record(proto, highpower.solve_high_power(params, gains, report=report))
             else:
@@ -429,7 +400,6 @@ def run_monte_carlo(config: ExperimentConfig) -> RunReport:
         user_rates={p: np.array([res["user_rates"][p] for res in results]) for p in config.protocols},
         statuses={p: [res["status"][p] for res in results] for p in config.protocols},
         residuals=np.array([res["residual"] for res in results]),
-        highpower_met=np.array([res["highpower_met"] for res in results]),
         assignments=results[0]["assignments"],
         gain_tables=results[0]["gain_tables"],
     )
@@ -534,8 +504,9 @@ def emit(report: RunReport, out_dir) -> list:
         "max_budget_slack": (
             float(np.nanmax(report.residuals)) if np.any(np.isfinite(report.residuals)) else None
         ),
+        # the closed form runs exactly where its conditions hold
         "highpower_conditions_met": (
-            int(report.highpower_met.sum()) if PROTO_HIGHPOWER in protos else None
+            report.statuses[PROTO_HIGHPOWER].count(solver.STATUS_CLOSED_FORM) if PROTO_HIGHPOWER in protos else None
         ),
     }
     path = out / "summary.json"

@@ -69,7 +69,7 @@ def _synthesize(region, relays, num_subcarriers, num_destinations, master, index
     dest = channel.place_destinations(region, num_destinations, placement_seed)
     topo = channel.Topology(source_xy=(0.0, 0.0), relay_xy=relays, dest_xy=dest)
     real = channel.synthesize_realization(
-        topo, channel.TapProfile.exponential(), num_subcarriers, channel_seed
+        topo, channel.TapProfile(), num_subcarriers, channel_seed
     )
     return channel.to_gains(real, NOISE_WATTS)
 

@@ -73,40 +73,48 @@ def test_topology_rejects_coincident_nodes():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        TapProfile(variances=np.array([1.0, 2.0]))  # not decreasing
-    with pytest.raises(ValueError):
-        TapProfile(variances=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        TapProfile.exponential(num_taps=0)
-    with pytest.raises(ValueError):
-        TapProfile.exponential(shadowing_db_std=-1.0)
-    with pytest.raises(ValueError, match="nonempty 1-D"):
-        TapProfile(variances=np.array([]))
+    # a fractional tap count once built ceil(num_taps) taps
+    for num_taps in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="num_taps must be an integer of at least 1"):
+            TapProfile(num_taps=num_taps)
+    assert TapProfile(num_taps=np.int64(3)).variances.size == 3
+    # decay 800 underflows the second tap, and 1e-17 and 1e-300 round the
+    # taps to equal; an infinite decay once multiplied inf by 0 first
+    for decay, message in ((0.0, "decay must be positive"), (-1.0, "decay must be positive"),
+                           (math.nan, "decay must be finite"), (math.inf, "decay must be finite"),
+                           (800.0, "strictly positive"), (1e-17, "strictly decreasing"),
+                           (1e-300, "strictly decreasing")):
+        with pytest.raises(ValueError, match=message):
+            TapProfile(decay=decay)
+    assert TapProfile(num_taps=1, decay=800.0).variances.tolist() == [1.0]
+    for std, message in ((-1.0, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")):
+        with pytest.raises(ValueError, match=f"shadowing_db_std must be {message}"):
+            TapProfile(shadowing_db_std=std)
     for distance in (0.0, -1.0):
         with pytest.raises(ValueError, match="distance must be positive"):
-            TapProfile.exponential().mean_power(distance)
+            TapProfile().mean_power(distance)
 
 
 def test_exponential_profile_power_sum():
-    prof = TapProfile.exponential(num_taps=6, decay=3.0)
+    prof = TapProfile()
+    assert (prof.num_taps, prof.decay, prof.shadowing_db_std) == (6, 3.0, 0.0)
     want = (1.0 - math.exp(-18.0)) / (1.0 - math.exp(-3.0))
     assert math.isclose(float(prof.variances.sum()), want, rel_tol=1e-12)
-    # absolute link variances renormalize to the path loss power
-    var = prof.link_variances(10.0)
+    # synthesis renormalizes a link's variances to the path loss power
+    var = prof.variances * (prof.mean_power(10.0) / prof.variances.sum())
     assert math.isclose(float(var.sum()), 1e-3, rel_tol=1e-12)
     assert math.isclose(prof.mean_power(20.0), 1e-3 / 8.0, rel_tol=1e-12)
 
 
 def test_single_tap_channel_is_flat():
-    prof = TapProfile.exponential(num_taps=1)
+    prof = TapProfile(num_taps=1)
     real = synthesize_realization(_topo(), prof, 16, 7)
     mags = to_gains(real, 1.0).g_su[:, 0]
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
 def test_synthesis_determinism_and_seed_sensitivity():
-    prof = TapProfile.exponential()
+    prof = TapProfile()
     a = synthesize_realization(_topo(), prof, 32, 99)
     b = synthesize_realization(_topo(), prof, 32, 99)
     np.testing.assert_array_equal(a.taps, b.taps)
@@ -118,7 +126,7 @@ def test_synthesis_determinism_and_seed_sensitivity():
 def test_link_streams_are_independent():
     # equidistant links with different roles must not share a draw
     topo = Topology(source_xy=(0.0, 0.0), relay_xy=((10.0, 0.0),), dest_xy=((0.0, 10.0),))
-    real = synthesize_realization(topo, TapProfile.exponential(), 16, 5)
+    real = synthesize_realization(topo, TapProfile(), 16, 5)
     # row 0 is source->dest0, row 1 source->relay0
     assert not np.allclose(real.taps[0], real.taps[1])
 
@@ -126,7 +134,7 @@ def test_link_streams_are_independent():
 def test_frequency_response_is_dft_of_taps():
     # the inverse DFT of a gain row is the circular autocorrelation of the
     # link's taps: lags 0..5 carry it, and lags 6..58 (between 5 and -5) are zero
-    prof = TapProfile.exponential()
+    prof = TapProfile()
     real = synthesize_realization(_topo(), prof, 64, 11)
     taps = real.taps[0]
     lags_back = np.fft.ifft(to_gains(real, 1.0).g_su[:, 0])
@@ -137,14 +145,14 @@ def test_frequency_response_is_dft_of_taps():
 
 def test_requires_enough_subcarriers():
     with pytest.raises(ValueError):
-        synthesize_realization(_topo(), TapProfile.exponential(num_taps=6), 4, 1)
+        synthesize_realization(_topo(), TapProfile(num_taps=6), 4, 1)
 
 
 def test_mean_attenuation_statistics():
     # source->dest and source->relay both at 10 m: mean subcarrier power
     # should approach the configured 30 dB attenuation
     topo = Topology(source_xy=(0.0, 0.0), relay_xy=((10.0, 0.0),), dest_xy=((0.0, 10.0),))
-    prof = TapProfile.exponential()
+    prof = TapProfile()
     acc = 0.0
     draws = 10_000
     for seed in range(draws):
@@ -157,8 +165,8 @@ def test_mean_attenuation_statistics():
 
 
 def test_shadowing_changes_draws_but_keeps_streams():
-    base = TapProfile.exponential()
-    shadowed = TapProfile.exponential(shadowing_db_std=8.0)
+    base = TapProfile()
+    shadowed = TapProfile(shadowing_db_std=8.0)
     a = synthesize_realization(_topo(), base, 16, 3)
     b = synthesize_realization(_topo(), shadowed, 16, 3)
     # same seed, same generator stream: only the scale differs per link
@@ -167,7 +175,7 @@ def test_shadowing_changes_draws_but_keeps_streams():
 
 
 def test_to_gains_normalizes_by_noise():
-    real = synthesize_realization(_topo(), TapProfile.exponential(), 16, 13)
+    real = synthesize_realization(_topo(), TapProfile(), 16, 13)
     g = to_gains(real, 1e-3)
     # one source->dest row, then one source->relay row, then one relay->dest row
     spectra = np.abs(np.fft.fft(real.taps, n=16, axis=1).T) ** 2
@@ -240,7 +248,7 @@ def _link_by_link(topology, profile, num_subcarriers, seed, noise_variance):
     def draw(row, role, a, b, distance):
         rng = _seed_sequence_stream(seed, role, a, b)
         shadow = 10.0 ** (rng.normal(0.0, profile.shadowing_db_std) / 10.0)
-        var = profile.link_variances(distance) * shadow
+        var = profile.variances * (profile.mean_power(distance) / profile.variances.sum()) * shadow
         scale = np.sqrt(var / 2.0)
         taps[row] = scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
         return np.abs(np.fft.fft(taps[row], n=k)) ** 2 / noise_variance
@@ -266,7 +274,7 @@ def _synthesis_inputs(draw):
 
     topology = Topology(source_xy=(0.0, 0.0), relay_xy=points(draw(st.integers(1, 4)), -10.0, -1.0),
                         dest_xy=points(draw(st.integers(1, 32)), -60.0, -11.0))
-    profile = TapProfile.exponential(
+    profile = TapProfile(
         num_taps=draw(st.integers(1, 8)),
         decay=draw(st.floats(1e-3, 50.0)),
         shadowing_db_std=draw(st.one_of(st.just(0.0), st.floats(1e-3, 20.0))),
@@ -301,7 +309,7 @@ def test_taps_are_pinned():
     # change of streams fails here even if the reference above changes with it
     topo = Topology(source_xy=(0.0, 0.0), relay_xy=((5.0, -5.0), (-15.0, -5.0)),
                     dest_xy=((0.0, -20.0), (3.0, -12.0), (-8.0, -25.0)))
-    prof = TapProfile.exponential(num_taps=3, shadowing_db_std=8.0)
+    prof = TapProfile(num_taps=3, shadowing_db_std=8.0)
     real = synthesize_realization(topo, prof, 16, 2**63 + 12345)
     # rows: source->dest 0..2, source->relay 3..4, relay i -> dest j at 5 + 3i + j
     pins = [

@@ -59,6 +59,9 @@ def test_load_config_defaults(tmp_path):
     assert len(cfg.relay_xy) == 4  # default four-relay line
     assert cfg.destination_region is not None
     assert cfg.seed == 0 and cfg.realizations == 1
+    # channel.TapProfile holds the tap defaults
+    assert (cfg.taps.num_taps, cfg.taps.decay, cfg.taps.shadowing_db_std) == (6, 3.0, 0.0)
+    assert cfg.tap_profile() is cfg.taps
     assert math.isclose(cfg.ptot_watts, 10.0 ** 3.5, rel_tol=1e-12)
     assert math.isclose(cfg.noise_watts, 1e-3, rel_tol=1e-12)
 
@@ -326,6 +329,17 @@ def _with_line(line):
     ("taps", "taps: [1, 2]"),
     ("output_dir", "output_dir: 5"),
     ("geometry.relay_xy", "geometry: {relay_xy: [[a, 1.0]]}"),
+    # messages that once named no field, or the wrong count or section
+    ("weights: expected a list of numbers, got [[0.5, 0.5]]", "weights: [[0.5, 0.5]]"),
+    ("taps.num_taps: must be >= 1", "taps: {num_taps: 0}"),
+    ("taps.decay: expected a number, got 'abc'", "taps: {decay: abc}"),
+    ("geometry.destination_region: expected a mapping", "geometry: {destination_region: 5}"),
+    ("geometry.destination_region.x_min: expected a number, got 'a'",
+     "geometry: {destination_region: {x_min: a, x_max: 10, y_min: -30, y_max: -10}}"),
+    ("geometry.destination_region.y_max: required", "geometry: {destination_region: {x_min: -10, x_max: 10, y_min: -30}}"),
+    # an integer past the float range once ended in an OverflowError traceback
+    pytest.param("ptot_dbw: expected a number", f"ptot_dbw: 1{'0' * 400}", id="ptot_dbw-past_float_range"),
+    pytest.param("weights: expected a list of numbers", f"weights: [1{'0' * 400}, 1]", id="weights-past_float_range"),
 ])
 def test_main_rejects_bad_numbers_as_config_errors(tmp_path, capsys, field, line):
     assert main([str(_write(tmp_path, _with_line(line))), "-o", str(tmp_path / "out")]) == 2
@@ -519,9 +533,11 @@ def test_main_protocol_override(tmp_path, capsys):
     (GOOD_YAML, ["-p", "proposed,proposed"], "repeated"),
     (GOOD_YAML, ["-p", " , "], "nonempty"),
     (GOOD_YAML, ["-s", "-1"], "seed"),
+    # the tap profile's own check once went unreported beside any other error
+    (GOOD_YAML + "taps: {decay: 800}\n", ["-s", "-1"], "taps: tap variances must be strictly positive"),
     (GOOD_YAML.replace("protocols: [proposed, reference]", "protocols: [proposed, proposed]"), [], "repeated"),
 ], ids=["reference_override_unequal_weights", "repeated_override", "empty_override", "negative_seed",
-        "repeated_in_file"])
+        "negative_seed_and_bad_taps", "repeated_in_file"])
 def test_main_rejects_bad_protocols_and_overrides(tmp_path, capsys, text, argv, message):
     assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "out")] + argv) == 2
     assert message in capsys.readouterr().err
@@ -626,7 +642,7 @@ def test_realization_builds_the_gain_table_once(tmp_path, monkeypatch):
     text = GOOD_YAML.replace("protocols: [proposed, reference]", "protocols: [highpower, proposed]")
     cfg = load_config(_write(tmp_path, text.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0")))
     out = cli._run_realization(cfg, 0)
-    assert out["highpower_met"]
+    assert out["status"]["highpower"] == "closed_form"
     assert len(calls) == 1
 
 
@@ -640,7 +656,7 @@ def test_realization_solves_the_price_bracket_once(tmp_path, monkeypatch, protoc
     monkeypatch.setattr(cli.solver, "price_bracket", lambda *a: brackets.append(1) or price_bracket(*a))
     text = GOOD_YAML.replace("protocols: [proposed, reference]", f"protocols: {protocols}")
     out = cli._run_realization(load_config(_write(tmp_path, text.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0"))), 0)
-    assert out["highpower_met"]
+    assert out["status"]["highpower"] == "closed_form"
     assert (len(fronts), len(brackets)) == (1, 2)
 
 
@@ -660,7 +676,6 @@ def test_realization_without_usable_links_reports_conditions_unmet(tmp_path, mon
     text = GOOD_YAML.replace("protocols: [proposed, reference]", f"protocols: {protocols}")
     out = cli._run_realization(load_config(_write(tmp_path, text)), 0)
     assert out["status"]["highpower"] == "conditions_unmet"
-    assert not out["highpower_met"]
 
 
 def test_main_without_usable_links_runs_the_reference(tmp_path, monkeypatch):

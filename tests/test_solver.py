@@ -818,7 +818,7 @@ def _synthesized(num_subcarriers, num_destinations, index):
     topo = channel.Topology(source_xy=(0.0, 0.0),
                             relay_xy=((-15.0, -5.0), (-5.0, -5.0), (5.0, -5.0), (15.0, -5.0)),
                             dest_xy=dest)
-    real = channel.synthesize_realization(topo, channel.TapProfile.exponential(), num_subcarriers, channel_seed)
+    real = channel.synthesize_realization(topo, channel.TapProfile(), num_subcarriers, channel_seed)
     return channel.to_gains(real, 1e-3)
 
 
