@@ -165,7 +165,6 @@ class ChannelRealization:
     num_relays: int
     num_destinations: int
     taps: np.ndarray  # (U + N + N*U, L)
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +347,7 @@ def synthesize_realization(
     var = profile.variances * per_link[:, None] * np.array(shadow)[:, None]
     taps = np.sqrt(var / 2.0) * (z[:, 1:1 + length] + 1j * z[:, 1 + length:])
 
-    return ChannelRealization(num_subcarriers=k, num_relays=n, num_destinations=u, taps=taps, seed=seed)
+    return ChannelRealization(num_subcarriers=k, num_relays=n, num_destinations=u, taps=taps)
 
 
 def to_gains(realization: ChannelRealization, noise_variance: float) -> GainTable:

@@ -107,12 +107,8 @@ class ExperimentConfig:
     def tap_profile(self) -> channel.TapProfile:
         return self.taps
 
-    def topology_for(self, dest_xy: np.ndarray) -> channel.Topology:
-        return channel.Topology(
-            source_xy=np.asarray(self.source_xy, dtype=float),
-            relay_xy=np.asarray(self.relay_xy, dtype=float),
-            dest_xy=np.asarray(dest_xy, dtype=float),
-        )
+    def topology_for(self, dest_xy) -> channel.Topology:
+        return channel.Topology(source_xy=self.source_xy, relay_xy=self.relay_xy, dest_xy=dest_xy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +138,15 @@ class RunReport:
         return np.column_stack([samples, prob])
 
 
-def _has_bool(value) -> bool:
-    """True for a YAML boolean, alone or in a list, which float() reads as 0 or 1."""
-    return isinstance(value, bool) or (isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
+def _has_text_or_bool(value) -> bool:
+    """True for a string or a YAML boolean, alone or in a list: float() reads "20" as 20 and true as 1."""
+    return isinstance(value, (str, bool)) or (isinstance(value, (list, tuple)) and any(map(_has_text_or_bool, value)))
 
 
 def _floats(value) -> Optional[np.ndarray]:
-    """``value`` as a float array, or None if it is not numeric or holds a YAML boolean."""
+    """``value`` as a float array, or None if it is not numeric or holds a string or a YAML boolean."""
     try:
-        return None if _has_bool(value) else np.asarray(value, dtype=float)
+        return None if _has_text_or_bool(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
 
@@ -314,8 +310,8 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         errors.append("num_subcarriers: must be at least taps.num_taps")
 
     output_dir = raw.get("output_dir", "relayalloc_out")
-    if not isinstance(output_dir, str):
-        errors.append("output_dir: expected a string")
+    if not isinstance(output_dir, str) or not output_dir:
+        errors.append("output_dir: expected a nonempty string")
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -334,9 +330,8 @@ def realization_seeds(master_seed: int, index: int) -> tuple:
 def _run_realization(config: ExperimentConfig, index: int) -> dict:
     """All requested protocols on one synthesized realization."""
     placement_seed, channel_seed = realization_seeds(config.seed, index)
-    if config.destination_xy is not None:
-        dest = np.asarray(config.destination_xy, dtype=float)
-    else:
+    dest = config.destination_xy
+    if dest is None:
         dest = channel.place_destinations(config.destination_region, config.num_destinations, placement_seed)
     topo = config.topology_for(dest)
     real = channel.synthesize_realization(topo, config.taps, config.num_subcarriers, channel_seed)

@@ -252,10 +252,10 @@ def water_level(a, v, budget: float, c=1.0):
     return float(ca[active].sum()), budget + float(cv[active].sum())
 
 
-# The search prices only the open bracket, and where the upper envelope is
-# tight (one live direct destination, or high power with equal weights) its
-# exact root is the optimum price: keep mu_upper this far above it.
-_UPPER_MARGIN = 1e-10
+# The search prices only the open bracket, and where an envelope is tight
+# (one live candidate, or high power with equal weights) its exact root is
+# the optimum price: keep each bound this far outside its root.
+_MARGIN = 1e-10
 
 
 class Front(NamedTuple):
@@ -281,9 +281,10 @@ class Front(NamedTuple):
     ``sum_k [min_u w_u / mu - vmax_k]+ = Ptot`` at the budget of the
     ``ModeSets``, for each subcarrier's least admissible term ``c / g`` vmin
     and largest live one vmax. The sums bound the assigned power, so the
-    optimum price lies between them. mu_upper is raised by a relative
-    ``_UPPER_MARGIN``, and a mu_lower that underflows to 0 is the smallest
-    normal price; both are 0 when no subcarrier has a live candidate.
+    optimum price lies between them. Each bound lies a relative ``_MARGIN``
+    outside its root, mu_upper above and mu_lower below, and a mu_lower that
+    underflows to 0 is the smallest normal price; both are 0 when no
+    subcarrier has a live candidate.
     """
 
     pick: np.ndarray       # (K, E) candidate 2u + m
@@ -351,21 +352,22 @@ def _pareto_front(mode_sets: "ModeSets", weights: np.ndarray) -> Front:
     # admissible / gain (1/g on admissible candidates) where the row's
     # maximum is below 2**-_DEAD_EXP, so that every admissible candidate of
     # the row is live; the other rows (a dead admissible candidate, or
-    # 0 / 0) mask dead candidates out.
+    # 0 / 0) keep only the live entries, those at most 2**-_DEAD_EXP: 1/g
+    # is monotone, so that is ``_inverse``'s test.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_all = admissible / gain
     hi = inv_all.take(rows[:, :, 0] + inv_all.argmax(axis=2))  # (2, K)
     if not (hi < 2.0**-_DEAD_EXP).all():
         m, k = np.nonzero(~(hi < 2.0**-_DEAD_EXP))
-        g = gain[m, k]
-        hi[m, k] = np.where(admissible[m, k] & (g >= 2.0**_DEAD_EXP), _inverse(g), 0.0).max(axis=1)
+        inv_mk = inv_all[m, k]
+        hi[m, k] = np.where(inv_mk <= 2.0**-_DEAD_EXP, inv_mk, 0.0).max(axis=1)
     v_lo = (_SLOTS[:, None, None] * inv).min(axis=(0, 2))
     v_hi = np.maximum(hi[0], _SLOTS[1] * hi[1])
     v_hi[v_hi == 0.0] = np.inf  # no live candidate
     num, den = water_level(2.0 * float(weights.max()), v_lo, mode_sets.ptot)
-    mu_upper = num / den * (1.0 + _UPPER_MARGIN)
+    mu_upper = num / den * (1.0 + _MARGIN)
     num, den = water_level(float(weights.min()), v_hi, mode_sets.ptot)
-    mu_lower = num / den
+    mu_lower = num / den * (1.0 - _MARGIN)
     if mu_lower == 0.0 < mu_upper:  # underflowed: a tiny weight against a huge budget
         mu_lower = sys.float_info.min
     return Front(pick=pick, gain=top.take(order), inv_gain=inv.take(order), weight=weights[pick >> 1],

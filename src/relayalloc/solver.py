@@ -18,27 +18,26 @@ the next price is the one at which the last state's assignment spends exactly
 ``Ptot``. The search stops when the maximizer at that price is the same
 assignment on every subcarrier that carries power: that assignment then
 maximizes the Lagrangian at a price where it spends the whole budget, which
-is the KKT certificate. Where the price is neither strictly inside the
-bracket (whose edges include the last price, so a repeat is excluded too)
-nor the still unmoved lower bound, the search bisects in log price,
-``sqrt(lo * hi)``, instead. The gains and admissibility do not depend on
-the price: every evaluation reads them from the ``ModeSets`` of
-``rates.classify``. A candidate's value does not decrease in its weight or
-its gain, so an evaluation scores only each subcarrier's (weight, gain)
-Pareto front, ``ModeSets.front``, built once per weight vector together
-with the two analytic price bounds, which ``price_bracket`` reads from it
-(Seong, Mohseni and Cioffi, IEEE ISIT 2006, for the per-subcarrier dual of
-weighted OFDMA).
+is the KKT certificate. Where the price is not strictly inside the bracket
+(whose edges include the last price, so a repeat is excluded too), the
+search bisects in log price, ``sqrt(lo * hi)``, instead. The gains and
+admissibility do not depend on the price: every evaluation reads them from
+the ``ModeSets`` of ``rates.classify``. A candidate's value does not
+decrease in its weight or its gain, so an evaluation scores only each
+subcarrier's (weight, gain) Pareto front, ``ModeSets.front``, built once
+per weight vector together with the two analytic price bounds, which
+``price_bracket`` reads from it (Seong, Mohseni and Cioffi, IEEE ISIT 2006,
+for the per-subcarrier dual of weighted OFDMA).
 
 P(mu) is step discontinuous, so no price may certify an assignment. If the
 bracket collapses, the total budget sits inside a power jump: no single
 assignment matches it exactly. Only the subcarriers whose choice differs
-between the two edge states of the bracket are then in question (Yu and
-Lui, IEEE Trans. Commun. 54(7), 2006). Taking the first j of them from the
-lower edge and the rest from the upper one, for every j, gives one mix
-per count of switched subcarriers; these and the greedy max
-weighted gain choice are refilled to the exact budget, and the best is
-returned with ``status="bracket_collapse"``.
+between the two edge states of the bracket, the states the search priced
+there, are then in question (Yu and Lui, IEEE Trans. Commun. 54(7), 2006).
+Taking the first j of them from the lower edge and the rest from the upper
+one, for every j, gives one mix per count of switched subcarriers; these and
+the greedy max weighted gain choice are refilled to the exact budget, and
+the best is returned with ``status="bracket_collapse"``.
 
 Every protocol ends with a (candidate, power) choice and its slot counts,
 and ``Allocation.from_choice`` turns it into the result: per subcarrier
@@ -269,8 +268,10 @@ def solve_at_price(mu: float, params: SolverParams, mode_sets: ModeSets) -> Dual
 def price_bracket(params: SolverParams, mode_sets: ModeSets) -> tuple:
     """Prices (mu_lower, mu_upper) enclosing the optimum: those of ``mode_sets.front(params.weights)``.
 
-    ``rates.Front`` derives them. Raises ValueError when ``mode_sets`` was
-    classified at a budget other than ``params.ptot``.
+    ``rates.Front`` derives them, each a relative ``rates._MARGIN`` outside
+    its root, so the optimum price lies strictly between them. Raises
+    ValueError when ``mode_sets`` was classified at a budget other than
+    ``params.ptot``.
     """
     if mode_sets.ptot != params.ptot:
         raise ValueError("mode_sets was classified at a different total power")
@@ -449,10 +450,11 @@ def solve(
     Steps to the exact price of the last state's assignment inside the
     analytic bounds, falling back to bisection in log price, stops once the
     maximizer at that price is the assignment itself, and repairs a
-    collapsed bracket from its two edge states, as described in the module
-    docstring. ``trace``, when given, is called with (iteration, mu,
-    total_power, lagrangian) after every price evaluation. Raises
-    ``ConvergenceError`` if the search runs past ``_MAX_EVALS`` evaluations.
+    collapsed bracket from the states it priced at the two edges, as
+    described in the module docstring. ``trace``, when given, is called with
+    (iteration, mu, total_power, lagrangian) after every price evaluation.
+    Raises ``ConvergenceError`` if the search runs past ``_MAX_EVALS``
+    evaluations.
     """
     if params.num_destinations != gains.num_destinations:
         raise ValueError("weights length must match the number of destinations")
@@ -487,6 +489,7 @@ def solve(
 
     mu = initial_price(mu_lower, mu_upper)
     lo, hi = mu_lower, mu_upper  # power(lo) >= ptot >= power(hi)
+    at_lo = at_hi = None  # the states priced at lo and hi
     priced = None  # (pick, power) of the assignment that spends ptot at mu
     for iterations in range(1, _MAX_EVALS + 1):
         state = solve_at_price(mu, params, mode_sets)
@@ -500,17 +503,15 @@ def solve(
             if np.array_equal(state.pick[on], pick[on]):
                 return finish(state.pick, power, mu, STATUS_KKT)
         if state.total_power > params.ptot:
-            lo = max(lo, mu)
+            lo, at_lo = mu, state
         else:
-            hi = min(hi, mu)
+            hi, at_hi = mu, state
         if hi - lo <= 1e-14 * max(hi, np.finfo(float).tiny):
             break
         # the last price is now an edge of the bracket, so a price strictly
-        # inside it never repeats one. mu_lower has no margin: where the
-        # lower envelope is tight it is the exact price itself, and pricing
-        # it twice certifies the second time
+        # inside it never repeats one
         fill = refill(state.pick)
-        if lo < fill[0] < hi or fill[0] == lo == mu_lower:
+        if lo < fill[0] < hi:
             mu, priced = fill[0], (state.pick, fill[1])
         else:
             mu, priced = initial_price(lo, hi), None
@@ -520,9 +521,11 @@ def solve(
     # The budget falls inside a power jump at the critical price. Mix j
     # takes the first j tied subcarriers from the lower edge state and the
     # rest from the upper one; each mix and the greedy choice is refilled to
-    # the exact budget, and the first strict maximum is kept.
-    a = solve_at_price(lo, params, mode_sets)
-    b = solve_at_price(hi, params, mode_sets)
+    # the exact budget, and the first strict maximum is kept. An edge the
+    # search never moved (only an underflowed mu_lower, which loses its
+    # margin) is priced here.
+    a = solve_at_price(lo, params, mode_sets) if at_lo is None else at_lo
+    b = solve_at_price(hi, params, mode_sets) if at_hi is None else at_hi
     tied = np.nonzero(a.pick != b.pick)[0]
     mixes = []
     for j in range(tied.size + 1):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import relayalloc
-from relayalloc import cli
+from relayalloc import channel, cli, rates
 from relayalloc.cli import (
     ConfigError,
     ExperimentConfig,
@@ -337,6 +337,14 @@ def _with_line(line):
     ("geometry.destination_region.x_min: expected a number, got 'a'",
      "geometry: {destination_region: {x_min: a, x_max: 10, y_min: -30, y_max: -10}}"),
     ("geometry.destination_region.y_max: required", "geometry: {destination_region: {x_min: -10, x_max: 10, y_min: -30}}"),
+    ("geometry.destination_region: region must have positive area",
+     "geometry: {destination_region: {x_min: 10, x_max: 10, y_min: -30, y_max: -10}}"),
+    # an empty output_dir once wrote every file into the current directory
+    ("output_dir: expected a nonempty string", 'output_dir: ""'),
+    # a string is never a number, as YAML booleans are not: "20" was once 20 dBW
+    ("ptot_dbw: expected a number, got '20'", 'ptot_dbw: "20"'),
+    ("weights: expected a list of numbers", 'weights: ["0.5", "0.5"]'),
+    ("geometry.relay_xy: expected a list of [x, y] pairs", 'geometry: {relay_xy: [["-5.0", -5.0], [5.0, -5.0]]}'),
     # an integer past the float range once ended in an OverflowError traceback
     pytest.param("ptot_dbw: expected a number", f"ptot_dbw: 1{'0' * 400}", id="ptot_dbw-past_float_range"),
     pytest.param("weights: expected a list of numbers", f"weights: [1{'0' * 400}, 1]", id="weights-past_float_range"),
@@ -516,6 +524,23 @@ def test_shadowing_past_the_float_range_is_an_error_exit(tmp_path):
     assert run.returncode == 1
     assert run.stderr.startswith("error: ") and "overflows" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_single_run_at_fixed_destinations_matches_a_direct_synthesis(tmp_path):
+    # destination_xy skips the placement: the step 1 gains are those of a
+    # synthesis at the given points, with the realization's channel seed
+    dest_xy = [[-4.0, -20.0], [6.0, -12.0]]
+    text = GOOD_YAML.replace("realizations: 3", "realizations: 1").replace(
+        "  destination_region: {x_min: -10.0, x_max: 10.0, y_min: -30.0, y_max: -10.0}",
+        f"  destination_xy: {dest_xy}")
+    _corner_run(tmp_path, text)
+    topology = channel.Topology(source_xy=[0.0, 0.0], relay_xy=[[-5.0, -5.0], [5.0, -5.0]], dest_xy=dest_xy)
+    real = channel.synthesize_realization(topology, channel.TapProfile(), 8, realization_seeds(7, 0)[1])
+    gains = channel.to_gains(real, 1e-3)
+    table = np.loadtxt(tmp_path / "out" / "gains_step1.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, :2], [[k + 1, u + 1] for k in range(8) for u in range(2)])
+    g1 = rates.effective_gain_table(gains.g_su, gains.g_sr, gains.g_ru)
+    np.testing.assert_allclose(table[:, 2:], np.column_stack([gains.g_su.ravel(), g1.ravel()]), rtol=1e-11, atol=0.0)
 
 
 def test_main_protocol_override(tmp_path, capsys):

@@ -260,17 +260,25 @@ def test_gain_too_small_to_invert_is_dead_in_the_bracket_too():
     assert alloc.wsr == math.log1p(0.8)
 
 
+# a lone relay aided pair makes the lower envelope exact: the root of the
+# lower price bound is the optimum price
+LONE_RELAY = _table([[0.1]], [[4.0]], [[[4.0]]])
+
+
 def test_optimum_on_the_lower_price_bound_is_certified():
-    # a lone relay aided pair makes the lower envelope exact: its root
-    # mu_lower is the optimum price, which the search prices once the
-    # pair's exact price reaches it (not the 46-evaluation collapse of a
-    # search that only prices inside the bracket)
-    t = _table([[0.1]], [[4.0]], [[[4.0]]])
+    # mu_lower lies a relative margin below that root, so the pair's exact
+    # price is strictly inside the bracket and certifies at the second
+    # evaluation (not the 46-evaluation collapse of a search that could
+    # not price the root)
     params = SolverParams(ptot=1.0, weights=[1.0])
-    alloc = solve(params, t)
+    ms = rates.classify(LONE_RELAY, params.ptot)
+    alloc = solve(params, LONE_RELAY, ms)
     assert (alloc.status, alloc.iterations) == (STATUS_KKT, 2)
-    assert alloc.mu_star == price_bracket(params, rates.classify(t, params.ptot))[0]
-    _assert_certified(alloc, params, t)
+    lo, hi = price_bracket(params, ms)
+    assert lo < alloc.mu_star < hi
+    num, den = water_level(1.0, rates._inverse(ms.g1[0]), params.ptot)
+    assert alloc.mu_star == num / den
+    _assert_certified(alloc, params, LONE_RELAY)
 
 
 def test_solve_all_zero_gains_returns_zero_wsr():
@@ -355,11 +363,16 @@ SIX_TIED = _table(np.tile([1.0, 0.5], (6, 1)), np.tile([1.0, 2.0], (6, 1)),
 TWO_DIRECT = _table([[1.0, 2.0]], [[0.001]], [[[0.001, 0.001]]])
 
 
-def test_search_prices_stay_inside_a_shrinking_bracket():
+def test_search_prices_stay_inside_a_shrinking_bracket(monkeypatch):
     # replaying the trace, every price lies strictly inside the bracket the
-    # earlier evaluations left, and each evaluation shrinks it
+    # earlier evaluations left, and each evaluation shrinks it; a collapse
+    # is repaired from the states the search priced at the edges, so every
+    # evaluation is one the trace reports (46 on SIX_TIED, not 48)
+    calls = []
+    evaluate = solver.solve_at_price
+    monkeypatch.setattr(solver, "solve_at_price", lambda *args: calls.append(args[0]) or evaluate(*args))
     rng = np.random.default_rng(28)
-    cases = [(TWO_DIRECT, [1.0, 0.5], 2.0), (SIX_TIED, [1.0, 1.0], 10.0)]
+    cases = [(TWO_DIRECT, [1.0, 0.5], 2.0), (SIX_TIED, [1.0, 1.0], 10.0), (LONE_RELAY, [1.0], 1.0)]
     cases += [(_random_table(rng, k=6, u=3, n=2), rng.uniform(0.2, 1.0, 3), float(rng.uniform(0.5, 50.0)))
               for _ in range(8)]
     statuses = set()
@@ -367,7 +380,9 @@ def test_search_prices_stay_inside_a_shrinking_bracket():
         params = SolverParams(ptot=ptot, weights=weights)
         ms = rates.classify(gains, params.ptot)
         rows = []
+        calls.clear()
         alloc = solve(params, gains, ms, trace=lambda *r: rows.append(r))
+        assert calls == [mu for _, mu, _, _ in rows]
         statuses.add(alloc.status)
         lo, hi = price_bracket(params, ms)
         front = ms.front(params.weights)
