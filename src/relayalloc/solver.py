@@ -51,6 +51,7 @@ rows on first access, from one more batched closed form call and its
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -172,10 +173,6 @@ class Allocation:
     mode: np.ndarray
     power: np.ndarray
     rate: np.ndarray
-
-    @property
-    def converged(self) -> bool:
-        return self.status in (STATUS_KKT, STATUS_CLOSED_FORM, STATUS_WATERFILL)
 
     @staticmethod
     def from_choice(pick, power, gain, c, params: SolverParams, gains: GainTable, status: str, mu: float,
@@ -414,21 +411,19 @@ class _LazyAssignments(Sequence):
 
     def __init__(self, pick, power, c, gains: GainTable) -> None:
         self._choice = (pick, power, c, gains)
-        self._rows = None
 
-    def _built(self) -> list:
-        if self._rows is None:
-            self._rows = _assemble(*self._choice)
-        return self._rows
+    @functools.cached_property
+    def _rows(self) -> list:
+        return _assemble(*self._choice)
 
     def __len__(self) -> int:
         return len(self._choice[0])
 
     def __getitem__(self, index):
-        return self._built()[index]
+        return self._rows[index]
 
     def __iter__(self):
-        return iter(self._built())
+        return iter(self._rows)
 
 
 # Every price lies strictly inside the bracket, so each evaluation shrinks
@@ -456,8 +451,6 @@ def solve(
     Raises ``ConvergenceError`` if the search runs past ``_MAX_EVALS``
     evaluations.
     """
-    if params.num_destinations != gains.num_destinations:
-        raise ValueError("weights length must match the number of destinations")
     if mode_sets is None:
         mode_sets = rates.classify(gains, params.ptot)
 

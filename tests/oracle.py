@@ -12,12 +12,20 @@ The one exception is the full-table price scorer. It takes the (2, K, U)
 candidate gains and admissibility that ``rates.classify`` computes and
 scores every candidate with the solver's own formula, so the solver, which
 scores only each subcarrier's front, must match it bit for bit.
+
+The exact step 2 optimum takes its step 1 gains from the benchmark's
+independent checker, ``perfbench/checks.py``, which enumerates relay
+subsets, and water-fills every assignment by its own bisection.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
-from itertools import combinations
+import sys
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +36,7 @@ __all__ = [
     "oracle_relay_gain",
     "oracle_split_optimality",
     "oracle_global_wsr",
+    "oracle_step2_optimum",
     "oracle_candidate_tables",
     "oracle_state_at_price",
 ]
@@ -152,6 +161,64 @@ def oracle_global_wsr(
             nxt[n] = cand.max()
         f = nxt
     return float(f.max())
+
+
+@functools.cache
+def _checks():
+    """``perfbench/checks.py``, imported by path; its dataclasses need it in ``sys.modules``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+def _water_fill(w: np.ndarray, g: np.ndarray, c: np.ndarray, budget: float) -> np.ndarray:
+    """Per slot powers ``[w / lam - 1 / g]+`` of each row's water-filling of ``budget``.
+
+    Row i spends ``sum_k c_ik q_ik``. Its level lam is bisected on the bit
+    patterns of positive doubles, which order as integers, until the two
+    ends are adjacent doubles; the powers at the end that spends at least
+    the budget are then rescaled onto it. Needs every gain positive.
+    """
+    inv = 1.0 / g
+
+    def spent(lam):
+        return (c * np.maximum(w / lam[:, None] - inv, 0.0)).sum(axis=1)
+
+    # counting every term as active understates what a level spends, so lo
+    # spends at least the budget; at hi no term spends anything
+    lo = ((c * w).sum(axis=1) / (budget + (c * inv).sum(axis=1))).view(np.int64)
+    hi = (w * g).max(axis=1).view(np.int64)
+    lo = np.where(spent(lo.view(float)) >= budget, lo, 1)  # rounding: fall back to the least double
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        over = spent(mid.view(float)) >= budget
+        lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+    q = np.maximum(w / lo.view(float)[:, None] - inv, 0.0)
+    return q * (budget / (c * q).sum(axis=1))[:, None]
+
+
+def oracle_step2_optimum(params: SolverParams, gains: GainTable) -> float:
+    """Largest WSR of step 2 over every assignment of subcarriers to candidates.
+
+    Candidate ``2u + m`` of subcarrier k is destination u relay aided
+    (m = 0: one slot, the enumerated effective gain) or direct (m = 1: two
+    slots, g_su). Each of the (2U)^K assignments is water-filled exactly at
+    the budget, and scores ``sum_k c_k w_k ln(1 + g_k q_k)``. Rejects
+    instances of more than 10^4 assignments.
+    """
+    kk, uu = gains.g_su.shape
+    if (2 * uu) ** kk > 10_000:
+        raise ValueError("oracle_step2_optimum enumerates at most 10^4 assignments")
+    if params.num_destinations != uu:
+        raise ValueError("weights length must match the number of destinations")
+    g1 = _checks().enumerated_relay_gain(gains.g_su, gains.g_sr, gains.g_ru)
+    gain = np.stack((g1, gains.g_su), axis=2).reshape(kk, 2 * uu)
+    pick = np.array(list(product(range(2 * uu), repeat=kk)))
+    g, w, c = gain[np.arange(kk), pick], params.weights[pick // 2], np.array([1.0, 2.0])[pick % 2]
+    q = _water_fill(w, g, c, params.ptot)
+    return float((c * w * np.log1p(g * q)).sum(axis=1).max())
 
 
 # Below this gain a candidate is dead: its inverse is infinite (the

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from test_golden import meet_contract, read_summary, run_config
 
 import relayalloc
 from relayalloc import channel, cli, rates
@@ -41,15 +43,6 @@ def _write(tmp_path, text, name="config.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
-
-
-def _summary(out):
-    """``out``/summary.json, read as strict JSON: NaN and Infinity are errors."""
-
-    def reject(token):
-        raise ValueError(f"non-strict JSON constant {token}")
-
-    return json.loads((out / "summary.json").read_text(), parse_constant=reject)
 
 
 def test_load_config_defaults(tmp_path):
@@ -208,7 +201,7 @@ def test_emit_writes_expected_files(tmp_path):
     assert alloc_rows[0] == "k,u_k,mode,P_k,P_source,P_relay_1,P_relay_2"
     first = alloc_rows[1].split(",")
     assert first[0] == "1" and first[1] in ("1", "2")  # 1-based indices
-    summary = _summary(out)
+    summary = read_summary(out)
     assert summary["config"]["num_relays"] == 2
     assert "proposed" in summary["average_wsr"]
 
@@ -383,7 +376,7 @@ def test_main_exit_code_contract(tmp_path, capsys):
     dead = GOOD_YAML.replace("noise_dbw: -30.0", "noise_dbw: 3070.0").replace(
         "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
     assert main([str(_write(tmp_path, dead)), "-o", str(tmp_path / "dead")]) == 0
-    summary = _summary(tmp_path / "dead")
+    summary = read_summary(tmp_path / "dead")
     # the budget spread evenly still carries subnormal rates, and both
     # protocols report them
     average = summary["average_wsr"]
@@ -392,126 +385,8 @@ def test_main_exit_code_contract(tmp_path, capsys):
     # a budget of 1e300 W: the product of the bracket edges underflows
     huge = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 3000.0")
     assert main([str(_write(tmp_path, huge)), "-o", str(tmp_path / "huge")]) == 0
-    summary = _summary(tmp_path / "huge")
+    summary = read_summary(tmp_path / "huge")
     assert summary["average_wsr"]["proposed"] >= summary["average_wsr"]["reference"] > 0.0
-
-
-HUGE_GAINS_YAML = """\
-num_subcarriers: 16
-num_destinations: 4
-ptot_dbw: 35.0
-noise_dbw: -3070.0
-seed: 1
-realizations: 3
-protocols: [proposed, reference, highpower]
-"""
-
-
-def _corner_run(tmp_path, text, name="out"):
-    """summary.json of a run that must exit 0, write strict JSON and spend its budget.
-
-    The config is written to ``name``.yaml and the output to ``name``/. Where
-    the reference runs, the proposed WSR is at least its WSR on every
-    realization.
-    """
-    out = tmp_path / name
-    assert main([str(_write(tmp_path, text, f"{name}.yaml")), "-o", str(out)]) == 0
-    summary = _summary(out)
-    assert summary["max_budget_slack"] <= 1e-9 * summary["config"]["ptot_watts"]
-    rows = np.atleast_2d(np.loadtxt(out / "wsr_realizations.csv", delimiter=",", skiprows=1))
-    if "reference" in summary["average_wsr"]:
-        assert np.all(rows[:, 1] >= rows[:, 2])
-    return summary
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_huge_gains_stay_finite(tmp_path):
-    # gains up to about 1e305: unless the relay closed form scales them
-    # first, a product of two overflows, the effective gains are infinite,
-    # and the reference's water-filling rejects them
-    summary = _corner_run(tmp_path, HUGE_GAINS_YAML)
-    assert math.isfinite(summary["average_wsr"]["proposed"])
-    assert summary["status_counts"]["proposed"] == {"kkt": 3}
-    # only a single run writes its step 1 gains
-    single = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("realizations: 3", "realizations: 1"), "single")
-    assert single["status_counts"]["proposed"] == {"kkt": 1}
-    table = np.loadtxt(tmp_path / "single" / "gains_step1.csv", delimiter=",", skiprows=1)
-    assert table.shape == (64, 4) and np.all(np.isfinite(table))
-    assert table[:, 2:].max() > 1e300
-
-
-TINY_BUDGET_YAML = HUGE_GAINS_YAML.replace("ptot_dbw: 35.0\nnoise_dbw: -3070.0", "ptot_dbw: -3000.0\nnoise_dbw: -30.0")
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_tiny_budget_is_spent(tmp_path):
-    # 1e-300 W is below the rounding of every inverse gain, so the water
-    # level cancels to zero on every subcarrier; the budget still goes out,
-    # to the strongest subcarriers
-    summary = _corner_run(tmp_path, TINY_BUDGET_YAML)
-    assert summary["config"]["ptot_watts"] == 1e-300
-    wsr = summary["average_wsr"]
-    assert wsr["proposed"] >= wsr["reference"] > 0.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_gains_near_the_float_floor_stay_normal(tmp_path):
-    # noise_dbw 3015 puts the candidates' gains on both sides of the
-    # dead-gain floor 2**-1012 (about 2.4e-305); unless the ones below it
-    # count as dead, their inverses overflow the water level sums
-    summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", "noise_dbw: 3015.0"))
-    assert summary["average_wsr"]["proposed"] > 0.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_gains_just_below_the_float_floor_count_as_dead(tmp_path):
-    # noise_dbw 3030 puts the gains just below the dead-gain floor 2**-1012;
-    # counting them live overflowed the price search's sums. At 3070 they
-    # are far below it, subnormal.
-    for noise in ("3030.0", "3070.0"):
-        summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("noise_dbw: -3070.0", f"noise_dbw: {noise}"), noise)
-        assert summary["status_counts"]["proposed"] == {"kkt": 3}
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_tiny_budget_on_huge_gains_roots_the_bracket_edges_apart(tmp_path):
-    # at 1e-300 W on gains up to 1e305 the bracket is about [1.7e300,
-    # 5.3e300], and the product of its edges overflows
-    summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("ptot_dbw: 35.0", "ptot_dbw: -3000.0"))
-    assert summary["status_counts"]["proposed"] == {"kkt": 3}
-
-
-def test_tiny_budget_with_a_huge_weight_is_spent(tmp_path):
-    # below the rounding of every inverse gain the budget goes to the least
-    # thresholds in proportion to c w; budget / sum(c w) underflows unless
-    # c w is scaled first
-    text = TINY_BUDGET_YAML.replace("num_destinations: 4", "num_destinations: 3\nweights: [1, 1, 1.0e+100]").replace(
-        "protocols: [proposed, reference, highpower]", "protocols: [proposed]").replace(
-        "realizations: 3", "realizations: 1")
-    summary = _corner_run(tmp_path, text)
-    assert summary["average_wsr"]["proposed"] > 0.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_rates_stay_finite_where_gain_times_power_overflows(tmp_path):
-    # at 60 dBW on gains up to 1e305, g q overflows in the candidate table
-    # and in the rates; the rate is then ln g + ln q
-    summary = _corner_run(tmp_path, HUGE_GAINS_YAML.replace("ptot_dbw: 35.0", "ptot_dbw: 60.0"))
-    assert summary["status_counts"]["proposed"] == {"kkt": 3}
-    wsr = summary["average_wsr"]
-    assert wsr["proposed"] >= wsr["reference"] > 0.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_tiny_weight_against_a_huge_budget_keeps_the_lower_price_positive(tmp_path):
-    # the lower price root is about w_min K / ptot = 1e-100 * 16 / 1e300,
-    # which underflows to 0; the search then priced mu = 0 and the run
-    # exited 1 with "mu must be positive"
-    text = TINY_BUDGET_YAML.replace("ptot_dbw: -3000.0", "ptot_dbw: 3000.0").replace(
-        "num_destinations: 4", "num_destinations: 3\nweights: [1.0e-100, 1, 1]").replace(
-        "protocols: [proposed, reference, highpower]", "protocols: [proposed]")
-    summary = _corner_run(tmp_path, text)
-    assert summary["status_counts"]["proposed"] == {"kkt": 3}
 
 
 def test_shadowing_past_the_float_range_is_an_error_exit(tmp_path):
@@ -530,10 +405,9 @@ def test_single_run_at_fixed_destinations_matches_a_direct_synthesis(tmp_path):
     # destination_xy skips the placement: the step 1 gains are those of a
     # synthesis at the given points, with the realization's channel seed
     dest_xy = [[-4.0, -20.0], [6.0, -12.0]]
-    text = GOOD_YAML.replace("realizations: 3", "realizations: 1").replace(
-        "  destination_region: {x_min: -10.0, x_max: 10.0, y_min: -30.0, y_max: -10.0}",
-        f"  destination_xy: {dest_xy}")
-    _corner_run(tmp_path, text)
+    config = {**yaml.safe_load(GOOD_YAML), "realizations": 1,
+              "geometry": {"relay_xy": [[-5.0, -5.0], [5.0, -5.0]], "destination_xy": dest_xy}}
+    meet_contract(run_config(config, tmp_path))
     topology = channel.Topology(source_xy=[0.0, 0.0], relay_xy=[[-5.0, -5.0], [5.0, -5.0]], dest_xy=dest_xy)
     real = channel.synthesize_realization(topology, channel.TapProfile(), 8, realization_seeds(7, 0)[1])
     gains = channel.to_gains(real, 1e-3)
@@ -577,76 +451,6 @@ def test_load_config_rejects_removed_search_knobs(tmp_path, key):
         load_config(_write(tmp_path, text))
 
 
-FLAT_YAML = """\
-num_subcarriers: 64
-num_destinations: 8
-ptot_dbw: 35.0
-noise_dbw: -30.0
-seed: 1
-realizations: 20
-protocols: [proposed, reference, highpower]
-taps: {num_taps: 1}
-"""
-
-
-def test_flat_channel_collapse_beats_the_reference(tmp_path, monkeypatch):
-    # one tap makes every subcarrier of a realization identical, so each
-    # price gives them all one choice; where the bracket collapses, only a
-    # split of them between the two edge choices spends the budget well
-    reports = []
-    run = cli.run_monte_carlo
-    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: reports.append(run(cfg)) or reports[-1])
-    _corner_run(tmp_path, FLAT_YAML)
-    [report] = reports
-    collapsed = [i for i, s in enumerate(report.statuses["proposed"]) if s == "bracket_collapse"]
-    assert collapsed
-    for i in collapsed:
-        assert report.wsr["proposed"][i] > report.wsr["reference"][i]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_flat_channel_with_unequal_weights_spends_the_budget(tmp_path):
-    # one tap ties every subcarrier, and four weight levels give each
-    # subcarrier's (weight, gain) front several entries per mode
-    text = FLAT_YAML.replace("protocols: [proposed, reference, highpower]", "protocols: [proposed, highpower]") + (
-        "weights: [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]\n")
-    _corner_run(tmp_path, text)
-
-
-SINGLE_RUN_YAML = """\
-num_subcarriers: 64
-num_destinations: 8
-ptot_dbw: 0.0
-noise_dbw: -30.0
-seed: 1
-realizations: 1
-protocols: [proposed, reference, highpower]
-"""
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("text, tables", [
-    # most subcarriers go relay aided; the high power conditions fail
-    (SINGLE_RUN_YAML, ["proposed", "reference"]),
-    # the high power conditions hold, so every protocol writes its table
-    (SINGLE_RUN_YAML.replace("ptot_dbw: 0.0", "ptot_dbw: 100.0"), ["highpower", "proposed", "reference"]),
-    # every subcarrier goes relay aided on gains above 2**500, so the split
-    # runs on scaled gains; its powers near 1e-305 W leave no absolute slack
-    (SINGLE_RUN_YAML.replace("num_subcarriers: 64\nnum_destinations: 8", "num_subcarriers: 16\nnum_destinations: 4")
-     .replace("ptot_dbw: 0.0\nnoise_dbw: -30.0", "ptot_dbw: -3040.0\nnoise_dbw: -3070.0"), ["proposed", "reference"]),
-], ids=["0dBW", "100dBW", "scaled"])
-def test_alloc_tables_split_each_subcarrier_power(tmp_path, text, tables):
-    # each alloc_<protocol>.csv row's P_k is its source power plus its relay powers
-    summary = _corner_run(tmp_path, text)
-    kk = summary["config"]["num_subcarriers"]
-    assert sorted(p.name for p in (tmp_path / "out").glob("alloc_*.csv")) == [f"alloc_{p}.csv" for p in tables]
-    for protocol in tables:
-        table = np.loadtxt(tmp_path / "out" / f"alloc_{protocol}.csv", delimiter=",", skiprows=1,
-                           usecols=range(3, 5 + summary["config"]["num_relays"]), ndmin=2)
-        assert table.shape[0] == kk
-        np.testing.assert_allclose(table[:, 0], table[:, 1:].sum(axis=1), rtol=1e-9, atol=0.0)
-
-
 def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):
     # at 20 dBW the high power conditions fail on every realization, so its
     # average WSR has no value and must be written as null
@@ -654,7 +458,7 @@ def test_summary_is_strict_json_when_highpower_never_applies(tmp_path):
         "protocols: [proposed, reference]", "protocols: [proposed, highpower]"
     )))
     emit(run_monte_carlo(cfg), tmp_path / "out")
-    summary = _summary(tmp_path / "out")
+    summary = read_summary(tmp_path / "out")
     assert summary["highpower_conditions_met"] == 0
     assert summary["average_wsr"]["highpower"] is None
     assert summary["average_wsr"]["proposed"] > 0.0
@@ -707,7 +511,7 @@ def test_main_without_usable_links_runs_the_reference(tmp_path, monkeypatch):
     # no split of the budget carries any rate: both protocols report WSR 0
     _kill_every_link(monkeypatch)
     assert main([str(_write(tmp_path, GOOD_YAML)), "-o", str(tmp_path / "out")]) == 0
-    summary = _summary(tmp_path / "out")
+    summary = read_summary(tmp_path / "out")
     assert summary["average_wsr"] == {"proposed": 0.0, "reference": 0.0}
 
 
@@ -738,7 +542,7 @@ def test_only_a_single_run_assembles_assignment_rows(tmp_path, monkeypatch):
     text = GOOD_YAML.replace("ptot_dbw: 20.0", "ptot_dbw: 90.0").replace(
         "protocols: [proposed, reference]", "protocols: [proposed, reference, highpower]")
     assert main([str(_write(tmp_path, text)), "-o", str(tmp_path / "mc")]) == 0
-    assert _summary(tmp_path / "mc")["highpower_conditions_met"] == 3
+    assert read_summary(tmp_path / "mc")["highpower_conditions_met"] == 3
     assert calls == []
     assert not list((tmp_path / "mc").glob("alloc_*.csv"))
 

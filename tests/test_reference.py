@@ -204,7 +204,7 @@ def test_reference_returns_an_allocation_record(seed):
     for ptot in (0.1, 10.0):
         ref = solve_reference(gains, ptot, weights=w, g1_table=g1)
         assert isinstance(ref, solver.Allocation)
-        assert ref.status == "waterfill" and ref.converged
+        assert ref.status == "waterfill"
         assert ref.iterations == 0
         assert ref.residual == max(ptot - float(ref.power.sum()), 0.0) <= 1e-9 * ptot
         # the price is the protocol's own: the common weight over its water level
